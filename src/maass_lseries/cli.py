@@ -8,7 +8,9 @@ Subcommands:
   fixtures export  write a bundled fixture in the coefficient JSON schema
 
 Exit codes: 0 pass, 1 check failed, 2 input error, 3 domain/membership
-error.  Reports are deterministic for a fixed configuration.
+error, 4 numerical error (accuracy not reached, or a value outside the
+double-precision range).  Reports are deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 import sys
 
-from .errors import DomainError, MembershipError, SchemaError
+from .errors import AccuracyError, DomainError, MembershipError, RangeOverflowError, SchemaError
 from .form import FormData, form_from_dict, form_to_dict
 from .lseries import classical_value, lseries_integral, lseries_series
 from .qseries import FIXTURE_NAMES, fixture, fixture_pair
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
+EXIT_NUMERICAL_ERROR = 4
 
 
 def _battery_from_args(args) -> list:
@@ -183,6 +186,7 @@ def cmd_converse(args) -> int:
     record = {
         "verdict": rep.verdict,
         "n_checked": rep.n_checked,
+        "unreliable": rep.unreliable_count,
         "worst_rel_residual": rep.worst.rel_residual if rep.worst else None,
         "worst_witness": {
             "chi": rep.worst.chi_id,
@@ -325,6 +329,9 @@ def main(argv=None) -> int:
     except (DomainError, MembershipError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
+    except (AccuracyError, RangeOverflowError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, ShadowVanishesError
-from .specials import Character, gauss_sum, upper_gamma
+from .specials import Character, _gamma_half_exp, gauss_sum, upper_gamma_scaled
 
 _TWO_PI = 2.0 * math.pi
 
@@ -53,6 +53,27 @@ class RuleCoeffs(Mapping):
         if self.vfn is not None:
             return np.asarray(self.vfn(ns))
         return np.array([self.fn(int(n)) for n in ns])
+
+
+class ArrayCoeffs(Mapping):
+    """Coefficients held as a sorted int64 index array and a complex value
+    array, the layout ``FormData._arrays`` hands to the evaluators."""
+
+    def __init__(self, ns: np.ndarray, vals: np.ndarray):
+        self.ns = ns
+        self.vals = vals
+
+    def __getitem__(self, n):
+        i = int(np.searchsorted(self.ns, n))
+        if i < len(self.ns) and self.ns[i] == n:
+            return complex(self.vals[i])
+        raise KeyError(n)
+
+    def __iter__(self):
+        return iter(self.ns.tolist())
+
+    def __len__(self):
+        return len(self.ns)
 
 
 _ARRAY_CAP = 5_000_000
@@ -102,6 +123,9 @@ class FormData:
         cache = self._cache
         if part not in cache:
             m = self.a if part == "a" else self.b
+            if isinstance(m, ArrayCoeffs):
+                cache[part] = (m.ns, m.vals)
+                return cache[part]
             if len(m) > _ARRAY_CAP:
                 raise DomainError("coefficient map too large for dense evaluation")
             ns = np.array(sorted(m), dtype=np.int64)
@@ -205,8 +229,8 @@ def eval_point(f: FormData, z: complex, tol: float = 1e-12) -> complex:
     acc = complex(np.sum(avals * np.exp(2j * math.pi * ns * z / f.period)))
     bns, bvals = f._arrays("b")
     for n, bv in zip(bns, bvals):
-        g = upper_gamma(1.0 - f.k, -4.0 * math.pi * n * y / f.period)
-        acc += bv * g * np.exp(2j * math.pi * n * z / f.period)
+        x = -4.0 * math.pi * n * y / f.period
+        acc += bv * upper_gamma_scaled(1.0 - f.k, x) * np.exp(2j * math.pi * n * z / f.period - x)
     return acc
 
 
@@ -226,12 +250,9 @@ def eval_iy(f: FormData, ys, tol: float = 1e-12) -> np.ndarray:
     ns, avals = f._arrays("a")
     E = np.exp(-_TWO_PI * np.outer(ys, ns.astype(float)) / f.period)
     acc = E @ avals
-    bns, bvals = f._arrays("b")
-    for n, bv in zip(bns, bvals):
-        g = np.array(
-            [upper_gamma(1.0 - f.k, -4.0 * math.pi * n * yy / f.period) for yy in ys]
-        )
-        acc = acc + bv * g * np.exp(-_TWO_PI * n * ys / f.period)
+    for n, bv in zip(*f._arrays("b")):
+        # Gamma(1-k, x) e^{x/2} at x = -4 pi n y / M, finite past underflow
+        acc = acc + bv * _gamma_half_exp(1.0 - f.k, -4.0 * math.pi * n * ys / f.period)
     return acc
 
 
@@ -256,9 +277,9 @@ def delta_k_point(f: FormData, z: complex, tol: float = 1e-12) -> complex:
     acc = complex(np.sum(avals * (half_k + 2j * math.pi * ns * z / f.period) * phases))
     bns, bvals = f._arrays("b")
     for n, bv in zip(bns, bvals):
-        g = upper_gamma(1.0 - f.k, -4.0 * math.pi * n * y / f.period)
+        x = -4.0 * math.pi * n * y / f.period
         w = 2j * math.pi * n * z / f.period
-        acc += bv * g * (half_k + w) * np.exp(2j * math.pi * n * z / f.period)
+        acc += bv * upper_gamma_scaled(1.0 - f.k, x) * (half_k + w) * np.exp(w - x)
     return acc
 
 
@@ -283,13 +304,9 @@ def delta_k_iy(f: FormData, ys, tol: float = 1e-12) -> np.ndarray:
     E = np.exp(-_TWO_PI * np.outer(ys, nf) / f.period)
     # at z = iy:  2 pi i n z / M = -2 pi n y / M  (real)
     acc = E @ (avals * half_k) + (E * (-_TWO_PI * np.outer(ys, nf) / f.period)) @ avals
-    bns, bvals = f._arrays("b")
-    for n, bv in zip(bns, bvals):
-        g = np.array(
-            [upper_gamma(1.0 - f.k, -4.0 * math.pi * n * yy / f.period) for yy in ys]
-        )
+    for n, bv in zip(*f._arrays("b")):
         w = -_TWO_PI * n * ys / f.period
-        acc = acc + bv * g * (half_k + w) * np.exp(-_TWO_PI * n * ys / f.period)
+        acc = acc + bv * _gamma_half_exp(1.0 - f.k, 2.0 * w) * (half_k + w)
     return acc
 
 
@@ -309,21 +326,17 @@ def twist(f: FormData, chi: Character) -> FormData:
     if math.gcd(D, f.level) != 1:
         raise DomainError("twist requires gcd(D, N) = 1")
     chibar = chi.conjugate()
-    tau = {}
+    taus = np.array([gauss_sum(chibar, r) for r in range(D)])
 
-    def tau_of(n: int) -> complex:
-        r = n % D
-        if r not in tau:
-            tau[r] = gauss_sum(chibar, r)
-        return tau[r]
+    def twisted(part: str) -> ArrayCoeffs:
+        ns, vals = f._arrays(part)
+        return ArrayCoeffs(ns, vals * taus[ns % D])
 
-    a = {n: v * tau_of(n) for n, v in f.a.items()}
-    b = {n: v * tau_of(n) for n, v in f.b.items()}
     return replace(
         f,
         period=D,
-        a=a,
-        b=b,
+        a=twisted("a"),
+        b=twisted("b"),
         label=f"{f.label}.chi[{D}.{chi.index}]" if f.label else f"chi[{D}.{chi.index}]",
     )
 

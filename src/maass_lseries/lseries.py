@@ -24,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, MembershipError
-from .form import FormData, RuleCoeffs, geom_tail, twist, eval_iy, delta_k_iy
-from .specials import Character, _principal_pow, i_pow, upper_gamma
+from .form import FormData, RuleCoeffs, delta_k_iy, eval_iy, geom_tail, twist
+from .specials import Character, _gamma_half_exp, _principal_pow, i_pow, upper_gamma
 from .testfn import TestFunction, laplace, laplace_many, quadrature, shift_s, slash_W
 
 _TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,69 @@ def lseries_series(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue
     incomplete-gamma y-integral; disagreement beyond the combined error
     budget raises AccuracyError.
     """
-    series_membership(f, phi)
-    value, trunc, quad, n_terms = _hol_sum(f, phi, tol)
+    return _series_pair(f, phi, tol, delta=False)[0]
+
+
+def lseries_delta(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue:
+    """L_{delta_k f}(phi) by the renormalized-derivative series."""
+    return _series_pair(f, phi, tol, delta=True)[1]
+
+
+def _series_pair(
+    f: FormData,
+    phi: TestFunction,
+    tol: float,
+    delta: bool,
+    coeff_err: np.ndarray | None = None,
+) -> tuple[LValue, LValue | None]:
+    """L_f(phi) and, with ``delta``, L_{delta_k f}(phi) in one transform pass.
+
+    The delta_k series is (k/2) L_f(phi) - (2 pi / M) sum n a(n) (L phi_2)(2 pi n / M)
+    plus its nonholomorphic part, so the plain value is computed once and
+    phi and phi_2 = phi x share one transform table.  ``coeff_err`` bounds
+    the absolute error of each stored a(n), aligned with ``f._arrays("a")``;
+    its image sum coeff_err |(L phi)(2 pi n / M)| joins the quadrature budget.
+    """
+    # the delta_k envelope carries an extra factor n, so certifying it
+    # certifies the plain series as well
+    series_membership(f, phi, for_delta=delta)
+    c1, _, K = _phi_mass(phi)
+    alpha = _TWO_PI * c1 / f.period
+    step = _TWO_PI / f.period
+    phi2 = shift_s(phi, 2.0)
+    ns, avals = f._arrays("a")
+    neg = ns < 0
+    # skip only positive-index terms whose certified bound is below the
+    # representable range; anything larger may still matter after cancellation
+    decay = np.where(ns > 0, alpha * ns.astype(float), 0.0)
+    mags = np.abs(avals)
+    plain = (ns == 0) | (
+        (ns > 0) & (np.log(mags + 1e-300) + math.log(max(K, 1e-300)) - decay > -650.0)
+    )
+    deriv = (ns > 0) & (np.log(mags * (ns + 1) + 1e-300) - decay > -650.0)
+    deriv &= delta
+    table = plain | deriv
+    if np.any(table):
+        lv, le = laplace_many((phi, phi2) if delta else (phi,), ns[table] * step)
+
+    def tabulated(row, mask, coeffs, test, err):
+        sub = mask[table]
+        return _weighted_transform_sum(
+            coeffs, test, ns[mask], f.period, (lv[row][sub], le[row][sub]), err
+        )
+
+    value, quad = 0.0 + 0.0j, 0.0
+    if np.any(plain):
+        err = None if coeff_err is None else coeff_err[plain]
+        value, quad = tabulated(0, plain, avals[plain], phi, err)
+    for n, av in zip(ns[neg], avals[neg]):
+        lvn = laplace(phi, _TWO_PI * n / f.period)
+        value += av * lvn
+        quad += 1e-13 * abs(av * lvn)
+    trunc = 0.0 if f.exhaustive else geom_tail(
+        f.amplitude("a") * K, f.growth_C, alpha, _max_stored(f, "a")
+    )
+    n_terms = int(np.count_nonzero(plain | neg))
     if len(f.b):
         v_t, q_t = _nonhol_sum_t(f, phi, tol)
         v_y, q_y = _nonhol_sum_y(f, phi, tol)
@@ -144,26 +206,63 @@ def lseries_series(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue
             )
         value += v_t
         quad += q_t
-        trunc += _nonhol_series_tail(f, _phi_mass(phi)[0])
+        trunc += _nonhol_series_tail(f, c1)
         n_terms += len(f.b)
-    return LValue(value, trunc, quad, n_terms, "series")
+    base = LValue(value, trunc, quad, n_terms, "series")
+    if not delta:
+        return base, None
+
+    k = f.k
+    value = 0.5 * k * base.value
+    quad = abs(0.5 * k) * base.quad_err
+    trunc = abs(0.5 * k) * base.trunc_err
+    if np.any(deriv):
+        nf = ns[deriv].astype(float)
+        err = None if coeff_err is None else coeff_err[deriv] * nf
+        v, q = tabulated(1, deriv, avals[deriv] * nf, phi2, err)
+        value += -step * v
+        quad += step * q
+    for n, av in zip(ns[neg], avals[neg]):
+        lvn = laplace(phi2, _TWO_PI * n / f.period)
+        value += -step * av * n * lvn
+    if not f.exhaustive:
+        trunc += step * geom_tail(
+            f.amplitude("a") * _phi_mass(phi2)[2], f.growth_C, alpha, _max_stored(f, "a"), 1.0
+        )
+    if len(f.b):
+        v_t, q_t = _nonhol_sum_t(f, phi, tol, delta=True)
+        value += v_t
+        quad += q_t
+        trunc += _nonhol_series_tail(f, c1, 1.0)
+    return base, LValue(value, trunc, quad, len(f.a) + len(f.b), "series")
 
 
 _CANCEL_ESCALATE = 3e3
 _PI_LD = 4 * np.arctan(np.longdouble(1.0))
 
 
-def _weighted_transform_sum(coeffs: np.ndarray, phi: TestFunction, ns: np.ndarray, period: int):
+def _weighted_transform_sum(
+    coeffs: np.ndarray,
+    phi: TestFunction,
+    ns: np.ndarray,
+    period: int,
+    table: tuple[np.ndarray, np.ndarray] | None = None,
+    coeff_err: np.ndarray | None = None,
+):
     """sum_n coeffs[n] (L phi)(2 pi n / period), escalating precision.
 
-    When the float64 sum cancels by more than ~3e3, the transforms, the
-    frequencies 2 pi n / period themselves, and the dot product are all
-    recomputed in x87 long double, pushing the noise floor down by three
-    orders of magnitude.  Exact for integer coefficient data stored in
-    complex128 (the cast to complex long double is lossless).
+    ``table`` holds the float64 transform values and errors at these
+    frequencies when the caller has them already.  When the float64 sum
+    cancels by more than ~3e3, the transforms, the frequencies
+    2 pi n / period themselves, and the dot product are all recomputed in
+    x87 long double, pushing the noise floor down by three orders of
+    magnitude.  Exact for integer coefficient data stored in complex128
+    (the cast to complex long double is lossless).  ``coeff_err`` bounds
+    the error of each coefficient and adds its image to the budget.
     """
-    us = ns.astype(float) * (_TWO_PI / period)
-    lv, le = laplace_many(phi, us)
+    if table is None:
+        table = laplace_many(phi, ns.astype(float) * (_TWO_PI / period))
+    lv, le = table
     terms = coeffs * lv
     ssum = complex(np.sum(terms))
     mass = float(np.sum(np.abs(terms)))
@@ -172,6 +271,8 @@ def _weighted_transform_sum(coeffs: np.ndarray, phi: TestFunction, ns: np.ndarra
     # irreducible at any working precision
     big = np.abs(coeffs) > 2.0 ** 53
     storage_noise = 5e-16 * float(np.sum(np.abs(terms[big]))) if np.any(big) else 0.0
+    if coeff_err is not None:
+        storage_noise += float(np.sum(coeff_err * np.abs(lv)))
     cancel = mass / max(abs(ssum), 1e-300)
     if cancel > _CANCEL_ESCALATE and _longdouble_capable(phi):
         us_ld = ns.astype(np.longdouble) * (2 * _PI_LD / np.longdouble(period))
@@ -193,45 +294,15 @@ def _longdouble_capable(phi: TestFunction) -> bool:
     )
 
 
-def _hol_sum(f: FormData, phi: TestFunction, tol: float):
-    """sum a(n) (L phi)(2 pi n / M) over stored n, negative n adaptively."""
-    ns, avals = f._arrays("a")
-    if len(ns) == 0:
-        return 0.0 + 0.0j, 0.0, 0.0, 0
-    c1, c2, K = _phi_mass(phi)
-    alpha = _TWO_PI * c1 / f.period
-    # skip only terms whose certified bound is below the representable
-    # range; anything larger may still matter after cancellation
-    log_env = (
-        np.log(np.abs(avals) + 1e-300)
-        + math.log(max(K, 1e-300))
-        - np.where(ns > 0, alpha * ns.astype(float), 0.0)
-    )
-    keep = (ns <= 0) | (log_env > -650.0)
-    ns_k = ns[keep]
-    avals_k = avals[keep]
-    value = 0.0 + 0.0j
-    quad = 0.0
-    pos = ns_k >= 0
-    if np.any(pos):
-        v, q = _weighted_transform_sum(avals_k[pos], phi, ns_k[pos], f.period)
-        value += v
-        quad += q
-    for n, av in zip(ns_k[~pos], avals_k[~pos]):
-        lv = laplace(phi, _TWO_PI * n / f.period)
-        value += av * lv
-        quad += 1e-13 * abs(av * lv)
-    trunc = 0.0 if f.exhaustive else geom_tail(
-        f.amplitude("a") * K, f.growth_C, alpha, _max_stored(f, "a")
-    )
-    return value, trunc, quad, int(len(ns_k))
+def _nonhol_sum_t(f: FormData, phi: TestFunction, tol: float, delta: bool = False):
+    """b-part through the t-integral of (L phi_{2-k}).
 
-
-def _nonhol_sum_t(f: FormData, phi: TestFunction, tol: float):
-    """b-part through the t-integral of (L phi_{2-k})."""
+    With ``delta`` it is the b-part of the delta_k series instead: the
+    t-integral of (L phi_{3-k}), each term weighted by -2 pi n / M.
+    """
     c1, _, _ = _phi_mass(phi)
     k = f.k
-    phi2k = shift_s(phi, 2.0 - k)
+    phi2k = shift_s(phi, (3.0 if delta else 2.0) - k)
     bns, bvals = f._arrays("b")
     value = 0.0 + 0.0j
     quad = 0.0
@@ -247,6 +318,8 @@ def _nonhol_sum_t(f: FormData, phi: TestFunction, tol: float):
             integrand, 0.0, math.inf, rel_tol=1e-12, decay_rate=lam, vectorized=True
         )
         pref = bv * (-4.0 * math.pi * n / f.period) ** (1.0 - k)
+        if delta:
+            pref *= -_TWO_PI / f.period * n
         value += pref * iv
         quad += abs(pref) * ie
     return value, quad
@@ -255,17 +328,14 @@ def _nonhol_sum_t(f: FormData, phi: TestFunction, tol: float):
 def _nonhol_sum_y(f: FormData, phi: TestFunction, tol: float):
     """b-part through int Gamma(1-k, -4 pi n y / M) e^{-2 pi n y / M} phi(y) dy."""
     lo, hi = phi.support()
-    k = f.k
     bns, bvals = f._arrays("b")
     value = 0.0 + 0.0j
     quad = 0.0
     for n, bv in zip(bns, bvals):
 
         def integrand(ys, n=n):
-            g = np.array(
-                [upper_gamma(1.0 - k, -4.0 * math.pi * n * y / f.period) for y in ys]
-            )
-            return g * np.exp(-_TWO_PI * n * ys / f.period) * phi.eval_many(ys)
+            xs = -4.0 * math.pi * n * ys / f.period
+            return _gamma_half_exp(1.0 - f.k, xs) * phi.eval_many(ys)
 
         iv, ie = quadrature(
             integrand, lo, hi, rel_tol=1e-12, knots=phi.knots(), vectorized=True
@@ -289,61 +359,6 @@ def lseries_integral(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LVal
         integrand, lo, hi, rel_tol=1e-13, knots=phi.knots(), vectorized=True
     )
     return LValue(value, tol, qerr, len(f.a) + len(f.b), "integral")
-
-
-def lseries_delta(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue:
-    """L_{delta_k f}(phi) by the renormalized-derivative series."""
-    series_membership(f, phi, for_delta=True)
-    k = f.k
-    base = lseries_series(f, phi, tol)
-    value = 0.5 * k * base.value
-    quad = abs(0.5 * k) * base.quad_err
-    trunc = abs(0.5 * k) * base.trunc_err
-    c1, c2, K = _phi_mass(phi)
-    alpha = _TWO_PI * c1 / f.period
-    phi2 = shift_s(phi, 2.0)
-    ns, avals = f._arrays("a")
-    if len(ns):
-        log_env = (
-            np.log(np.abs(avals) * (np.abs(ns) + 1) + 1e-300)
-            - np.where(ns > 0, alpha * ns.astype(float), 0.0)
-        )
-        keep = (ns < 0) | (log_env > -650.0)
-        nz = keep & (ns != 0)
-        pos = nz & (ns > 0)
-        if np.any(pos):
-            coef = avals[pos] * ns[pos].astype(float)
-            v, q = _weighted_transform_sum(coef, phi2, ns[pos], f.period)
-            value += -_TWO_PI / f.period * v
-            quad += _TWO_PI / f.period * q
-        for n, av in zip(ns[nz & (ns < 0)], avals[nz & (ns < 0)]):
-            lv = laplace(phi2, _TWO_PI * n / f.period)
-            value += -_TWO_PI / f.period * av * n * lv
-    if not f.exhaustive:
-        c2mass = _phi_mass(phi2)[2]
-        trunc += _TWO_PI / f.period * geom_tail(
-            f.amplitude("a") * c2mass, f.growth_C, alpha, _max_stored(f, "a"), 1.0
-        )
-    # nonholomorphic part of the delta series
-    bns, bvals = f._arrays("b")
-    if len(bns):
-        phi3k = shift_s(phi, 3.0 - k)
-        for n, bv in zip(bns, bvals):
-            lam = 4.0 * math.pi * (-n) * c1 / f.period
-
-            def integrand(ts, n=n):
-                us = -_TWO_PI * n * (2.0 * ts + 1.0) / f.period
-                lv, _ = laplace_many(phi3k, us)
-                return lv * (1.0 + ts) ** (-k)
-
-            iv, ie = quadrature(
-                integrand, 0.0, math.inf, rel_tol=1e-12, decay_rate=lam, vectorized=True
-            )
-            pref = -_TWO_PI / f.period * bv * n * (-4.0 * math.pi * n / f.period) ** (1.0 - k)
-            value += pref * iv
-            quad += abs(pref) * ie
-        trunc += _nonhol_series_tail(f, c1, 1.0)
-    return LValue(value, trunc, quad, len(f.a) + len(f.b), "series")
 
 
 def lseries_delta_integral(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue:
@@ -370,8 +385,21 @@ def lseries_twisted(
     delta: bool = False,
 ) -> LValue:
     """L_{f_chi}(phi) (or the delta_k analogue), by delegation to the twist."""
-    fx = twist(f, chi)
-    return lseries_delta(fx, phi, tol) if delta else lseries_series(fx, phi, tol)
+    plain, dval = _twisted_pair(f, chi, phi, tol, delta)
+    return dval if delta else plain
+
+
+def _twisted_pair(
+    f: FormData, chi: Character, phi: TestFunction, tol: float = 1e-12, delta: bool = True
+) -> tuple[LValue, LValue | None]:
+    """``_series_pair`` of f_chi, with the rounding of its coefficients charged.
+
+    Each Gauss sum tau(n) adds D terms of modulus at most 1, so the stored
+    a(n) tau(n) is off by at most 2 D eps |a(n)|.  That is the budget that
+    keeps an identically vanishing twist from reading as a reliable failure.
+    """
+    rounding = (2.0 * chi.modulus * _EPS) * np.abs(f._arrays("a")[1])
+    return _series_pair(twist(f, chi), phi, tol, delta, rounding)
 
 
 # ----------------------------------------------------------------------------

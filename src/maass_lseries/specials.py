@@ -75,18 +75,19 @@ def i_pow(k: int) -> complex:
     return (1 + 0j, 1j, -1 + 0j, -1j)[k % 4]
 
 
-def _gamma0(x: float) -> complex:
+def _gamma0(x: float, scaled: bool = False) -> complex:
     """Gamma(0, x) for real x != 0, continued to x < 0 on the upper branch.
 
     Gamma(0, z) = -euler_gamma - log z - sum_{k>=1} (-z)^k / (k k!).
     The series has positive terms for z < 0, so it stays stable for large
     negative arguments; for large positive x the continued fraction is
-    used instead to avoid the alternating-sum cancellation.
+    used instead to avoid the alternating-sum cancellation.  ``scaled``
+    returns e^x Gamma(0, x) (x > 0).
     """
     if x == 0.0:
         raise DomainError("Gamma(0, 0) diverges")
     if x > 1.5:
-        return _upper_gamma_cf(0.0 + 0.0j, x)
+        return _upper_gamma_cf(0.0 + 0.0j, x, scaled)
     logx = complex(math.log(abs(x)), math.pi if x < 0 else 0.0)
     acc = 0.0
     term = 1.0
@@ -98,11 +99,13 @@ def _gamma0(x: float) -> complex:
         acc += contrib
         if abs(contrib) < 1e-18 * (abs(acc) + 1e-300) or k > 800:
             break
-    return -_EULER_GAMMA - logx - acc
+    return (-_EULER_GAMMA - logx - acc) * (math.exp(x) if scaled else 1.0)
 
 
-def _upper_gamma_cf(s: complex, x: float, max_iter: int = 1000) -> complex:
-    """Continued fraction for Gamma(s, x), x > 0 (modified Lentz)."""
+def _upper_gamma_cf(s: complex, x: float, scaled: bool = False, max_iter: int = 1000) -> complex:
+    """Continued fraction for Gamma(s, x), x > 0 (modified Lentz).
+
+    ``scaled`` drops the factor e^{-x}, returning e^x Gamma(s, x)."""
     tiny = 1e-300
     b = x + 1.0 - s
     c = 1.0 / tiny
@@ -121,7 +124,7 @@ def _upper_gamma_cf(s: complex, x: float, max_iter: int = 1000) -> complex:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(-x) * _principal_pow(x, s)
+            return h * (1.0 if scaled else math.exp(-x)) * _principal_pow(x, s)
     raise AccuracyError(f"Gamma(s,x) continued fraction stalled at s={s}, x={x}")
 
 
@@ -157,20 +160,21 @@ def _gamma_star(s: complex, x: float, max_iter: int = 800) -> complex:
     raise AccuracyError(f"gamma* series stalled at s={s}, x={x}")
 
 
-def _upper_gamma_int(m: int, x: float) -> complex:
+def _upper_gamma_int(m: int, x: float, scaled: bool = False) -> complex:
     """Gamma(m, x) for integer m (any sign), real x != 0, via recurrences.
 
     Anchors: Gamma(1, x) = e^{-x} and Gamma(0, x) from the E1 continuation.
     The recurrence Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x} runs upward
     from s = 1 or downward from s = 0; all divisors are nonzero integers.
+    Every term carries e^{-x}, so ``scaled`` (e^x Gamma(m, x)) drops it.
     """
-    ex = math.exp(-x)
+    ex = 1.0 if scaled else math.exp(-x)
     if m >= 1:
         val = complex(ex)
         for j in range(1, m):
             val = j * val + _principal_pow(x, j) * ex
         return val
-    val = _gamma0(x)
+    val = _gamma0(x, scaled)
     for j in range(0, -m):
         # Gamma(-j-1, x) = (Gamma(-j, x) - x^{-j-1} e^{-x}) / (-j-1)
         val = (val - _principal_pow(x, -j - 1) * ex) / (-j - 1)
@@ -178,6 +182,18 @@ def _upper_gamma_int(m: int, x: float) -> complex:
 
 
 _NEG_BRIDGE_ANCHOR = -10.0
+
+
+def _recurrence_order(s: complex, x: float) -> bool:
+    """Whether Gamma(s, x) goes through the integer-order recurrences.
+
+    Upward from s = 1 they add positive terms.  Downward from s = 0 each
+    step cancels about a factor x, so for x >= 2 the continued fraction,
+    accurate for every order there, takes over.
+    """
+    if s.imag != 0.0 or abs(s.real - round(s.real)) >= 1e-12:
+        return False
+    return round(s.real) >= 1 or x < 2.0
 
 
 def upper_gamma(s: complex, x: float) -> complex:
@@ -197,7 +213,7 @@ def upper_gamma(s: complex, x: float) -> complex:
     if x < -700.0:
         raise RangeOverflowError(f"Gamma(s, {x}) overflows double precision")
 
-    if s.imag == 0.0 and abs(s.real - round(s.real)) < 1e-12:
+    if _recurrence_order(s, x):
         return _upper_gamma_int(int(round(s.real)), x)
 
     if x > 0.0:
@@ -225,6 +241,28 @@ def upper_gamma(s: complex, x: float) -> complex:
     phase = cmath.exp(1j * math.pi * (s - 1.0))
     bridge = phase * _real_exp_moment(s, -_NEG_BRIDGE_ANCHOR, -x)
     return anchor + bridge
+
+
+def upper_gamma_scaled(s: complex, x: float) -> complex:
+    """e^x Gamma(s, x) for x > 0, finite where Gamma(s, x) underflows.
+
+    Products such as Gamma(s, x) e^{x/2} are formed as
+    upper_gamma_scaled(s, x) e^{-x/2}, never as 0 * inf.
+    """
+    s = complex(s)
+    x = float(x)
+    if not x > 0.0:
+        raise DomainError("upper_gamma_scaled requires x > 0")
+    if _recurrence_order(s, x):
+        return _upper_gamma_int(int(round(s.real)), x, scaled=True)
+    if x >= s.real + 2.0 and x >= 1.0:
+        return _upper_gamma_cf(s, x, scaled=True)
+    return upper_gamma(s, x) * math.exp(x)  # series region: x < Re(s) + 2
+
+
+def _gamma_half_exp(s: complex, xs: np.ndarray) -> np.ndarray:
+    """Gamma(s, x) e^{x/2} on an array of x > 0, from the scaled gamma."""
+    return np.array([upper_gamma_scaled(s, x) for x in xs]) * np.exp(-0.5 * xs)
 
 
 def _real_exp_moment(s: complex, a: float, b: float) -> complex:

@@ -693,7 +693,9 @@ def laplace(phi: TestFunction, s: complex):
     return val
 
 
-def laplace_many(phi: TestFunction, us, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+def laplace_many(
+    phi: TestFunction | tuple[TestFunction, ...], us, dtype=np.float64
+) -> tuple[np.ndarray, np.ndarray]:
     """(L phi)(u) on an array of real u, compact support, fixed panels.
 
     Builds a composite Gauss-Legendre grid on the support, dyadically
@@ -702,15 +704,25 @@ def laplace_many(phi: TestFunction, us, dtype=np.float64) -> tuple[np.ndarray, n
     evaluates all transforms with one outer product.  ``dtype`` may be
     np.longdouble for extended-precision accumulation when the caller's
     series cancels heavily.  Returns (values, err_bounds).
+
+    ``phi`` may also be a sequence of test functions with a common support
+    and common knots (phi and phi x, say).  They share the grid and the
+    exponential matrix, one matrix product yields every value and error
+    column, and the arrays come back with one row per test function.
     """
+    single = isinstance(phi, TestFunction)
+    phis = (phi,) if single else tuple(phi)
     us = np.asarray(us, dtype=dtype)
-    lo, hi = phi.support()
+    lo, hi = phis[0].support()
+    knots = phis[0].knots()
+    if any(p.support() != (lo, hi) or p.knots() != knots for p in phis[1:]):
+        raise DomainError("laplace_many: test functions must share support and knots")
     if not (np.isfinite(hi) and lo >= 0):
         raise DomainError("laplace_many requires compact support")
     width = hi - lo
     u_scale = float(np.max(np.abs(us.astype(float)), initial=1.0))
     levels = min(48, max(13, int(math.ceil(math.log2(max(u_scale * width / 20.0, 2.0)))) + 2))
-    edges = set(phi.knots()) | {lo, hi}
+    edges = set(knots) | {lo, hi}
     for j in range(1, levels + 1):
         d = width / 2.0 ** j
         edges.add(lo + d)
@@ -729,13 +741,15 @@ def laplace_many(phi: TestFunction, us, dtype=np.float64) -> tuple[np.ndarray, n
         weights.append(h * wg)
     x = np.concatenate(nodes).astype(dtype)
     w = np.concatenate(weights).astype(dtype)
-    fx = phi.eval_many(x)
-    wf = w * fx
-    E = np.exp(-np.outer(us, x))
-    vals = E @ wf
+    wf = np.stack([w * p.eval_many(x) for p in phis], axis=1)
+    E = np.multiply.outer(-us, x)
+    np.exp(E, out=E)
+    out = E @ np.concatenate([wf, np.abs(wf)], axis=1)
+    m = len(phis)
     eps = float(np.finfo(dtype).eps) if np.dtype(dtype).kind == "f" else 1e-16
-    errs = (50.0 * eps) * np.abs(E @ np.abs(wf))
-    return vals, errs
+    vals = out[:, :m].T
+    errs = (50.0 * eps) * np.abs(out[:, m:]).T
+    return (vals[0], errs[0]) if single else (vals, errs)
 
 
 # ----------------------------------------------------------------------------

@@ -23,21 +23,22 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, MembershipError
 from .form import FormData
-from .lseries import lseries_series, lseries_twisted
+from .lseries import _twisted_pair, lseries_series
 from .specials import (
     Character,
+    _gamma_half_exp,
     bessel_J_grid,
     characters_mod,
     epsilon_d,
     i_pow,
     kronecker,
     kronecker_character,
-    upper_gamma,
     whittaker_M,
 )
 from .testfn import (
@@ -45,6 +46,9 @@ from .testfn import (
     TestFunction,
     _Bump,
     _Spline,
+    _padd,
+    _pmul,
+    _pscale,
     derivative,
     laplace,
     quadrature,
@@ -57,28 +61,38 @@ _TWO_PI = 2.0 * math.pi
 _REL_FLOOR = 1e-30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FEReport:
     """Both sides of one functional-equation instance and their residuals.
 
     ``lhs_err`` and ``rhs_err`` carry the propagated truncation +
     quadrature budgets of the two sides; when either dominates its value
     (``error_dominated``) the residual carries no verdict about the data,
-    only about the evaluation.
+    only about the evaluation.  The residuals and the verdict are derived
+    from the two sides and ``tol``.
     """
 
     lhs: complex
     rhs: complex
-    abs_residual: float
-    rel_residual: float
     prefactor: complex
     phi_id: str
     chi_id: str
     equation: str
     tol: float
-    passed: bool
     lhs_err: float = 0.0
     rhs_err: float = 0.0
+
+    @property
+    def abs_residual(self) -> float:
+        return abs(self.lhs - self.rhs)
+
+    @property
+    def rel_residual(self) -> float:
+        return self.abs_residual / max(abs(self.lhs), abs(self.rhs), _REL_FLOOR)
+
+    @property
+    def passed(self) -> bool:
+        return self.rel_residual <= self.tol
 
     @property
     def error_dominated(self) -> bool:
@@ -96,18 +110,53 @@ class FEReport:
     @staticmethod
     def build(lhs, rhs, prefactor, phi_id, chi_id, equation, tol,
               lhs_err=0.0, rhs_err=0.0) -> "FEReport":
-        lhs = complex(lhs)
-        rhs = complex(rhs)
-        a = abs(lhs - rhs)
-        r = a / max(abs(lhs), abs(rhs), _REL_FLOOR)
         return FEReport(
-            lhs, rhs, a, r, complex(prefactor), phi_id, chi_id, equation,
-            tol, r <= tol, float(lhs_err), float(rhs_err),
+            complex(lhs), complex(rhs), complex(prefactor), phi_id, chi_id, equation,
+            tol, float(lhs_err), float(rhs_err),
         )
 
 
+@lru_cache(maxsize=None)
 def _chi_id(chi: Character) -> str:
+    """One shared id string per character, however many reports carry it."""
     return f"{chi.modulus}.{chi.index}"
+
+
+def _fe_side(f: FormData, chi: Character, phi: TestFunction, side: str):
+    """(plain, delta_k) series values of f_chi at phi; a membership failure
+    names the side.  It is raised outside the handler, so the failed
+    evaluation and its twisted form are released at once."""
+    try:
+        return _twisted_pair(f, chi, phi)
+    except MembershipError as exc:
+        message = f"{side} side: {exc}"
+    raise MembershipError(message)
+
+
+def _fe_residual(
+    f: FormData,
+    g: FormData,
+    chi: Character,
+    chi_right: Character,
+    phi: TestFunction,
+    prefactor: complex,
+    tol: float,
+) -> tuple[FEReport, FEReport]:
+    """L_{f_chi}(phi) = c L_{g_chi_right}(phi|_{2-k} W_N) and its delta_k
+    companion, which carries -c; each side is evaluated once for both."""
+    phi_w = slash_W(phi, 2.0 - f.weight2 / 2.0, f.level)
+    lhs, lhs_d = _fe_side(f, chi, phi, "left")
+    rhs, rhs_d = _fe_side(g, chi_right, phi_w, "right")
+    return tuple(
+        FEReport.build(
+            left.value, c * right.value, c, phi.label, _chi_id(chi), equation, tol,
+            left.trunc_err + left.quad_err, abs(prefactor) * (right.trunc_err + right.quad_err),
+        )
+        for left, right, c, equation in (
+            (lhs, rhs, prefactor, "FE"),
+            (lhs_d, rhs_d, -prefactor, "FE-delta"),
+        )
+    )
 
 
 def fe_residual_int(
@@ -129,29 +178,8 @@ def fe_residual_int(
     if math.gcd(D, N) != 1:
         raise DomainError("twisting modulus must be coprime to the level")
     k = f.weight2 // 2
-    phi_w = slash_W(phi, 2.0 - k, N)
     prefactor = i_pow(k) * chi(-N) * f.psi(D) * float(N) ** (1.0 - 0.5 * k)
-    try:
-        lhs = lseries_twisted(f, chi, phi)
-        lhs_d = lseries_twisted(f, chi, phi, delta=True)
-    except MembershipError as exc:
-        raise MembershipError(f"left side: {exc}") from exc
-    try:
-        rhs = lseries_twisted(g, chi.conjugate(), phi_w)
-        rhs_d = lseries_twisted(g, chi.conjugate(), phi_w, delta=True)
-    except MembershipError as exc:
-        raise MembershipError(f"right side: {exc}") from exc
-    rep = FEReport.build(
-        lhs.value, prefactor * rhs.value, prefactor, phi.label, _chi_id(chi), "FE", tol,
-        lhs.trunc_err + lhs.quad_err,
-        abs(prefactor) * (rhs.trunc_err + rhs.quad_err),
-    )
-    rep_d = FEReport.build(
-        lhs_d.value, -prefactor * rhs_d.value, -prefactor, phi.label, _chi_id(chi), "FE-delta", tol,
-        lhs_d.trunc_err + lhs_d.quad_err,
-        abs(prefactor) * (rhs_d.trunc_err + rhs_d.quad_err),
-    )
-    return rep, rep_d
+    return _fe_residual(f, g, chi, chi.conjugate(), phi, prefactor, tol)
 
 
 def fe_residual_half(
@@ -178,7 +206,6 @@ def fe_residual_half(
         raise DomainError("twisting modulus must be coprime to the level")
     k = f.weight2 / 2.0
     kk = (f.weight2 - 1) // 2  # k - 1/2, an integer
-    psi_d = kronecker_character(D)
     prefactor = (
         float(kronecker(-1, D)) ** kk
         * kronecker(N, D)
@@ -187,29 +214,8 @@ def fe_residual_half(
         / epsilon_d(D)
         * float(N) ** (1.0 - 0.5 * k)
     )
-    phi_w = slash_W(phi, 2.0 - k, N)
-    chi2 = chi.conjugate() * psi_d
-    try:
-        lhs = lseries_twisted(f, chi, phi)
-        lhs_d = lseries_twisted(f, chi, phi, delta=True)
-    except MembershipError as exc:
-        raise MembershipError(f"left side: {exc}") from exc
-    try:
-        rhs = lseries_twisted(g, chi2, phi_w)
-        rhs_d = lseries_twisted(g, chi2, phi_w, delta=True)
-    except MembershipError as exc:
-        raise MembershipError(f"right side: {exc}") from exc
-    rep = FEReport.build(
-        lhs.value, prefactor * rhs.value, prefactor, phi.label, _chi_id(chi), "FE", tol,
-        lhs.trunc_err + lhs.quad_err,
-        abs(prefactor) * (rhs.trunc_err + rhs.quad_err),
-    )
-    rep_d = FEReport.build(
-        lhs_d.value, -prefactor * rhs_d.value, -prefactor, phi.label, _chi_id(chi), "FE-delta", tol,
-        lhs_d.trunc_err + lhs_d.quad_err,
-        abs(prefactor) * (rhs_d.trunc_err + rhs_d.quad_err),
-    )
-    return rep, rep_d
+    chi_right = chi.conjugate() * kronecker_character(D)
+    return _fe_residual(f, g, chi, chi_right, phi, prefactor, tol)
 
 
 def fe_pair(f: FormData, g: FormData, chi: Character, phi: TestFunction, tol=None):
@@ -389,37 +395,13 @@ def _slashed_exp_rational(phi: TestFunction, power: int, M: int = 1) -> ExpRatio
     c2 = Fraction(phi.base.c2)
     Mf = Fraction(M)
     # v(x) = (1 - c1 M x)(c2 M x - 1), u(x) = (4/w^2) v(x) - (M x)^2
-    v = _pmul_frac((Fraction(1), -c1 * Mf), (Fraction(-1), c2 * Mf))
+    v = _pmul((Fraction(1), -c1 * Mf), (Fraction(-1), c2 * Mf))
     w2 = (c2 - c1) ** 2
-    u = _padd_frac(_pscale_frac(v, Fraction(4) / w2), (Fraction(0), Fraction(0), -(Mf ** 2)))
+    u = _padd(_pscale(v, Fraction(4) / w2), (Fraction(0), Fraction(0), -(Mf ** 2)))
     s = tuple([Fraction(0)] * power + [Mf ** power])
     lo = 1.0 / (M * float(c2))
     hi = 1.0 / (M * float(c1))
     return ExpRationalPiece(s, 0, u, v, lo, hi)
-
-
-def _pmul_frac(p, q):
-    from fractions import Fraction
-
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
-def _padd_frac(p, q):
-    n = max(len(p), len(q))
-    from fractions import Fraction
-
-    return tuple(
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    )
-
-
-def _pscale_frac(p, c):
-    return tuple(c * a for a in p)
 
 
 def alpha_identity_check(
@@ -547,8 +529,7 @@ def gf_term_check(n: int, k: int, phi: TestFunction, tol: float = 1e-10) -> Iden
     c = 4.0 * math.pi * n
 
     def lhs_integrand(ys):
-        g = np.array([upper_gamma(k - 1, c * y) for y in ys])
-        return g * np.exp(_TWO_PI * n * ys) * phi.eval_many(ys)
+        return _gamma_half_exp(k - 1, c * ys) * phi.eval_many(ys)
 
     lv, le = quadrature(lhs_integrand, lo, hi, rel_tol=1e-13, knots=phi.knots(), vectorized=True)
     lhs = c ** (1 - k) * lv
@@ -645,8 +626,7 @@ def decomp_identity_check(
         c = 4.0 * math.pi * n
 
         def integrand(ys, c=c):
-            gam = np.array([upper_gamma(k - 1, c * y) for y in ys])
-            return gam * np.exp(_TWO_PI * n * ys) * phi.eval_many(ys)
+            return _gamma_half_exp(k - 1, c * ys) * phi.eval_many(ys)
 
         iv, _ = quadrature(integrand, lo, hi, rel_tol=1e-13, knots=phi.knots(), vectorized=True)
         corr += av * c ** (1 - k) * iv

@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
+from maass_lseries import cli
 from maass_lseries.cli import main
+from maass_lseries.errors import AccuracyError, RangeOverflowError
 from maass_lseries.form import form_from_dict
 
 
@@ -125,6 +129,7 @@ def test_converse_fixture_delta(tmp_path):
     (rec,) = json.loads(out.read_text())
     assert rec["verdict"] == "consistent-with-modular"
     assert rec["worst_rel_residual"] < 1e-8
+    assert rec["unreliable"] == 0  # 12 reports, every budget inside the tolerance
 
 
 def test_summation_check(tmp_path):
@@ -153,3 +158,16 @@ def test_config_invariants_are_input_errors():
     assert run(["lseries", "--fixture", "delta", "--battery-count", "0"]) == 2
     assert run(["fe-check", "--fixture", "delta", "--tol=-1e-8"]) == 2
     assert run(["converse", "--fixture", "delta", "--dcap", "0"]) == 2
+
+
+@pytest.mark.parametrize("error", [AccuracyError("did not converge"), RangeOverflowError("too big")])
+def test_numerical_errors_exit_4(monkeypatch, capsys, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "lseries_series", failing)
+    code = run(["lseries", "--fixture", "delta", "--precision", "64", "--battery-count", "1"])
+    assert code == cli.EXIT_NUMERICAL_ERROR == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+

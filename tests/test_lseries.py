@@ -333,3 +333,37 @@ def test_classical_divergence_error():
     th = fixture("j744", 32)
     with pytest.raises(DomainError):
         classical_value(th, 12.0)  # n0 != 0
+
+
+def test_harmonic_series_route_past_gamma_underflow():
+    """Weight -10 form with shadow Delta on bump 9: 4 pi n y reaches 1700,
+    where Gamma(11, 4 pi n y) underflows and e^{2 pi n y} overflows; the
+    scaled gamma keeps the b-terms finite (mpmath reference)."""
+    mp = pytest.importorskip("mpmath")
+    k = 12
+    tau = {n: fixture("delta", 13).a[n].real for n in range(1, 13)}
+    a = {-1: 1.0, 0: 2.0, 1: 5.0, 2: -1.0}
+    b = {-n: -t * (4.0 * math.pi * n) ** (1 - k) for n, t in tau.items()}
+    g = FormData(
+        weight2=2 * (2 - k), level=1, psi=trivial_character(1), n0=1,
+        a=a, b=b, growth_C=8.0, exhaustive=True,
+    )
+    phi = BAT[9]
+    c1, c2 = phi.support()
+
+    def integrand(y):
+        gy = sum(v * mp.exp(-2 * mp.pi * n * y) for n, v in a.items())
+        gy += sum(
+            v * mp.gammainc(1 - g.k, -4 * mp.pi * n * y) * mp.exp(-2 * mp.pi * n * y)
+            for n, v in b.items()
+        )
+        bump = mp.exp(4 / mp.mpf(c2 - c1) ** 2 - 1 / ((y - c1) * (c2 - y)))
+        return gy * bump
+
+    with mp.workdps(30):
+        ref = float(mp.quad(integrand, [c1, c2]))
+    assert abs(ref - 3.3306e29) < 1e-4 * ref
+    sv = lseries_series(g, phi)
+    assert abs(sv.value - ref) <= 1e-10 * ref + sv.quad_err
+    assert abs(lseries_integral(g, phi).value - ref) <= 1e-10 * ref
+

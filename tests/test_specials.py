@@ -18,6 +18,7 @@ from maass_lseries.specials import (
     kronecker_character,
     trivial_character,
     upper_gamma,
+    upper_gamma_scaled,
     whittaker_M,
     _principal_pow,
 )
@@ -353,3 +354,35 @@ def test_kronecker_character_matches_symbol():
         chi = kronecker_character(d)
         for u in range(d if d > 1 else 1):
             assert abs(chi(u) - kronecker(u, d)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exponentially scaled incomplete gamma
+
+
+def test_upper_gamma_scaled_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    for s in (11, 1, 0, -1, -11, 0.5, -3.5, 2.5 + 1j, 30.5):
+        for x in (0.1, 1.0, 1.9, 5.0, 50.0, 709.0, 800.0, 1500.0):
+            with mp.workdps(40):
+                ref = complex(mp.gammainc(mp.mpc(s), x) * mp.exp(x))
+            assert abs(upper_gamma_scaled(s, x) - ref) <= 1e-13 * abs(ref), (s, x)
+
+
+def test_upper_gamma_negative_integer_order_at_large_x():
+    # the downward recurrence from Gamma(0, x) cancels about a factor x per
+    # step; at x = 50 eleven steps used to leave 1e-5 relative accuracy
+    mp = pytest.importorskip("mpmath")
+    for s, x in ((-11, 50.0), (-3, 20.0), (-1, 600.0)):
+        with mp.workdps(40):
+            ref = complex(mp.gammainc(s, x))
+        assert abs(upper_gamma(s, x) - ref) <= 1e-13 * abs(ref), (s, x)
+
+
+def test_upper_gamma_scaled_stays_finite_past_underflow():
+    # Gamma(11, 1500) underflows to 0; its scaled value is about 1500^10
+    assert upper_gamma(11, 1500.0) == 0.0
+    v = upper_gamma_scaled(11, 1500.0)
+    assert math.isfinite(v.real) and v.real > 1500.0 ** 10
+    with pytest.raises(DomainError):
+        upper_gamma_scaled(1.5, 0.0)

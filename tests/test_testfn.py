@@ -278,6 +278,30 @@ def test_laplace_many_longdouble_consistency():
     assert np.max(np.abs(v64 - vld.astype(float)) / np.abs(v64)) < 1e-13
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_laplace_many_sequence_matches_single_calls(dtype):
+    # phi, phi x and phi x^{5/2}, plain and slashed, share support and knots
+    for phi in (standard_battery()[4], slash_W(standard_battery()[7], -4.0, 4)):
+        phis = (phi, shift_s(phi, 2.0), shift_s(phi, 3.5))
+        us = np.arange(0, 480, dtype=dtype) * (2 * math.pi / 3)
+        vals, errs = laplace_many(phis, us, dtype)
+        assert vals.shape == errs.shape == (3, len(us))
+        for row, p in enumerate(phis):
+            v1, e1 = laplace_many(p, us, dtype)
+            # the error column is 50 eps sum |w phi e^{-u x}|, the terms' mass;
+            # BLAS sums a matrix product and a matrix-vector product in
+            # different orders, which measured up to 1.5e-15 of that mass
+            mass = e1 / (50.0 * float(np.finfo(dtype).eps))
+            assert np.all(np.abs(vals[row] - v1) <= 4e-15 * mass)
+            assert np.all(np.abs(errs[row] - e1) <= 4e-15 * e1)
+
+
+def test_laplace_many_sequence_needs_common_support():
+    phi = standard_battery()[2]
+    with pytest.raises(DomainError):
+        laplace_many((phi, standard_battery()[3]), np.array([1.0]))
+
+
 # ---------------------------------------------------------------------------
 # battery
 

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from maass_lseries.errors import DomainError, MembershipError
-from maass_lseries.form import FormData
+from maass_lseries.form import FormData, twist
+from maass_lseries.lseries import lseries_delta, lseries_series
 from maass_lseries.qseries import fixture, fixture_pair
 from maass_lseries.specials import characters_mod, trivial_character
 from maass_lseries.testfn import TestFunction, slash_W, standard_battery
 from maass_lseries.verify import (
+    FEReport,
+    _fe_side,
     alpha_identity_check,
     converse_sweep,
     decomp_identity_check,
@@ -97,6 +100,8 @@ def test_fe_membership_error_names_side():
     with pytest.raises(MembershipError) as exc:
         fe_residual_int(f, g, CHI1, tp)
     assert "left side" in str(exc.value)
+    # raised afresh, not chained: the failed evaluation is not kept alive
+    assert exc.value.__context__ is None and exc.value.__cause__ is None
 
 
 def test_converse_sweep_delta_consistent():
@@ -386,3 +391,103 @@ def test_summation_domain_errors():
             FormData(weight2=2, level=1, psi=CHI1, n0=0, a={}, b={}, growth_C=4.0),
             {}, {}, BAT[0],
         )
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per side
+
+
+def _within_budgets(x, y):
+    budget = x.trunc_err + x.quad_err + y.trunc_err + y.quad_err
+    return abs(x.value - y.value) <= budget
+
+
+def _check_side_matches_routes(f, chi, phi):
+    plain, dval = _fe_side(f, chi, phi, "left")
+    fx = twist(f, chi)
+    assert _within_budgets(plain, lseries_series(fx, phi)), (chi, phi.label)
+    assert _within_budgets(dval, lseries_delta(fx, phi)), (chi, phi.label)
+    # the side's budget also carries the rounding of the twisted coefficients
+    assert plain.quad_err >= lseries_series(fx, phi).quad_err
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+def test_fe_side_matches_series_and_delta_on_delta(D):
+    f, g = fixture_pair("delta", 768)
+    for chi in characters_mod(D):
+        for j in (0, 5, 9):
+            _check_side_matches_routes(f, chi, BAT[j])
+            _check_side_matches_routes(g, chi.conjugate(), slash_W(BAT[j], -10.0, 1))
+
+
+@pytest.mark.parametrize("D", [1, 3, 5])
+def test_fe_side_matches_series_and_delta_on_theta(D):
+    f, _ = fixture_pair("theta", 768)
+    for chi in characters_mod(D):
+        for j in (0, 4, 7):
+            _check_side_matches_routes(f, chi, BAT[j])
+            _check_side_matches_routes(f, chi, slash_W(BAT[j], 1.5, 4))
+
+
+def test_fe_side_escalates_the_right_side_of_delta(monkeypatch):
+    from maass_lseries import lseries
+
+    f, g = fixture_pair("delta", 768)
+    dtypes = []
+    laplace_many = lseries.laplace_many
+
+    def recording(phi, us, dtype=np.float64):
+        dtypes.append(np.dtype(dtype))
+        return laplace_many(phi, us, dtype)
+
+    monkeypatch.setattr(lseries, "laplace_many", recording)
+    for j in (8, 9):
+        dtypes.clear()
+        phi_w = slash_W(BAT[j], -10.0, 1)
+        _fe_side(g, CHI1, phi_w, "right")
+        assert np.dtype(np.longdouble) in dtypes, BAT[j].label
+        _check_side_matches_routes(g, CHI1, phi_w)
+
+
+def test_fe_side_matches_series_and_delta_with_b_coefficients():
+    k = 12
+    a_f = {1: 2.0 + 1.0j, 2: -3.0 + 0.5j}
+    g = FormData(
+        weight2=2 * (2 - k), level=1, psi=CHI1, n0=1,
+        a={-1: 1.0, 0: 2.0, 1: 5.0, 2: -1.0},
+        b={-n: -complex(v).conjugate() * (4.0 * math.pi * n) ** (1 - k) for n, v in a_f.items()},
+        growth_C=8.0, exhaustive=True,
+    )
+    for chi in characters_mod(3):
+        _check_side_matches_routes(g, chi, BAT[2])
+
+
+def test_vanishing_twist_is_not_a_reliable_failure():
+    """theta twisted by the conductor-3 character mod 9 vanishes on both
+    sides; the rounding of its twisted coefficients enters the budgets, so
+    those failures read as unreliable while every other verdict at D = 9
+    keeps its reliability."""
+    f, g = fixture_pair("theta", 768)
+    failing, reliable = [], 0
+    for chi in characters_mod(9):
+        for j, phi in enumerate(BAT):
+            try:
+                reps = fe_residual_half(f, g, chi, phi)
+            except MembershipError:
+                continue
+            failing += [(chi.index, j) for r in reps if not r.passed]
+            reliable += sum(r.verdict_reliable for r in reps)
+            if chi.conductor == 3:
+                assert not any(r.verdict_reliable for r in reps), (chi.index, j)
+    assert sorted(set(failing)) == [(3, j) for j in range(8)]
+    assert len(failing) == 16
+    assert reliable == 51
+
+
+def test_fe_report_derives_its_residuals():
+    rep = FEReport.build(1.0, 1.0 + 1e-9, 1.0, "phi", "1.0", "FE", 1e-8, 1e-12, 1e-12)
+    assert rep.abs_residual == pytest.approx(1e-9)
+    assert rep.rel_residual == pytest.approx(1e-9 / (1.0 + 1e-9))
+    assert rep.passed and rep.verdict_reliable
+    assert not hasattr(rep, "__dict__")
+
