@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 pass, 1 check failed, 2 input error, 3 domain/membership
 error, 4 numerical error (accuracy not reached, or a value outside the
-double-precision range).  Reports are deterministic for a fixed
+double-precision range), 5 inconclusive converse sweep (every failing
+report is unreliable).  Reports are deterministic for a fixed
 configuration.
 """
 
@@ -39,6 +40,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DOMAIN_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
+EXIT_INCONCLUSIVE = 5
 
 
 def _battery_from_args(args) -> list:
@@ -201,6 +203,8 @@ def cmd_converse(args) -> int:
         ],
     }
     _emit([record], args)
+    if rep.verdict == "inconclusive":
+        return EXIT_INCONCLUSIVE
     return EXIT_OK if rep.consistent else EXIT_CHECK_FAILED
 
 

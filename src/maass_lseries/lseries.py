@@ -46,19 +46,20 @@ class LValue:
         return complex(self.value)
 
 
-def _phi_mass(phi: TestFunction) -> tuple[float, float, float]:
-    """(c1, c2, K) with |(L phi)(u)| <= K e^{-u c1} for u >= 0.
+def _phi_mass(phi: TestFunction) -> tuple[float, float, float, float]:
+    """(c1, c2, K, K2) with |(L phi)(u)| <= K e^{-u c1} for u >= 0.
 
     K is the L1 mass of |phi| over its support, estimated on a dense grid
     (sup sampling times width); adequate for tail certificates at desk
-    scale.
+    scale.  K2 is the same estimate for phi x, from the same samples.
     """
     lo, hi = phi.support()
     if not (lo >= 0 and np.isfinite(hi)):
         raise MembershipError("membership certificates need compact support")
     xs = np.linspace(lo, hi, 4001)[1:-1]
-    sup = float(np.max(np.abs(phi.eval_many(xs))))
-    return lo, hi, 1.05 * sup * (hi - lo)
+    mags = np.abs(phi.eval_many(xs))
+    pad = 1.05 * (hi - lo)
+    return lo, hi, pad * float(np.max(mags)), pad * float(np.max(mags * xs))
 
 
 def series_membership(f: FormData, phi: TestFunction, for_delta: bool = False) -> float:
@@ -71,16 +72,23 @@ def series_membership(f: FormData, phi: TestFunction, for_delta: bool = False) -
     envelope cannot certify a finite tail (e.g. non-compact test functions
     against exponentially growing coefficients).
     """
+    return _membership(f, phi, for_delta)[0]
+
+
+def _membership(f: FormData, phi: TestFunction, for_delta: bool):
+    """``series_membership``'s bound and the ``_phi_mass`` it sampled
+    (None when phi is not compactly supported)."""
     if not phi.is_compact:
         lo, hi = phi.support()
         finite_width = np.isfinite(hi)
         if f.exhaustive and ((all(n > 0 for n in f.a) and len(f.b) == 0) or finite_width):
-            return math.inf  # finitely many terms, each individually finite
+            return math.inf, None  # finitely many terms, each individually finite
         raise MembershipError(
             f"{phi.label!r} is not compactly supported in (0, inf); the "
             "coefficient growth envelope cannot certify convergence"
         )
-    c1, c2, K = _phi_mass(phi)
+    mass = _phi_mass(phi)
+    c1, c2, K, _ = mass
     alpha = _TWO_PI * c1 / f.period
     pw = 1.0 if for_delta else 0.0
     hol_tail = 0.0 if f.exhaustive else geom_tail(
@@ -97,7 +105,7 @@ def series_membership(f: FormData, phi: TestFunction, for_delta: bool = False) -
         nf = ns.astype(float)
         env = np.where(nf >= 0, np.exp(-alpha * nf), np.exp(_TWO_PI * c2 / f.period * -nf))
         acc += float(np.sum(np.abs(avals) * K * env))
-    return acc + hol_tail + nonhol_tail
+    return acc + hol_tail + nonhol_tail, mass
 
 
 def _max_stored(f: FormData, part: str) -> int:
@@ -157,9 +165,9 @@ def _series_pair(
     its image sum coeff_err |(L phi)(2 pi n / M)| joins the quadrature budget.
     """
     # the delta_k envelope carries an extra factor n, so certifying it
-    # certifies the plain series as well
-    series_membership(f, phi, for_delta=delta)
-    c1, _, K = _phi_mass(phi)
+    # certifies the plain series as well; its samples of phi serve below
+    _, mass = _membership(f, phi, delta)
+    c1, _, K, K2 = mass or _phi_mass(phi)
     alpha = _TWO_PI * c1 / f.period
     step = _TWO_PI / f.period
     phi2 = shift_s(phi, 2.0)
@@ -227,7 +235,7 @@ def _series_pair(
         value += -step * av * n * lvn
     if not f.exhaustive:
         trunc += step * geom_tail(
-            f.amplitude("a") * _phi_mass(phi2)[2], f.growth_C, alpha, _max_stored(f, "a"), 1.0
+            f.amplitude("a") * K2, f.growth_C, alpha, _max_stored(f, "a"), 1.0
         )
     if len(f.b):
         v_t, q_t = _nonhol_sum_t(f, phi, tol, delta=True)
@@ -253,12 +261,16 @@ def _weighted_transform_sum(
 
     ``table`` holds the float64 transform values and errors at these
     frequencies when the caller has them already.  When the float64 sum
-    cancels by more than ~3e3, the transforms, the frequencies
-    2 pi n / period themselves, and the dot product are all recomputed in
-    x87 long double, pushing the noise floor down by three orders of
-    magnitude.  Exact for integer coefficient data stored in complex128
-    (the cast to complex long double is lossless).  ``coeff_err`` bounds
-    the error of each coefficient and adds its image to the budget.
+    cancels by more than ~3e3, the terms whose float64 error bound
+    |coeffs[n]| err_n exceeds eps_ld * sum|terms| / len(ns) are recomputed
+    in x87 long double (the transforms, their frequencies 2 pi n / period
+    and the products), and every term is summed in complex long double.
+    That pushes the noise floor down by three orders of magnitude; the
+    float64 bounds of the terms kept stay in the budget, and together they
+    are at most eps_ld * sum|terms|.  Exact for integer coefficient data
+    stored in complex128 (the cast to complex long double is lossless).
+    ``coeff_err`` bounds the error of each coefficient and adds its image
+    to the budget.
     """
     if table is None:
         table = laplace_many(phi, ns.astype(float) * (_TWO_PI / period))
@@ -266,7 +278,7 @@ def _weighted_transform_sum(
     terms = coeffs * lv
     ssum = complex(np.sum(terms))
     mass = float(np.sum(np.abs(terms)))
-    quad = float(np.sum(np.abs(coeffs) * le))
+    errs = np.abs(coeffs) * le
     # coefficients beyond 2^53 were rounded when stored; that noise is
     # irreducible at any working precision
     big = np.abs(coeffs) > 2.0 ** 53
@@ -275,14 +287,18 @@ def _weighted_transform_sum(
         storage_noise += float(np.sum(coeff_err * np.abs(lv)))
     cancel = mass / max(abs(ssum), 1e-300)
     if cancel > _CANCEL_ESCALATE and _longdouble_capable(phi):
-        us_ld = ns.astype(np.longdouble) * (2 * _PI_LD / np.longdouble(period))
-        lv2, le2 = laplace_many(phi, us_ld, dtype=np.longdouble)
-        terms2 = coeffs.astype(np.clongdouble) * lv2.astype(np.clongdouble)
+        eps_ld = float(np.finfo(np.longdouble).eps)
+        redo = errs > eps_ld * mass / len(ns)
+        terms2 = terms.astype(np.clongdouble)
+        quad = float(np.sum(errs[~redo])) + eps_ld * mass * 10.0
+        if np.any(redo):
+            us_ld = ns[redo].astype(np.longdouble) * (2 * _PI_LD / np.longdouble(period))
+            lv2, le2 = laplace_many(phi, us_ld, dtype=np.longdouble)
+            terms2[redo] = coeffs[redo].astype(np.clongdouble) * lv2.astype(np.clongdouble)
+            quad += float(np.sum(np.abs(coeffs[redo]) * le2.astype(float)))
         ssum = complex(np.sum(terms2))
-        quad = float(np.sum(np.abs(coeffs) * le2.astype(float)))
-        quad += float(np.finfo(np.longdouble).eps) * mass * 10.0
     else:
-        quad += 1e-16 * mass
+        quad = float(np.sum(errs)) + 1e-16 * mass
     return ssum, quad + storage_noise
 
 
@@ -300,7 +316,7 @@ def _nonhol_sum_t(f: FormData, phi: TestFunction, tol: float, delta: bool = Fals
     With ``delta`` it is the b-part of the delta_k series instead: the
     t-integral of (L phi_{3-k}), each term weighted by -2 pi n / M.
     """
-    c1, _, _ = _phi_mass(phi)
+    c1 = phi.support()[0]
     k = f.k
     phi2k = shift_s(phi, (3.0 if delta else 2.0) - k)
     bns, bvals = f._arrays("b")

@@ -165,8 +165,10 @@ def _upper_gamma_int(m: int, x: float, scaled: bool = False) -> complex:
 
     Anchors: Gamma(1, x) = e^{-x} and Gamma(0, x) from the E1 continuation.
     The recurrence Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x} runs upward
-    from s = 1 or downward from s = 0; all divisors are nonzero integers.
-    Every term carries e^{-x}, so ``scaled`` (e^x Gamma(m, x)) drops it.
+    from s = 1 or, for 0 < x < 2, downward from s = 0; all divisors are
+    nonzero integers.  Every term carries e^{-x}, so ``scaled``
+    (e^x Gamma(m, x)) drops it.  Orders m <= 0 at x < 0 take the power
+    series instead (``scaled`` is for x > 0 only).
     """
     ex = 1.0 if scaled else math.exp(-x)
     if m >= 1:
@@ -174,11 +176,45 @@ def _upper_gamma_int(m: int, x: float, scaled: bool = False) -> complex:
         for j in range(1, m):
             val = j * val + _principal_pow(x, j) * ex
         return val
+    if x < 0.0 and m >= -170:  # 1/170! is the last representable
+        return _upper_gamma_negint_series(-m, x)
     val = _gamma0(x, scaled)
     for j in range(0, -m):
         # Gamma(-j-1, x) = (Gamma(-j, x) - x^{-j-1} e^{-x}) / (-j-1)
         val = (val - _principal_pow(x, -j - 1) * ex) / (-j - 1)
     return val
+
+
+def _upper_gamma_negint_series(n: int, x: float) -> complex:
+    """Gamma(-n, x) for integer n >= 0 and x < 0, by its power series.
+
+    Gamma(-n, z) = (-1)^n [(psi(n+1) - log z) / n!
+                           - sum_{j >= 0, j != n} (-z)^{j-n} / (j! (j-n))]
+    (DLMF 8.4.15).  For z < 0 every (-z)^{j-n} is positive, so the terms
+    below j = n share one sign and those above share the other: nothing
+    cancels within either group, unlike the downward recurrence, which
+    loses about a factor |x| per step.
+    """
+    ax = -x
+    inv_fact = 1.0 / math.factorial(n)  # (-z)^{j-n} / j! at j = n
+    below = 0.0  # j < n: the terms (-z)^{j-n} / (j! (n-j)), added
+    term = inv_fact
+    for j in range(n - 1, -1, -1):
+        term *= (j + 1) / ax
+        below += term / (n - j)
+    above = 0.0  # j > n: the terms (-z)^{j-n} / (j! (j-n)), subtracted
+    term = inv_fact
+    j = n
+    while True:
+        j += 1
+        term *= ax / j
+        contrib = term / (j - n)
+        above += contrib
+        if j > ax and contrib < 1e-18 * above:
+            break
+    psi = -_EULER_GAMMA + math.fsum(1.0 / i for i in range(1, n + 1))
+    log_z = complex(math.log(ax), math.pi)
+    return (-1.0) ** n * ((psi - log_z) * inv_fact + below - above)
 
 
 _NEG_BRIDGE_ANCHOR = -10.0

@@ -701,9 +701,11 @@ def laplace_many(
     Builds a composite Gauss-Legendre grid on the support, dyadically
     graded into both endpoints (resolving bump-type essential
     singularities and keeping |u| h small on the panels that matter), and
-    evaluates all transforms with one outer product.  ``dtype`` may be
-    np.longdouble for extended-precision accumulation when the caller's
-    series cancels heavily.  Returns (values, err_bounds).
+    evaluates all transforms with one outer product over the nodes where
+    some test function is nonzero (the others contribute exactly 0).
+    ``dtype`` may be np.longdouble for extended-precision accumulation when
+    the caller's series cancels heavily; the caller then passes only the
+    frequencies whose terms need it.  Returns (values, err_bounds).
 
     ``phi`` may also be a sequence of test functions with a common support
     and common knots (phi and phi x, say).  They share the grid and the
@@ -742,6 +744,10 @@ def laplace_many(
     x = np.concatenate(nodes).astype(dtype)
     w = np.concatenate(weights).astype(dtype)
     wf = np.stack([w * p.eval_many(x) for p in phis], axis=1)
+    # a bump underflows to exactly 0 on the nodes graded into its endpoints;
+    # they add nothing to any transform, so they leave the matrix
+    live = np.any(wf != 0, axis=1)
+    x, wf = x[live], wf[live]
     E = np.multiply.outer(-us, x)
     np.exp(E, out=E)
     out = E @ np.concatenate([wf, np.abs(wf)], axis=1)

@@ -20,8 +20,6 @@ shadow-consistent decomposition).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -231,7 +229,11 @@ def fe_pair(f: FormData, g: FormData, chi: Character, phi: TestFunction, tol=Non
 
 @dataclass(frozen=True)
 class SweepReport:
-    verdict: str  # "consistent-with-modular" or "failed"
+    """``verdict`` is "consistent-with-modular", "failed", or "inconclusive"
+    when every failing report is unreliable (its budget swamps the
+    tolerance), so the numerics, not the data, decide those failures."""
+
+    verdict: str
     n_checked: int
     worst: FEReport | None
     failures: tuple[FEReport, ...] = ()
@@ -245,14 +247,6 @@ class SweepReport:
     def unreliable_count(self) -> int:
         """Instances whose evaluation budget swamps the stated tolerance."""
         return sum(1 for r in self.reports if not r.verdict_reliable)
-
-
-def _thread_count() -> int:
-    try:
-        n = int(os.environ.get("MAASS_LSERIES_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
 
 
 def converse_sweep(
@@ -271,7 +265,8 @@ def converse_sweep(
     primitive-character variant, whose unbounded modulus quantifier is
     truncated at ``dcap``.  Both the plain and the delta_k equations are
     required.  The verdict is monotone in the battery: adding test
-    functions can only break consistency, never restore it.
+    functions can only break consistency, never restore it.  A sweep whose
+    failures are all unreliable is "inconclusive"; it is not consistent.
     """
     if battery is None:
         battery = standard_battery()
@@ -287,32 +282,23 @@ def converse_sweep(
         d_range = range(1, max(1, N * N - 1) + 1)
         if dmax is not None:
             d_range = range(1, min(max(1, N * N - 1), dmax) + 1)
-    tasks = []
-    for D in d_range:
-        if math.gcd(D, N) != 1:
-            continue
-        if half and D % 2 == 0:
-            continue
-        for chi in characters_mod(D):
-            if primitive_only and not chi.is_primitive:
-                continue
-            for phi in battery:
-                tasks.append((D, chi, phi))
-
-    def run(task):
-        _, chi, phi = task
-        return fe_pair(f, g, chi, phi, tol)
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(run, tasks))
-    else:
-        pairs = [run(t) for t in tasks]
-    reports = tuple(r for pair in pairs for r in pair)
+    reports = tuple(
+        r
+        for D in d_range
+        if math.gcd(D, N) == 1 and not (half and D % 2 == 0)
+        for chi in characters_mod(D)
+        if chi.is_primitive or not primitive_only
+        for phi in battery
+        for r in fe_pair(f, g, chi, phi, tol)
+    )
     failures = tuple(r for r in reports if not r.passed)
     worst = max(reports, key=lambda r: r.rel_residual) if reports else None
-    verdict = "consistent-with-modular" if not failures else "failed"
+    if not failures:
+        verdict = "consistent-with-modular"
+    elif any(r.verdict_reliable for r in failures):
+        verdict = "failed"
+    else:
+        verdict = "inconclusive"
     return SweepReport(verdict, len(reports), worst, failures, reports)
 
 

@@ -132,6 +132,19 @@ def test_converse_fixture_delta(tmp_path):
     assert rec["unreliable"] == 0  # 12 reports, every budget inside the tolerance
 
 
+def test_converse_inconclusive_exit_code(tmp_path):
+    # theta's only failures up to D = 9 are unreliable (a vanishing twist)
+    out = tmp_path / "conv.json"
+    code = run([
+        "converse", "--fixture", "theta", "--dcap", "9", "--battery-count", "2",
+        "-o", str(out),
+    ])
+    assert code == cli.EXIT_INCONCLUSIVE == 5
+    (rec,) = json.loads(out.read_text())
+    assert rec["verdict"] == "inconclusive"
+    assert rec["unreliable"] >= len(rec["failures"]) == 4
+
+
 def test_summation_check(tmp_path):
     out = tmp_path / "sum.json"
     code = run([

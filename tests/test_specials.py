@@ -379,6 +379,33 @@ def test_upper_gamma_negative_integer_order_at_large_x():
         assert abs(upper_gamma(s, x) - ref) <= 1e-13 * abs(ref), (s, x)
 
 
+def test_upper_gamma_negative_integer_order_at_negative_x():
+    # for x < 0 the downward recurrence from Gamma(0, x) left 2.2e-4 at
+    # s = -11, x = -60 and 1.4e7 at x = -600; the power series has no
+    # cancelling terms there
+    mp = pytest.importorskip("mpmath")
+    for s in range(-1, -12, -1):
+        for x in (-2.0, -7.5, -30.0, -60.0, -123.4, -300.0, -600.0):
+            with mp.workdps(60):
+                ref = complex(mp.gammainc(s, x))
+            assert abs(upper_gamma(s, x) - ref) <= 1e-12 * abs(ref), (s, x)
+
+
+def test_upper_gamma_negative_integer_order_negative_x_sweep():
+    pytest.importorskip("hypothesis")
+    mp = pytest.importorskip("mpmath")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(min_value=-11, max_value=0), st.floats(min_value=-600.0, max_value=-2.0))
+    def check(s, x):
+        with mp.workdps(60):
+            ref = complex(mp.gammainc(s, x))
+        assert abs(upper_gamma(s, x) - ref) <= 1e-12 * abs(ref)
+
+    check()
+
+
 def test_upper_gamma_scaled_stays_finite_past_underflow():
     # Gamma(11, 1500) underflows to 0; its scaled value is about 1500^10
     assert upper_gamma(11, 1500.0) == 0.0

@@ -296,6 +296,30 @@ def test_laplace_many_sequence_matches_single_calls(dtype):
             assert np.all(np.abs(errs[row] - e1) <= 4e-15 * e1)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_laplace_many_node_pruning_matches_the_full_grid(dtype):
+    # the nodes where every test function is exactly 0 leave the matrix; a
+    # constant with the same support and knots is nonzero on every node, so
+    # adding it to the tuple keeps the full grid and its other rows are the
+    # unpruned transforms
+    bat = standard_battery()
+    for j, slash in ((0, None), (5, None), (9, (-10.0, 1))):
+        phi = bat[j]
+        one = TestFunction.spline(phi.support(), [[1.0]])
+        if slash is not None:
+            phi, one = slash_W(phi, *slash), slash_W(one, *slash)
+        us = np.arange(0, 768, dtype=dtype) * (2 * math.pi / 5)
+        phi2 = shift_s(phi, 2.0)
+        full, full_errs = laplace_many((phi, phi2, one), us, dtype)
+        single = laplace_many(phi, us, dtype)
+        pair = laplace_many((phi, phi2), us, dtype)
+        for row, (vals, errs) in ((0, single), (0, (pair[0][0], pair[1][0])),
+                                  (1, (pair[0][1], pair[1][1]))):
+            mass = full_errs[row] / (50.0 * float(np.finfo(dtype).eps))
+            assert np.all(np.abs(vals - full[row]) <= 4e-15 * mass), (j, row)
+            assert np.all(np.abs(errs - full_errs[row]) <= 4e-15 * full_errs[row]), (j, row)
+
+
 def test_laplace_many_sequence_needs_common_support():
     phi = standard_battery()[2]
     with pytest.raises(DomainError):

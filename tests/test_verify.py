@@ -19,6 +19,7 @@ from maass_lseries.verify import (
     converse_sweep,
     decomp_identity_check,
     derivative_lift,
+    fe_pair,
     fe_residual_half,
     fe_residual_int,
     gf_term_check,
@@ -262,17 +263,6 @@ def test_alpha_transfer_single_coefficient():
     assert abs(rep_i.lhs - expect) < 1e-12 * abs(expect)
 
 
-def test_sweep_thread_pool_deterministic(monkeypatch):
-    f, g = fixture_pair("delta", 256)
-    serial = converse_sweep(f, g, BAT[:4])
-    monkeypatch.setenv("MAASS_LSERIES_THREADS", "3")
-    threaded = converse_sweep(f, g, BAT[:4])
-    assert serial.n_checked == threaded.n_checked
-    for a, b in zip(serial.reports, threaded.reports):
-        assert a.phi_id == b.phi_id and a.equation == b.equation
-        assert a.rel_residual == b.rel_residual
-
-
 def test_alpha_low_degree_spline_vanishes():
     # degree < k-1: the (k-1)-th derivative kills the piece, so the
     # pointwise involution identity holds with both sides identically zero
@@ -449,6 +439,44 @@ def test_fe_side_escalates_the_right_side_of_delta(monkeypatch):
         _check_side_matches_routes(g, CHI1, phi_w)
 
 
+def test_targeted_escalation_matches_a_full_long_double_recompute(monkeypatch):
+    """The five escalating sums of the delta sweep (D <= 5) recompute in long
+    double only the terms whose float64 bound exceeds eps_ld sum|terms| / n;
+    each still matches a full long-double recompute within its precision
+    budget (the coefficient rounding left out), which the plain float64 sum
+    misses by factors of 2.6 to 22."""
+    from maass_lseries import lseries
+    from maass_lseries.testfn import laplace_many
+
+    f, g = fixture_pair("delta", 768)
+    calls = []
+    weighted_sum = lseries._weighted_transform_sum
+
+    def recording(coeffs, phi, ns, period, table=None, coeff_err=None):
+        precision_only = weighted_sum(coeffs, phi, ns, period, table)
+        calls.append((coeffs, phi, ns, period, table[0], precision_only))
+        return weighted_sum(coeffs, phi, ns, period, table, coeff_err)
+
+    monkeypatch.setattr(lseries, "_weighted_transform_sum", recording)
+    for D, j in ((1, 8), (1, 9), (4, 9)):
+        for chi in characters_mod(D):
+            fe_pair(f, g, chi, BAT[j])
+    escalated = []
+    for coeffs, phi, ns, period, lv, (value, budget) in calls:
+        terms = coeffs * lv
+        if np.sum(np.abs(terms)) <= lseries._CANCEL_ESCALATE * abs(np.sum(terms)):
+            continue
+        escalated.append(phi.label)
+        us = ns.astype(np.longdouble) * (2 * lseries._PI_LD / np.longdouble(period))
+        full, _ = laplace_many(phi, us, dtype=np.longdouble)
+        ref = complex(np.sum(coeffs.astype(np.clongdouble) * full.astype(np.clongdouble)))
+        assert abs(value - ref) <= budget, (phi.label, abs(value - ref), budget)
+    assert sorted(escalated) == [
+        "bump8.W1(-10)", "bump8.W1(-10).s(2.0)",
+        "bump9.W1(-10)", "bump9.W1(-10)", "bump9.W1(-10).s(2.0)",
+    ]
+
+
 def test_fe_side_matches_series_and_delta_with_b_coefficients():
     k = 12
     a_f = {1: 2.0 + 1.0j, 2: -3.0 + 0.5j}
@@ -482,6 +510,25 @@ def test_vanishing_twist_is_not_a_reliable_failure():
     assert sorted(set(failing)) == [(3, j) for j in range(8)]
     assert len(failing) == 16
     assert reliable == 51
+
+
+def test_converse_sweep_with_only_unreliable_failures_is_inconclusive():
+    """Up to D = 9 theta fails only on its vanishing conductor-3 twist, whose
+    reports are unreliable: the sweep is inconclusive, not failed.  (The
+    battery stays short of bumps 8 and 9, whose tails at D = 7 and 9 cannot
+    be certified.)"""
+    f, g = fixture_pair("theta", 768)
+    rep = converse_sweep(f, g, BAT[:3], dmax=9)
+    assert rep.verdict == "inconclusive"
+    assert not rep.consistent
+    assert len(rep.failures) == 6
+    assert all(r.chi_id == "9.3" and not r.verdict_reliable for r in rep.failures)
+    assert converse_sweep(f, g, BAT[:3], dmax=7).consistent
+    # one reliable failure makes the verdict "failed" again
+    a = dict(f.a)
+    a[1] = a[1] * (1 + 1e-4)
+    fp = replace(f, a=a)
+    assert converse_sweep(fp, fp, BAT[:3], dmax=9).verdict == "failed"
 
 
 def test_fe_report_derives_its_residuals():
