@@ -71,6 +71,7 @@ from .testfn import (
     derivative,
     eval_at,
     laplace,
+    laplace_lattice,
     laplace_many,
     quadrature,
     shift_s,
@@ -92,6 +93,7 @@ from .verify import (
     gf_term_check,
     mf_term_check,
     summation_residual,
+    sweep_instances,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,6 +33,7 @@ from .verify import (
     fe_pair,
     gf_term_check,
     mf_term_check,
+    sweep_instances,
 )
 
 EXIT_OK = 0
@@ -147,36 +148,27 @@ def cmd_lseries(args) -> int:
 def cmd_fe_check(args) -> int:
     f, g = _load_form(args)
     battery = _battery_from_args(args)
-    from .specials import characters_mod
-
-    half = f.weight2 % 2 != 0
-    tol = args.tol if args.tol is not None else (1e-6 if half else 1e-8)
+    tol = args.tol if args.tol is not None else (1e-6 if f.weight2 % 2 else 1e-8)
     records = []
     all_pass = True
-    dlist = [d for d in range(1, args.dmax + 1) if math.gcd(d, f.level) == 1]
-    if half:
-        dlist = [d for d in dlist if d % 2 == 1]
-    for D in dlist:
-        for chi in characters_mod(D):
-            for phi in battery:
-                rep, rep_d = fe_pair(f, g, chi, phi, tol)
-                for r in (rep, rep_d):
-                    all_pass &= r.passed
-                    records.append(
-                        {
-                            "D": D,
-                            "chi": r.chi_id,
-                            "phi": r.phi_id,
-                            "equation": r.equation,
-                            "lhs": _c2d(r.lhs),
-                            "rhs": _c2d(r.rhs),
-                            "rel_residual": r.rel_residual,
-                            "lhs_err": r.lhs_err,
-                            "rhs_err": r.rhs_err,
-                            "reliable": r.verdict_reliable,
-                            "pass": r.passed,
-                        }
-                    )
+    for D, chi, phi in sweep_instances(f, battery, range(1, args.dmax + 1)):
+        for r in fe_pair(f, g, chi, phi, tol):
+            all_pass &= r.passed
+            records.append(
+                {
+                    "D": D,
+                    "chi": r.chi_id,
+                    "phi": r.phi_id,
+                    "equation": r.equation,
+                    "lhs": _c2d(r.lhs),
+                    "rhs": _c2d(r.rhs),
+                    "rel_residual": r.rel_residual,
+                    "lhs_err": r.lhs_err,
+                    "rhs_err": r.rhs_err,
+                    "reliable": r.verdict_reliable,
+                    "pass": r.passed,
+                }
+            )
     _emit(records, args)
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 

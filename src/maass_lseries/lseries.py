@@ -26,7 +26,15 @@ import numpy as np
 from .errors import AccuracyError, DomainError, MembershipError
 from .form import FormData, RuleCoeffs, delta_k_iy, eval_iy, geom_tail, twist
 from .specials import Character, _gamma_half_exp, _principal_pow, i_pow, upper_gamma
-from .testfn import TestFunction, laplace, laplace_many, quadrature, shift_s, slash_W
+from .testfn import (
+    TestFunction,
+    laplace,
+    laplace_lattice,
+    laplace_many,
+    quadrature,
+    shift_s,
+    slash_W,
+)
 
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -184,7 +192,7 @@ def _series_pair(
     deriv &= delta
     table = plain | deriv
     if np.any(table):
-        lv, le = laplace_many((phi, phi2) if delta else (phi,), ns[table] * step)
+        lv, le = laplace_lattice((phi, phi2) if delta else (phi,), ns[table], step)
 
     def tabulated(row, mask, coeffs, test, err):
         sub = mask[table]
@@ -273,7 +281,7 @@ def _weighted_transform_sum(
     to the budget.
     """
     if table is None:
-        table = laplace_many(phi, ns.astype(float) * (_TWO_PI / period))
+        table = laplace_lattice(phi, ns, _TWO_PI / period)
     lv, le = table
     terms = coeffs * lv
     ssum = complex(np.sum(terms))
@@ -413,8 +421,12 @@ def _twisted_pair(
     Each Gauss sum tau(n) adds D terms of modulus at most 1, so the stored
     a(n) tau(n) is off by at most 2 D eps |a(n)|.  That is the budget that
     keeps an identically vanishing twist from reading as a reliable failure.
+    At D = 1 the Gauss sum is exactly 1, so the twist leaves every a(n) as
+    it is and nothing is charged.
     """
-    rounding = (2.0 * chi.modulus * _EPS) * np.abs(f._arrays("a")[1])
+    rounding = None
+    if chi.modulus > 1:
+        rounding = (2.0 * chi.modulus * _EPS) * np.abs(f._arrays("a")[1])
     return _series_pair(twist(f, chi), phi, tol, delta, rounding)
 
 

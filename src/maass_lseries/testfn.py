@@ -223,7 +223,8 @@ class _Bump:
         inside = (xs > c1) & (xs < c2)
         xi = xs[inside]
         expo = 4.0 / w2 - 1.0 / ((xi - c1) * (c2 - xi))
-        out[inside] = np.exp(np.maximum(expo, -745.0)) * (expo > -745.0)
+        # exp(-inf) = 0 where exp(expo) underflows, without computing a subnormal
+        out[inside] = np.exp(np.where(expo > -745.0, expo, -np.inf))
         return out
 
     @property
@@ -693,28 +694,16 @@ def laplace(phi: TestFunction, s: complex):
     return val
 
 
-def laplace_many(
-    phi: TestFunction | tuple[TestFunction, ...], us, dtype=np.float64
-) -> tuple[np.ndarray, np.ndarray]:
-    """(L phi)(u) on an array of real u, compact support, fixed panels.
+def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype):
+    """Nodes x and weighted samples w phi(x), one column per test function.
 
-    Builds a composite Gauss-Legendre grid on the support, dyadically
-    graded into both endpoints (resolving bump-type essential
-    singularities and keeping |u| h small on the panels that matter), and
-    evaluates all transforms with one outer product over the nodes where
-    some test function is nonzero (the others contribute exactly 0).
-    ``dtype`` may be np.longdouble for extended-precision accumulation when
-    the caller's series cancels heavily; the caller then passes only the
-    frequencies whose terms need it.  Returns (values, err_bounds).
-
-    ``phi`` may also be a sequence of test functions with a common support
-    and common knots (phi and phi x, say).  They share the grid and the
-    exponential matrix, one matrix product yields every value and error
-    column, and the arrays come back with one row per test function.
+    A composite Gauss-Legendre grid on the common support, dyadically
+    graded into both endpoints (resolving bump-type essential singularities
+    and keeping |u| h small on the panels that matter).  A bump
+    underflows to exactly 0 on the nodes graded into its endpoints; the
+    nodes where every test function is 0 add nothing to any transform and
+    are dropped.
     """
-    single = isinstance(phi, TestFunction)
-    phis = (phi,) if single else tuple(phi)
-    us = np.asarray(us, dtype=dtype)
     lo, hi = phis[0].support()
     knots = phis[0].knots()
     if any(p.support() != (lo, hi) or p.knots() != knots for p in phis[1:]):
@@ -729,33 +718,128 @@ def laplace_many(
         d = width / 2.0 ** j
         edges.add(lo + d)
         edges.add(hi - d)
-    edges = sorted(edges)
     if np.dtype(dtype) == np.dtype(np.longdouble):
         xg, wg = _leggauss_longdouble(40)
     else:
         xg, wg = _leggauss(32)
-    nodes = []
-    weights = []
-    one_half = np.dtype(dtype).type(0.5)
-    for a, b in zip(edges[:-1], edges[1:]):
-        h = one_half * (np.dtype(dtype).type(b) - np.dtype(dtype).type(a))
-        nodes.append(one_half * (np.dtype(dtype).type(a) + np.dtype(dtype).type(b)) + h * xg)
-        weights.append(h * wg)
-    x = np.concatenate(nodes).astype(dtype)
-    w = np.concatenate(weights).astype(dtype)
+    edges = np.array(sorted(edges), dtype=dtype)
+    a, b = edges[:-1, None], edges[1:, None]
+    h = 0.5 * (b - a)
+    x = (0.5 * (a + b) + h * xg).ravel()
+    w = (h * wg).ravel()
     wf = np.stack([w * p.eval_many(x) for p in phis], axis=1)
-    # a bump underflows to exactly 0 on the nodes graded into its endpoints;
-    # they add nothing to any transform, so they leave the matrix
     live = np.any(wf != 0, axis=1)
-    x, wf = x[live], wf[live]
+    return x[live], wf[live]
+
+
+def _columns(x: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """The right-hand side of the transform product: w phi(x), its modulus
+    (the terms' mass) and x times it (their exponents' scale)."""
+    mag = np.abs(wf)
+    return np.concatenate([wf, mag, x[:, None] * mag], axis=1)
+
+
+def _split(out, us, x, wf, unit, single: bool):
+    """Values and error bounds, one row per test function, from the product
+    of an exponential table with ``_columns(x, wf)``.
+
+    The error bound is 50 eps sum |w phi e^{-u x}| for the exponentials and
+    the summation, plus 4 eps |u| sum x |w phi e^{-u x}| for the rounding of
+    the exponent u x itself, which is relative to |u x| and dominates at
+    large u, plus unit sum (2 + |w phi|) over the nodes where w phi != 0
+    for the terms lost below ``unit``: at most unit |w phi| for an
+    exponential and unit for a product, per node.
+    """
+    m = wf.shape[1]
+    eps = float(np.finfo(out.real.dtype).eps)
+    floor = unit * (2 * np.count_nonzero(wf, axis=0) + np.sum(np.abs(wf), axis=0))
+    vals = out[:, :m].T
+    errs = (50.0 * eps) * np.abs(out[:, m:2 * m]).T
+    errs = errs + (4.0 * eps) * np.abs(us) * np.abs(out[:, 2 * m:]).T + floor[:, None]
+    return (vals[0], errs[0]) if single else (vals, errs)
+
+
+def _as_tuple(phi) -> tuple[bool, tuple[TestFunction, ...]]:
+    single = isinstance(phi, TestFunction)
+    return single, ((phi,) if single else tuple(phi))
+
+
+def laplace_many(
+    phi: TestFunction | tuple[TestFunction, ...], us, dtype=np.float64
+) -> tuple[np.ndarray, np.ndarray]:
+    """(L phi)(u) on an array of real u, compact support, fixed panels.
+
+    Samples phi on the graded grid of ``_sampled_grid`` and evaluates all
+    transforms with one outer product over its nodes.  ``dtype`` may be
+    np.longdouble for extended-precision accumulation when the caller's
+    series cancels heavily; the caller then passes only the frequencies
+    whose terms need it.  Returns (values, err_bounds).
+
+    ``phi`` may also be a sequence of test functions with a common support
+    and common knots (phi and phi x, say).  They share the grid and the
+    exponential matrix, one matrix product yields every value and error
+    column, and the arrays come back with one row per test function.
+    """
+    single, phis = _as_tuple(phi)
+    us = np.asarray(us, dtype=dtype)
+    x, wf = _sampled_grid(phis, us, dtype)
     E = np.multiply.outer(-us, x)
     np.exp(E, out=E)
-    out = E @ np.concatenate([wf, np.abs(wf)], axis=1)
-    m = len(phis)
-    eps = float(np.finfo(dtype).eps) if np.dtype(dtype).kind == "f" else 1e-16
-    vals = out[:, :m].T
-    errs = (50.0 * eps) * np.abs(out[:, m:]).T
-    return (vals[0], errs[0]) if single else (vals, errs)
+    unit = np.finfo(dtype).smallest_subnormal  # underflow is the only loss
+    return _split(E @ _columns(x, wf), us, x, wf, unit, single)
+
+
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
+
+
+def _exp_normal(arg: np.ndarray) -> np.ndarray:
+    """exp(arg) in place, with 0 where it would fall below the smallest
+    normal number (those exponentials would come out subnormal, slowly)."""
+    arg[arg < _LOG_TINY] = -np.inf
+    return np.exp(arg, out=arg)
+
+
+def laplace_lattice(
+    phi: TestFunction | tuple[TestFunction, ...], ns, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``laplace_many(phi, ns * step)`` for integers ns, in float64.
+
+    With n = n0 + q B + r, B = ceil(sqrt(span)) and 0 <= r < B, the
+    exponential e^{-n step x} is the product of a "baby" table
+    e^{-r step x} (B rows) and a "giant" table e^{-(n0 + q B) step x}
+    (Q = ceil(span / B) rows), so B + Q exponentials per node replace
+    len(ns).  The giant table is folded into the columns W of
+    ``_columns``, and one matrix product gives every value and error
+    column at every lattice point:
+
+        T[r, (q, c)] = sum_j baby[r, j] giant[q, j] W[j, c].
+
+    Entries of baby, giant and giant * W below the smallest normal number
+    tiny are set to 0, so the product never meets a subnormal; what that
+    drops is at most tiny sum (2 + |w phi|) per transform and joins its
+    error bound.  When B + Q >= len(ns) (sparse indices, squares say) the
+    factorization saves nothing, and the direct path runs instead; so it
+    does for negative indices, whose exponentials grow.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    n0, n1 = (int(ns.min()), int(ns.max())) if len(ns) else (0, 0)
+    B = math.isqrt(n1 - n0) + 1
+    Q = (n1 - n0) // B + 1
+    if n0 < 0 or B + Q >= len(ns):
+        return laplace_many(phi, ns * step)
+    single, phis = _as_tuple(phi)
+    us = ns * step
+    x, wf = _sampled_grid(phis, us, np.float64)
+    tiny = np.finfo(np.float64).tiny
+    baby = _exp_normal(np.multiply.outer(np.arange(B) * -step, x))
+    giant = _exp_normal(np.multiply.outer(x, (n0 + B * np.arange(Q)) * -step))
+    cols = _columns(x, wf)
+    folded = np.einsum("jq,jc->jqc", giant, cols).reshape(len(x), -1)
+    parts = folded.view(np.float64)  # real and imaginary parts side by side
+    parts[np.abs(parts) < tiny] = 0.0
+    table = (baby @ parts).view(folded.dtype).reshape(B, Q, -1)
+    out = table[(ns - n0) % B, (ns - n0) // B]
+    return _split(out, us, x, wf, tiny, single)
 
 
 # ----------------------------------------------------------------------------

@@ -20,6 +20,7 @@ shadow-consistent decomposition).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -249,6 +250,27 @@ class SweepReport:
         return sum(1 for r in self.reports if not r.verdict_reliable)
 
 
+def sweep_instances(
+    f: FormData, battery, moduli, primitive_only: bool = False
+) -> Iterator[tuple[int, Character, TestFunction]]:
+    """The (D, chi, phi) instances of a twisted functional-equation sweep.
+
+    Every D of ``moduli`` coprime to the level (and odd in half-integral
+    weight), every character mod D (only the primitive ones with
+    ``primitive_only``) and every test function of ``battery``, in that
+    order.  The caller chooses the moduli: ``converse_sweep`` takes D < N^2,
+    ``fe-check --dmax`` takes D = 1..dmax.
+    """
+    half = f.weight2 % 2 != 0
+    for D in moduli:
+        if math.gcd(D, f.level) != 1 or (half and D % 2 == 0):
+            continue
+        for chi in characters_mod(D):
+            if chi.is_primitive or not primitive_only:
+                for phi in battery:
+                    yield D, chi, phi
+
+
 def converse_sweep(
     f: FormData,
     g: FormData,
@@ -284,11 +306,7 @@ def converse_sweep(
             d_range = range(1, min(max(1, N * N - 1), dmax) + 1)
     reports = tuple(
         r
-        for D in d_range
-        if math.gcd(D, N) == 1 and not (half and D % 2 == 0)
-        for chi in characters_mod(D)
-        if chi.is_primitive or not primitive_only
-        for phi in battery
+        for _, chi, phi in sweep_instances(f, battery, d_range, primitive_only)
         for r in fe_pair(f, g, chi, phi, tol)
     )
     failures = tuple(r for r in reports if not r.passed)

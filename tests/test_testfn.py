@@ -11,6 +11,7 @@ from maass_lseries.testfn import (
     derivative,
     eval_at,
     laplace,
+    laplace_lattice,
     laplace_many,
     quadrature,
     shift_s,
@@ -288,10 +289,11 @@ def test_laplace_many_sequence_matches_single_calls(dtype):
         assert vals.shape == errs.shape == (3, len(us))
         for row, p in enumerate(phis):
             v1, e1 = laplace_many(p, us, dtype)
-            # the error column is 50 eps sum |w phi e^{-u x}|, the terms' mass;
-            # BLAS sums a matrix product and a matrix-vector product in
-            # different orders, which measured up to 1.5e-15 of that mass
-            mass = e1 / (50.0 * float(np.finfo(dtype).eps))
+            # these test functions are positive, so a transform is its terms'
+            # mass sum |w phi e^{-u x}|; BLAS sums a matrix product and a
+            # matrix-vector product in different orders, which measured up
+            # to 1.5e-15 of that mass
+            mass = v1
             assert np.all(np.abs(vals[row] - v1) <= 4e-15 * mass)
             assert np.all(np.abs(errs[row] - e1) <= 4e-15 * e1)
 
@@ -315,7 +317,7 @@ def test_laplace_many_node_pruning_matches_the_full_grid(dtype):
         pair = laplace_many((phi, phi2), us, dtype)
         for row, (vals, errs) in ((0, single), (0, (pair[0][0], pair[1][0])),
                                   (1, (pair[0][1], pair[1][1]))):
-            mass = full_errs[row] / (50.0 * float(np.finfo(dtype).eps))
+            mass = full[row]  # positive test functions: the terms' mass
             assert np.all(np.abs(vals - full[row]) <= 4e-15 * mass), (j, row)
             assert np.all(np.abs(errs - full_errs[row]) <= 4e-15 * full_errs[row]), (j, row)
 
@@ -324,6 +326,86 @@ def test_laplace_many_sequence_needs_common_support():
     phi = standard_battery()[2]
     with pytest.raises(DomainError):
         laplace_many((phi, standard_battery()[3]), np.array([1.0]))
+
+
+# ---------------------------------------------------------------------------
+# transforms on the frequency lattice 2 pi n / D
+
+
+def _ld_frequencies(ns, D):
+    return ns.astype(np.longdouble) * (8 * np.arctan(np.longdouble(1)) / D)
+
+
+def _lattice_cases():
+    bat = standard_battery()
+    for j in (0, 3, 6, 9):
+        phi, phi_w = bat[j], slash_W(bat[j], 1.5, 4)
+        yield phi
+        yield (phi, shift_s(phi, 2.0))
+        yield slash_W(phi, -10.0, 1)
+        yield (phi_w, shift_s(phi_w, 2.0))
+        yield shift_s(phi, 1.5 + 2.0j)  # complex samples
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+def test_laplace_lattice_matches_the_direct_path(D):
+    # ranges from n = 0 and from n = 5, and indices with gaps
+    step = 2 * math.pi / D
+    gaps = np.sort(np.random.default_rng(D).choice(769, 400, replace=False))
+    for phi in _lattice_cases():
+        for ns in (np.arange(0, 769), np.arange(5, 300), gaps):
+            direct, _ = laplace_many(phi, ns * step)
+            vals, errs = laplace_lattice(phi, ns, step)
+            assert vals.shape == errs.shape == direct.shape
+            assert np.all(np.abs(vals - direct) <= errs)
+
+
+def test_laplace_lattice_keeps_sparse_indices_on_the_direct_path():
+    # theta's squares: 28 indices over a span of 730 would take 28 + 27
+    # exponentials per node factorized, more than directly
+    ns = np.arange(28) ** 2
+    step = 2 * math.pi / 3
+    phi = standard_battery()[4]
+    for p in (phi, (phi, shift_s(phi, 2.0))):
+        got = laplace_lattice(p, ns, step)
+        want = laplace_many(p, ns * step)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_laplace_lattice_charges_what_underflows_to_its_error_column():
+    # bump 9 at D = 1: every term e^{-2 pi n x} w phi(x) is below the
+    # subnormal range once 2 pi n c1 > 745, and those transforms come back
+    # as exact zeros; on bump 6 part of the giant table times the samples
+    # underflows and is set to 0.  The long-double reference, with its wider
+    # exponent range, stays within the error column on every row, the zeros
+    # included, because what was dropped is charged to it.
+    ns = np.arange(0, 769)
+    step = 2 * math.pi
+    bat = standard_battery()
+    for phi in (bat[9], (bat[9], shift_s(bat[9], 2.0)), bat[6]):
+        vals, errs = laplace_lattice(phi, ns, step)
+        ref, _ = laplace_many(phi, _ld_frequencies(ns, 1), dtype=np.longdouble)
+        assert np.all(np.abs(vals - ref) <= errs)
+        assert np.all(errs > 0)
+    c1 = bat[9].support()[0]
+    vals, _ = laplace_lattice(bat[9], ns, step)
+    assert np.all(vals[ns * step * c1 > 745.0] == 0.0)
+    assert np.all(vals[ns * step * c1 < 700.0] > 0.0)
+
+
+@pytest.mark.parametrize("D", [1, 3, 5])
+def test_error_column_bounds_the_rounding_of_the_exponent(D):
+    # fl(u x) is off by about |u x| eps, and so is e^{-u x} relatively; near
+    # u c1 = 580 that exceeded a column of 50 eps sum |w phi e^{-u x}| alone
+    # 12-fold.  With 4 eps |u| sum x |w phi e^{-u x}| added, both paths stay
+    # within the column against long double (measured: 0.26 of it at most).
+    ns = np.arange(0, 769)
+    step = 2 * math.pi / D
+    for phi in standard_battery():
+        for p in (phi, slash_W(phi, -10.0, 1)):
+            ref, _ = laplace_many(p, _ld_frequencies(ns, D), dtype=np.longdouble)
+            for vals, errs in (laplace_many(p, ns * step), laplace_lattice(p, ns, step)):
+                assert np.all(np.abs(vals - ref) <= errs), p.label
 
 
 # ---------------------------------------------------------------------------

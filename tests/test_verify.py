@@ -8,7 +8,7 @@ import pytest
 
 from maass_lseries.errors import DomainError, MembershipError
 from maass_lseries.form import FormData, twist
-from maass_lseries.lseries import lseries_delta, lseries_series
+from maass_lseries.lseries import _series_pair, lseries_delta, lseries_series
 from maass_lseries.qseries import fixture, fixture_pair
 from maass_lseries.specials import characters_mod, trivial_character
 from maass_lseries.testfn import TestFunction, slash_W, standard_battery
@@ -25,6 +25,7 @@ from maass_lseries.verify import (
     gf_term_check,
     mf_term_check,
     summation_residual,
+    sweep_instances,
 )
 
 BAT = standard_battery()
@@ -397,8 +398,13 @@ def _check_side_matches_routes(f, chi, phi):
     fx = twist(f, chi)
     assert _within_budgets(plain, lseries_series(fx, phi)), (chi, phi.label)
     assert _within_budgets(dval, lseries_delta(fx, phi)), (chi, phi.label)
-    # the side's budget also carries the rounding of the twisted coefficients
-    assert plain.quad_err >= lseries_series(fx, phi).quad_err
+    if chi.modulus == 1:
+        # twisting mod 1 is exact, so nothing is charged for it
+        ref, ref_d = _series_pair(fx, phi, 1e-12, delta=True)
+        assert (plain.quad_err, dval.quad_err) == (ref.quad_err, ref_d.quad_err)
+    else:
+        # the side's budget also carries the rounding of the twisted coefficients
+        assert plain.quad_err >= lseries_series(fx, phi).quad_err
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
@@ -417,6 +423,27 @@ def test_fe_side_matches_series_and_delta_on_theta(D):
         for j in (0, 4, 7):
             _check_side_matches_routes(f, chi, BAT[j])
             _check_side_matches_routes(f, chi, slash_W(BAT[j], 1.5, 4))
+
+
+def test_trivial_twist_charges_no_coefficient_rounding():
+    """At D = 1 the Gauss sum is exactly 1: a side's budget is the series
+    budget of the untwisted form, escalation included.  Bump 9 of delta's
+    right side escalates; its budget is 4e-8 of the value, where a rounding
+    charge of 2 eps |a(n)| |(L phi)| made it 2e-6."""
+    for name, j in (("delta", 9), ("delta", 4), ("theta", 6)):
+        f, g = fixture_pair(name, 768)
+        phi = BAT[j]
+        phi_w = slash_W(phi, 2.0 - f.weight2 / 2.0, f.level)
+        for form, test in ((f, phi), (g, phi_w)):
+            side = _fe_side(form, CHI1, test, "left")
+            ref = _series_pair(form, test, 1e-12, delta=True)
+            for got, want in zip(side, ref):
+                assert got.value == want.value, (name, test.label)
+                assert got.quad_err == want.quad_err, (name, test.label)
+                assert got.trunc_err == want.trunc_err, (name, test.label)
+    f, g = fixture_pair("delta", 768)
+    plain, _ = _fe_side(g, CHI1, slash_W(BAT[9], -10.0, 1), "right")
+    assert plain.quad_err < 1e-7 * abs(plain.value)
 
 
 def test_fe_side_escalates_the_right_side_of_delta(monkeypatch):
@@ -510,6 +537,24 @@ def test_vanishing_twist_is_not_a_reliable_failure():
     assert sorted(set(failing)) == [(3, j) for j in range(8)]
     assert len(failing) == 16
     assert reliable == 51
+
+
+def test_sweep_instances_enumerates_the_converse_sweep():
+    # theta (level 4, half-integral weight) keeps the odd moduli; the
+    # converse sweep's reports follow the enumeration one pair per instance
+    f, g = fixture_pair("theta", 768)
+    inst = list(sweep_instances(f, BAT[:2], range(1, 10)))
+    assert sorted({D for D, _, _ in inst}) == [1, 3, 5, 7, 9]
+    assert len(inst) == 2 * sum(len(characters_mod(D)) for D in (1, 3, 5, 7, 9))
+    rep = converse_sweep(f, g, BAT[:2], dmax=7)
+    ids = [(f"{chi.modulus}.{chi.index}", phi.label) for D, chi, phi in inst if D <= 7]
+    assert [(r.chi_id, r.phi_id) for r in rep.reports[::2]] == ids
+    # delta at level 1: every modulus, and the primitive characters on request
+    d, _ = fixture_pair("delta", 64)
+    prim = list(sweep_instances(d, BAT[:1], range(1, 8), primitive_only=True))
+    assert [D for D, _, _ in prim] == [
+        D for D in range(1, 8) for chi in characters_mod(D) if chi.is_primitive
+    ]
 
 
 def test_converse_sweep_with_only_unreliable_failures_is_inconclusive():
