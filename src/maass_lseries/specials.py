@@ -5,6 +5,13 @@ negative real second argument, the Whittaker M function, the Bessel J
 function, the Kronecker symbol and its companion epsilon factor, and dense
 Dirichlet-character tables with generalized Gauss sums.  Everything here is
 a pure function of its arguments.
+
+Three kernels take whole arrays of points, for quadrature integrands:
+``whittaker_M`` (a float or an array of z), ``bessel_J_grid`` (one Miller
+sweep for every point past x = 12) and ``_gamma_half_exp``, which runs
+integer orders m >= 1 through the finite-sum recurrence of
+``_upper_gamma_int`` on the whole array.  ``upper_gamma``,
+``upper_gamma_scaled`` and ``bessel_J`` stay scalar.
 """
 
 from __future__ import annotations
@@ -160,7 +167,7 @@ def _gamma_star(s: complex, x: float, max_iter: int = 800) -> complex:
     raise AccuracyError(f"gamma* series stalled at s={s}, x={x}")
 
 
-def _upper_gamma_int(m: int, x: float, scaled: bool = False) -> complex:
+def _upper_gamma_int(m: int, x, scaled: bool = False):
     """Gamma(m, x) for integer m (any sign), real x != 0, via recurrences.
 
     Anchors: Gamma(1, x) = e^{-x} and Gamma(0, x) from the E1 continuation.
@@ -169,13 +176,20 @@ def _upper_gamma_int(m: int, x: float, scaled: bool = False) -> complex:
     nonzero integers.  Every term carries e^{-x}, so ``scaled``
     (e^x Gamma(m, x)) drops it.  Orders m <= 0 at x < 0 take the power
     series instead (``scaled`` is for x > 0 only).
+
+    For m >= 1 the upward recurrence is the finite sum
+    e^x Gamma(m, x) = (m-1)! sum_{j<m} x^j / j!, with the powers x^j formed
+    by repeated products; there ``x`` may also be an array, and the result
+    is real (a float or a float array).
     """
-    ex = 1.0 if scaled else math.exp(-x)
     if m >= 1:
-        val = complex(ex)
+        val = 1.0
+        xj = 1.0
         for j in range(1, m):
-            val = j * val + _principal_pow(x, j) * ex
-        return val
+            xj = xj * x
+            val = j * val + xj
+        return val if scaled else val * np.exp(-x)
+    ex = 1.0 if scaled else math.exp(-x)
     if x < 0.0 and m >= -170:  # 1/170! is the last representable
         return _upper_gamma_negint_series(-m, x)
     val = _gamma0(x, scaled)
@@ -250,7 +264,7 @@ def upper_gamma(s: complex, x: float) -> complex:
         raise RangeOverflowError(f"Gamma(s, {x}) overflows double precision")
 
     if _recurrence_order(s, x):
-        return _upper_gamma_int(int(round(s.real)), x)
+        return complex(_upper_gamma_int(int(round(s.real)), x))
 
     if x > 0.0:
         if x >= s.real + 2.0 and x >= 1.0:
@@ -290,15 +304,31 @@ def upper_gamma_scaled(s: complex, x: float) -> complex:
     if not x > 0.0:
         raise DomainError("upper_gamma_scaled requires x > 0")
     if _recurrence_order(s, x):
-        return _upper_gamma_int(int(round(s.real)), x, scaled=True)
+        return complex(_upper_gamma_int(int(round(s.real)), x, scaled=True))
     if x >= s.real + 2.0 and x >= 1.0:
         return _upper_gamma_cf(s, x, scaled=True)
     return upper_gamma(s, x) * math.exp(x)  # series region: x < Re(s) + 2
 
 
 def _gamma_half_exp(s: complex, xs: np.ndarray) -> np.ndarray:
-    """Gamma(s, x) e^{x/2} on an array of x > 0, from the scaled gamma."""
-    return np.array([upper_gamma_scaled(s, x) for x in xs]) * np.exp(-0.5 * xs)
+    """Gamma(s, x) e^{x/2} on an array of x > 0, from the scaled gamma.
+
+    Integer orders m >= 1 take the whole array through the recurrence of
+    ``_upper_gamma_int``; other orders go point by point.  Where e^{-x/2}
+    underflows the value is exactly 0.
+    """
+    s = complex(s)
+    xs = np.asarray(xs, dtype=float)
+    m = round(s.real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if s.imag == 0.0 and m >= 1 and abs(s.real - m) < 1e-12:
+            if not np.all(xs > 0.0):
+                raise DomainError("upper_gamma_scaled requires x > 0")
+            scaled = _upper_gamma_int(m, xs, scaled=True)
+        else:
+            scaled = np.array([upper_gamma_scaled(s, x) for x in xs])
+        half = np.exp(-0.5 * xs)
+        return np.where(half > 0.0, scaled * half, 0.0).astype(complex)
 
 
 def _real_exp_moment(s: complex, a: float, b: float) -> complex:
@@ -315,34 +345,66 @@ def _real_exp_moment(s: complex, a: float, b: float) -> complex:
     return val
 
 
-def whittaker_M(kappa: float, mu: float, z: float) -> float:
+_WHITTAKER_BLOCK = 64  # series terms per block of the array evaluation
+
+
+def whittaker_M(kappa: float, mu: float, z):
     """Whittaker M_{kappa,mu}(z) for real parameters and z > 0.
 
-    Evaluated as e^{-z/2} z^{mu+1/2} times the confluent series with
-    a = mu - kappa + 1/2, b = 1 + 2 mu, summed until ten consecutive terms
-    fall below 1e-16 of the partial sum.
+    ``z`` is a float (a float is returned) or an array (an array of its
+    shape is returned).  Evaluated as the confluent series with
+    a = mu - kappa + 1/2, b = 1 + 2 mu, seeded with e^{-z/2} z^{mu+1/2}
+    (as e^{-z/4} z^{mu+1/2} e^{-z/4}) so that the partial sums stay finite
+    wherever M is (``RangeOverflowError`` where they do not), and summed
+    for each point until ten consecutive terms fall below 1e-16 of its
+    partial sum.  The terms are taken in blocks: a (points, block) table
+    of factors, a running product seeded with each point's last term and
+    a running sum seeded with its partial sum; points drop out as they
+    settle.
     """
-    if z <= 0:
+    zs = np.asarray(z, dtype=float)
+    if not np.all(zs > 0):
         raise DomainError("whittaker_M requires z > 0")
     b = 1.0 + 2.0 * mu
     if b <= 0 and abs(b - round(b)) < 1e-12:
         raise DomainError("whittaker_M undefined: 1 + 2*mu is a nonpositive integer")
     a = mu - kappa + 0.5
-    term = 1.0
-    acc = 1.0
-    quiet = 0
-    for k in range(0, 100000):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
-        acc += term
-        if abs(term) < 1e-16 * abs(acc):
-            quiet += 1
-            if quiet >= 10:
-                break
-        else:
-            quiet = 0
+    flat = zs.ravel()
+    quarter = np.exp(-0.25 * flat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        seed = quarter * flat ** (mu + 0.5) * quarter
+    # a seed that underflows leaves M at 0 for small z and beyond range for large z
+    if np.any(((seed == 0.0) & (flat > 1.0)) | ~np.isfinite(seed)):
+        raise RangeOverflowError(f"whittaker_M({kappa}, {mu}, z) overflows double precision")
+    out = np.zeros(flat.size)
+    live = np.flatnonzero(seed)
+    live_z, term = flat[live], seed[live]
+    acc = term.copy()
+    quiet = np.zeros(live.size, dtype=np.int64)
+    cols = np.arange(_WHITTAKER_BLOCK)
+    for k0 in range(0, 100000, _WHITTAKER_BLOCK):
+        ks = k0 + cols
+        factors = (a + ks) * live_z[:, None] / ((b + ks) * (ks + 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.cumprod(np.column_stack((term, factors)), axis=1)[:, 1:]
+            sums = np.cumsum(np.column_stack((acc, terms)), axis=1)[:, 1:]
+        if not np.all(np.isfinite(sums[:, -1])):
+            raise RangeOverflowError(f"whittaker_M({kappa}, {mu}, z) overflows double precision")
+        # length of the run of quiet terms ending at each column
+        loud = np.where(np.abs(terms) < 1e-16 * np.abs(sums), -1 - quiet[:, None], cols)
+        run = cols - np.maximum.accumulate(loud, axis=1)
+        settled = run >= 10
+        done = settled.any(axis=1)
+        stop = settled.argmax(axis=1)[done]
+        out[live[done]] = sums[done, stop]
+        keep = ~done
+        live, live_z = live[keep], live_z[keep]
+        term, acc, quiet = terms[keep, -1], sums[keep, -1], run[keep, -1]
+        if not live.size:
+            break
     else:
         raise AccuracyError("whittaker_M series did not settle")
-    return math.exp(-z / 2.0) * z ** (mu + 0.5) * acc
+    return out.reshape(zs.shape) if zs.ndim else float(out[0])
 
 
 def _bessel_j_series(nu: float, x: float) -> float:
@@ -357,35 +419,41 @@ def _bessel_j_series(nu: float, x: float) -> float:
     raise AccuracyError("bessel series did not settle")
 
 
-def _bessel_j_miller_all(nmax: int, x: float) -> np.ndarray:
+def _bessel_j_miller_all(nmax: int, x) -> np.ndarray:
     """J_0..J_nmax at x > 0 by one backward (Miller) sweep, integer orders.
 
     Normalized with J_0 + 2 J_2 + 2 J_4 + ... = 1; immune to the
-    cancellation that kills the ascending series at moderate x.
+    cancellation that kills the ascending series at moderate x.  ``x`` may
+    be an array: row n of the result is J_n on it.  Each point starts at
+    its own depth m(x) = x + 1.3 sqrt(x) + 30 + nmax (rounded up to even)
+    and is rescaled by itself, so every point follows the scalar sweep.
     """
-    m = int(x + 1.3 * x ** 0.5 + 30 + nmax)
-    if m % 2:
-        m += 1
-    out = np.zeros(nmax + 1)
-    jp = 0.0
-    jc = 1e-300
-    norm = 0.0
-    for k in range(m, 0, -1):
-        jm = 2.0 * k / x * jc - jp
+    shape = np.shape(x)
+    xs = np.asarray(x, dtype=float).ravel()
+    depth = (xs + 1.3 * xs ** 0.5 + 30 + nmax).astype(np.int64)
+    depth += depth % 2
+    out = np.zeros((nmax + 1, xs.size))
+    jp = np.zeros(xs.size)
+    jc = np.zeros(xs.size)  # 0 until a point's sweep starts
+    norm = np.zeros(xs.size)
+    for k in range(int(depth.max(initial=0)), 0, -1):
+        jc[depth == k] = 1e-300
+        jm = 2.0 * k / xs * jc - jp
         jp = jc
         jc = jm
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            out *= 1e-250
-            norm *= 1e-250
+        big = np.abs(jc) > 1e250
+        if big.any():
+            jc[big] *= 1e-250
+            jp[big] *= 1e-250
+            out[:, big] *= 1e-250
+            norm[big] *= 1e-250
         kk = k - 1  # jc now approximates J_{kk}
         if kk > 0 and kk % 2 == 0:
             norm += 2.0 * jc
         if kk <= nmax:
             out[kk] = jc
     norm += jc  # jc = unnormalized J_0
-    return out / norm
+    return (out / norm).reshape((nmax + 1,) + shape)
 
 
 def bessel_J(nu: float, x: float) -> float:
@@ -432,12 +500,21 @@ def _bessel_j_hankel(nu: float, x: float) -> float:
 
 
 def bessel_J_grid(n: int, xs: np.ndarray) -> np.ndarray:
-    """J_n on an array of nonnegative points (integer order n)."""
+    """J_n on an array of nonnegative points (integer order n).
+
+    Points x > 12 share one backward Miller sweep; the others take the
+    ascending series of ``bessel_J`` point by point.
+    """
     xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.shape, dtype=float)
-    for i, x in np.ndenumerate(xs):
-        out[i] = bessel_J(n, float(x))
-    return out
+    if n < 0 or not np.all(xs >= 0):
+        raise DomainError("bessel_J requires nu >= 0 and x >= 0")
+    flat = xs.ravel()
+    out = np.empty(flat.size)
+    far = flat > 12.0
+    out[far] = _bessel_j_miller_all(n, flat[far])[n]
+    for i in np.flatnonzero(~far):
+        out[i] = bessel_J(n, float(flat[i]))
+    return out.reshape(xs.shape)
 
 
 # ----------------------------------------------------------------------------

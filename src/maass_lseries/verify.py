@@ -594,19 +594,26 @@ def mf_term_check(
         lhs += 2.0 ** (l + 1) * fact / math.factorial(l) * float(np.real(ov))
     lhs *= (8.0 * math.pi * n) ** (0.5 * (1 - k)) / N
 
-    rhs = 0.0
+    rhs = float(np.real(_whittaker_side(phi, k, n))) / N
+    return IdentityReport.build(lhs, rhs, tol, f"mf term n={n} k={k} N={N}")
+
+
+def _whittaker_side(phi: TestFunction, k: int, n: int) -> complex:
+    """The Whittaker kernel of the W_N side, without its 1/N:
+    (8 pi n)^{-k/2} (k-1)^{-1} sum_l 2^{l+1}
+        int phi(y) y^{k/2-1} e^{-pi n y} M_{1-k/2+l, (k-1)/2}(2 pi n y) dy.
+    """
+    lo, hi = phi.support()
+    acc = 0.0
     for l in range(k - 1):
 
-        def outer_w(ys, l=l):
-            m = np.array(
-                [whittaker_M(1.0 - 0.5 * k + l, 0.5 * (k - 1), _TWO_PI * n * y) for y in ys]
-            )
+        def integrand(ys, l=l):
+            m = whittaker_M(1.0 - 0.5 * k + l, 0.5 * (k - 1), _TWO_PI * n * ys)
             return phi.eval_many(ys) * ys ** (0.5 * k - 1.0) * np.exp(-math.pi * n * ys) * m
 
-        wv, we = quadrature(outer_w, lo, hi, rel_tol=1e-12, knots=phi.knots(), vectorized=True)
-        rhs += 2.0 ** (l + 1) * float(np.real(wv))
-    rhs *= (8.0 * math.pi * n) ** (-0.5 * k) / (N * (k - 1))
-    return IdentityReport.build(lhs, rhs, tol, f"mf term n={n} k={k} N={N}")
+        wv, _ = quadrature(integrand, lo, hi, rel_tol=1e-12, knots=phi.knots(), vectorized=True)
+        acc += 2.0 ** (l + 1) * wv
+    return acc * (8.0 * math.pi * n) ** (-0.5 * k) / (k - 1)
 
 
 def decomp_identity_check(
@@ -671,7 +678,6 @@ def summation_residual(
     if k < 2 or k % 2 != 0:
         raise DomainError("summation formula needs even k >= 2")
     N = f.level
-    lo, hi = phi.support()
 
     from .lseries import _weighted_transform_sum
 
@@ -707,27 +713,7 @@ def summation_residual(
         for l in range(k - 1):
             mom = laplace(shift_s(phi, l + 1), _TWO_PI * n)
             gf += fact / math.factorial(l) * (4.0 * math.pi * n) ** (1 - k + l) * mom
-        whit = 0.0 + 0.0j
-        for l in range(k - 1):
-
-            def outer_w(ys, l=l):
-                m = np.array(
-                    [
-                        whittaker_M(1.0 - 0.5 * k + l, 0.5 * (k - 1), _TWO_PI * n * y)
-                        for y in ys
-                    ]
-                )
-                return (
-                    phi.eval_many(ys)
-                    * ys ** (0.5 * k - 1.0)
-                    * np.exp(-math.pi * n * ys)
-                    * m
-                )
-
-            wv, _ = quadrature(outer_w, lo, hi, rel_tol=1e-12, knots=phi.knots(), vectorized=True)
-            whit += 2.0 ** (l + 1) * wv
-        whit *= (8.0 * math.pi * n) ** (-0.5 * k) / (k - 1)
-        rhs += np.conj(av) * (gf + whit)
+        rhs += np.conj(av) * (gf + _whittaker_side(phi, k, n))
     a = abs(lhs - rhs)
     r = a / max(abs(lhs), abs(rhs), _REL_FLOOR)
     return SummationReport(

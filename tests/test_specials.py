@@ -9,6 +9,7 @@ import pytest
 from maass_lseries.errors import DomainError, RangeOverflowError
 from maass_lseries.specials import (
     bessel_J,
+    bessel_J_grid,
     characters_mod,
     epsilon_d,
     euler_phi,
@@ -20,6 +21,7 @@ from maass_lseries.specials import (
     upper_gamma,
     upper_gamma_scaled,
     whittaker_M,
+    _gamma_half_exp,
     _principal_pow,
 )
 from maass_lseries.testfn import quadrature
@@ -413,3 +415,114 @@ def test_upper_gamma_scaled_stays_finite_past_underflow():
     assert math.isfinite(v.real) and v.real > 1500.0 ** 10
     with pytest.raises(DomainError):
         upper_gamma_scaled(1.5, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# array kernels: against mpmath, and against their own scalar calls
+
+
+def test_gamma_half_exp_integer_orders_match_mpmath():
+    mp = pytest.importorskip("mpmath")
+    xs = np.geomspace(1e-3, 1400.0, 60)
+    for m in range(1, 13):
+        got = _gamma_half_exp(m, xs)
+        with mp.workdps(40):
+            ref = np.array([complex(mp.gammainc(m, x) * mp.exp(x / 2)) for x in xs])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), m
+
+
+def test_gamma_half_exp_integer_order_sweep():
+    pytest.importorskip("hypothesis")
+    mp = pytest.importorskip("mpmath")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=12), st.floats(min_value=1e-3, max_value=1400.0))
+    def check(m, x):
+        with mp.workdps(40):
+            ref = complex(mp.gammainc(m, x) * mp.exp(x / 2))
+        assert abs(_gamma_half_exp(m, np.array([x]))[0] - ref) <= 1e-13 * abs(ref)
+
+    check()
+
+
+def test_gamma_half_exp_is_zero_where_the_half_exponential_underflows():
+    # e^{-x/2} is 0 from x ~ 1490; the scaled gamma grows like x^{m-1} and
+    # overflows at x = 1e40 for m = 11, and the product must still be 0
+    xs = np.array([1500.0, 2000.0, 1e5, 1e40, 1e300])
+    for s in (1, 2, 11, 12):
+        out = _gamma_half_exp(s, xs)
+        assert np.all(out == 0.0), s
+    assert np.all(_gamma_half_exp(2.5, xs[:2]) == 0.0)
+    with pytest.raises(DomainError):
+        _gamma_half_exp(11, np.array([1.0, 0.0]))
+
+
+def test_gamma_half_exp_integer_orders_match_the_scalar_path():
+    xs = np.array([1e-3, 0.3, 1.0, 1.9, 7.5, 50.0, 709.0, 1200.0])
+    for m in (1, 2, 5, 11):
+        got = _gamma_half_exp(m, xs)
+        one = np.array([upper_gamma_scaled(m, x) * math.exp(-0.5 * x) for x in xs])
+        assert np.all(np.abs(got - one) <= 4 * np.finfo(float).eps * np.abs(one)), m
+
+
+def _whittaker_parameters():
+    # the kernels of mf_term_check and summation_residual
+    for k in (2, 4, 12):
+        for l in range(k - 1):
+            yield 1.0 - 0.5 * k + l, 0.5 * (k - 1)
+
+
+def test_whittaker_array_matches_mpmath():
+    # the series used to overflow before its factor e^{-z/2} was applied:
+    # inf at z = 720 and "did not settle" from z ~ 800
+    mp = pytest.importorskip("mpmath")
+    zs = np.array([1e-3, 0.5, 2 * math.pi, 20.0, 63.0, 200.0, 720.0, 800.0, 1300.0])
+    for kappa, mu in _whittaker_parameters():
+        got = whittaker_M(kappa, mu, zs)
+        with mp.workdps(40):
+            ref = np.array([float(mp.whitm(kappa, mu, z)) for z in zs])
+        assert np.all(np.isfinite(got)), (kappa, mu)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), (kappa, mu)
+
+
+def test_whittaker_out_of_range():
+    # past z ~ 1420 M_{-5,11/2} overflows: a named error, not inf or a
+    # series that never settles; where z^{mu+1/2} underflows M is 0
+    for z in (1500.0, 3000.0):
+        with pytest.raises(RangeOverflowError):
+            whittaker_M(-5.0, 5.5, np.array([1.0, z]))
+    assert whittaker_M(0.0, 200.0, 1e-5) == 0.0
+
+
+def test_whittaker_array_matches_scalar_calls():
+    zs = np.array([[1e-3, 0.7, 6.3], [31.4, 62.8, 900.0]])
+    for kappa, mu in list(_whittaker_parameters()) + [(0.7, 0.3), (0.0, 0.5)]:
+        got = whittaker_M(kappa, mu, zs)
+        assert got.shape == zs.shape
+        one = np.array([[whittaker_M(kappa, mu, float(z)) for z in row] for row in zs])
+        assert np.all(np.abs(got - one) <= 4 * np.finfo(float).eps * np.abs(one)), (kappa, mu)
+    v = whittaker_M(-5.0, 5.5, 2 * math.pi)
+    assert type(v) is float
+    assert whittaker_M(-5.0, 5.5, np.array([])).shape == (0,)
+    with pytest.raises(DomainError):
+        whittaker_M(0.0, 0.5, np.array([1.0, 0.0]))
+
+
+def test_bessel_grid_matches_mpmath_across_the_crossover():
+    mp = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.linspace(0.0, 150.0, 301), [11.9, 11.999, 12.0, 12.001, 12.1]])
+    for n in (1, 3, 11):
+        got = bessel_J_grid(n, xs)
+        ref = np.array([float(mp.besselj(n, x)) for x in xs])
+        assert np.max(np.abs(got - ref)) <= 1e-12, n
+
+
+def test_bessel_grid_matches_scalar_calls():
+    xs = np.array([[0.0, 0.4, 11.9, 12.0], [12.1, 37.5, 99.0, 142.0]])
+    for n in (0, 1, 3, 11):
+        got = bessel_J_grid(n, xs)
+        one = np.array([[bessel_J(n, float(x)) for x in row] for row in xs])
+        assert np.all(np.abs(got - one) <= 4 * np.finfo(float).eps * np.maximum(np.abs(one), 1e-300)), n
+    with pytest.raises(DomainError):
+        bessel_J_grid(1, np.array([1.0, -1.0]))
