@@ -250,9 +250,11 @@ def eval_iy(f: FormData, ys, tol: float = 1e-12) -> np.ndarray:
     ns, avals = f._arrays("a")
     E = np.exp(-_TWO_PI * np.outer(ys, ns.astype(float)) / f.period)
     acc = E @ avals
-    for n, bv in zip(*f._arrays("b")):
+    bns, bvals = f._arrays("b")
+    if len(bns):
         # Gamma(1-k, x) e^{x/2} at x = -4 pi n y / M, finite past underflow
-        acc = acc + bv * _gamma_half_exp(1.0 - f.k, -4.0 * math.pi * n * ys / f.period)
+        xs = -4.0 * math.pi * bns * ys.reshape(-1, 1) / f.period
+        acc = acc + _gamma_half_exp(1.0 - f.k, xs) @ bvals
     return acc
 
 
@@ -304,9 +306,10 @@ def delta_k_iy(f: FormData, ys, tol: float = 1e-12) -> np.ndarray:
     E = np.exp(-_TWO_PI * np.outer(ys, nf) / f.period)
     # at z = iy:  2 pi i n z / M = -2 pi n y / M  (real)
     acc = E @ (avals * half_k) + (E * (-_TWO_PI * np.outer(ys, nf) / f.period)) @ avals
-    for n, bv in zip(*f._arrays("b")):
-        w = -_TWO_PI * n * ys / f.period
-        acc = acc + bv * _gamma_half_exp(1.0 - f.k, 2.0 * w) * (half_k + w)
+    bns, bvals = f._arrays("b")
+    if len(bns):
+        w = -_TWO_PI * bns * ys.reshape(-1, 1) / f.period
+        acc = acc + (_gamma_half_exp(1.0 - f.k, 2.0 * w) * (half_k + w)) @ bvals
     return acc
 
 

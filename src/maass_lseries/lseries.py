@@ -19,7 +19,7 @@ estimate separately; nothing is folded silently into the value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,8 +27,14 @@ from .errors import AccuracyError, DomainError, MembershipError
 from .form import FormData, RuleCoeffs, delta_k_iy, eval_iy, geom_tail, twist
 from .specials import Character, _gamma_half_exp, _principal_pow, i_pow, upper_gamma
 from .testfn import (
+    _G_W,
+    _GK_NODES,
+    _GK_W,
     TestFunction,
-    laplace,
+    _columns,
+    _exp_normal,
+    _sampled_grid,
+    _split,
     laplace_lattice,
     laplace_many,
     quadrature,
@@ -148,6 +154,15 @@ def lseries_series(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue
     shifted Laplace transform and cross-validated against the equivalent
     incomplete-gamma y-integral; disagreement beyond the combined error
     budget raises AccuracyError.
+
+    - Both b-routes come from one sampling of phi on the transform grid
+      (``_nonhol_part``): one incomplete-gamma table over b-terms x nodes,
+      and a fixed Gauss-Kronrod rule in tau = 4 pi m c1 t / M shared by
+      every term.  The t-route's estimate is the panels' |Kronrod - Gauss|,
+      a certified tail bound and the transforms' rounding column; the
+      routes must agree within 1e-12 of the terms' absolute mass plus ten
+      times both estimates.  Sharing the samples, the check covers the
+      t-integral only; the x-grid's own error is in neither estimate.
     """
     return _series_pair(f, phi, tol, delta=False)[0]
 
@@ -204,24 +219,29 @@ def _series_pair(
     if np.any(plain):
         err = None if coeff_err is None else coeff_err[plain]
         value, quad = tabulated(0, plain, avals[plain], phi, err)
-    for n, av in zip(ns[neg], avals[neg]):
-        lvn = laplace(phi, _TWO_PI * n / f.period)
-        value += av * lvn
-        quad += 1e-13 * abs(av * lvn)
+    if np.any(neg):
+        # growing exponentials: the direct path, one grid for phi and phi_2
+        nv, ne = laplace_many((phi, phi2) if delta else (phi,), ns[neg] * step)
+        value += complex(np.sum(avals[neg] * nv[0]))
+        quad += float(np.sum(np.abs(avals[neg]) * ne[0]))
+        if coeff_err is not None:
+            quad += float(np.sum(coeff_err[neg] * np.abs(nv[0])))
     trunc = 0.0 if f.exhaustive else geom_tail(
         f.amplitude("a") * K, f.growth_C, alpha, _max_stored(f, "a")
     )
     n_terms = int(np.count_nonzero(plain | neg))
     if len(f.b):
-        v_t, q_t = _nonhol_sum_t(f, phi, tol)
-        v_y, q_y = _nonhol_sum_y(f, phi, tol)
-        if abs(v_t - v_y) > 1e-6 * max(1.0, abs(v_t), abs(v_y)) + 10 * (q_t + q_y):
+        part = _nonhol_part(f, phi, delta)
+        # the routes share phi's samples but take the t-integral apart: a
+        # tau-rule against the closed-form incomplete gamma
+        allowed = _ROUTE_AGREEMENT * part.mass + 10.0 * (part.t_err + part.y_err)
+        if not abs(part.t - part.y) <= allowed:
             raise AccuracyError(
-                f"nonholomorphic term cross-check failed: {v_t} vs {v_y}",
-                best=v_t,
+                f"nonholomorphic term cross-check failed: {part.t} vs {part.y}",
+                best=part.t,
             )
-        value += v_t
-        quad += q_t
+        value += part.t
+        quad += part.t_err
         trunc += _nonhol_series_tail(f, c1)
         n_terms += len(f.b)
     base = LValue(value, trunc, quad, n_terms, "series")
@@ -238,17 +258,19 @@ def _series_pair(
         v, q = tabulated(1, deriv, avals[deriv] * nf, phi2, err)
         value += -step * v
         quad += step * q
-    for n, av in zip(ns[neg], avals[neg]):
-        lvn = laplace(phi2, _TWO_PI * n / f.period)
-        value += -step * av * n * lvn
+    if np.any(neg):
+        weights = avals[neg] * ns[neg]
+        value += -step * complex(np.sum(weights * nv[1]))
+        quad += step * float(np.sum(np.abs(weights) * ne[1]))
+        if coeff_err is not None:
+            quad += step * float(np.sum(coeff_err[neg] * np.abs(ns[neg] * nv[1])))
     if not f.exhaustive:
         trunc += step * geom_tail(
             f.amplitude("a") * K2, f.growth_C, alpha, _max_stored(f, "a"), 1.0
         )
     if len(f.b):
-        v_t, q_t = _nonhol_sum_t(f, phi, tol, delta=True)
-        value += v_t
-        quad += q_t
+        value += part.delta_t
+        quad += part.delta_t_err
         trunc += _nonhol_series_tail(f, c1, 1.0)
     return base, LValue(value, trunc, quad, len(f.a) + len(f.b), "series")
 
@@ -318,55 +340,181 @@ def _longdouble_capable(phi: TestFunction) -> bool:
     )
 
 
-def _nonhol_sum_t(f: FormData, phi: TestFunction, tol: float, delta: bool = False):
-    """b-part through the t-integral of (L phi_{2-k}).
+@dataclass(frozen=True)
+class _NonholPart:
+    """The b-part of the series by its two routes, from one grid.
 
-    With ``delta`` it is the b-part of the delta_k series instead: the
-    t-integral of (L phi_{3-k}), each term weighted by -2 pi n / M.
+    ``t`` is the t-integral route, ``y`` the incomplete-gamma route, each
+    with its error estimate; ``mass`` is the terms' absolute mass
+    sum |b(n)| int |Gamma(1-k, -4 pi n y / M) e^{-2 pi n y / M} phi(y)| dy;
+    ``delta_t`` is the b-part of the delta_k series (t-route), when asked.
     """
-    c1 = phi.support()[0]
-    k = f.k
-    phi2k = shift_s(phi, (3.0 if delta else 2.0) - k)
+
+    t: complex
+    t_err: float
+    y: complex
+    y_err: float
+    mass: float
+    delta_t: complex = 0j
+    delta_t_err: float = 0.0
+
+
+# the two b-routes may differ by this much of the terms' absolute mass,
+# besides ten times their error estimates (they agree to ~1e-15 on g)
+_ROUTE_AGREEMENT = 1e-12
+_TAU_TAIL = 1e-17  # tail of the tau-rule, relative to its integral's scale
+_TAU_GAUSS = 1e3  # z^14 at the peak, z = half the panel width times the rate
+_TAU_ZMAX = 8.0
+_CHUNK = 1 << 15  # entries of the tau-route's exponential table (256 kB)
+
+
+def _tau_tail(T: float, s: np.ndarray, p: float) -> np.ndarray:
+    """A bound on int_T^inf e^{-tau} (1 + tau/s)^p d tau, for each s > 0.
+
+    With p <= 0 the power is at most (1 + T/s)^p past T.  With p > 0,
+    ((s + tau)/(s + T))^p <= e^{p (tau - T)/(s + T)}, so the tail is at most
+    e^{-T} (1 + T/s)^p / (1 - p/(s + T)) once p < s + T (inf before).
+    """
+    shrink = 1.0 - max(p, 0.0) / (s + T)
+    with np.errstate(over="ignore", divide="ignore"):
+        bound = np.exp(-T + p * np.log1p(T / s)) / shrink
+    return np.where(shrink > 0.0, bound, np.inf)
+
+
+def _tau_rule(s: np.ndarray, p: float, ratio: float):
+    """A composite GK15 rule for int_0^inf g(tau) (1 + tau/s)^p d tau, where
+    g is a sum of e^{-tau x / c1} over x / c1 in [1, ratio].
+
+    A panel at a has width 2 z / rho, with rho = ratio + |p| / (min s + a)
+    the integrand's local rate of change, and z = (_TAU_GAUSS / env)^{1/14},
+    at most _TAU_ZMAX, where env <= 1 is the envelope e^{-a} (1 + a/s)^p
+    over its maximum: the 7-point Gauss error grows like z^14 times what
+    the panel holds, so panels widen where the integrand has decayed.  The
+    rule ends at the first edge T where every s has ``_tau_tail(T, s, p)``
+    below ``_TAU_TAIL`` / (ratio + max(-p, 0) / s), the last factor a lower
+    bound on the scale of its integral (with every x at ratio c1).  Returns
+    the nodes, the Kronrod and the Gauss weights (zero at the Kronrod-only
+    nodes) and T.
+    """
+    target = _TAU_TAIL / (ratio + max(-p, 0.0) / s)
+    s_min = float(np.min(s))
+    peak = np.maximum(p - s, 0.0)  # where e^{-tau} (1 + tau/s)^p is largest
+    log_peak = -peak + p * np.log1p(peak / s)
+    edges = [0.0]
+    while np.any(_tau_tail(edges[-1], s, p) > target):
+        a = edges[-1]
+        log_env = float(np.max(-a + p * np.log1p(a / s) - log_peak))
+        z = min(_TAU_ZMAX, math.exp((math.log(_TAU_GAUSS) - log_env) / 14.0))
+        edges.append(a + 2.0 * z / (ratio + abs(p) / (s_min + a)))
+    edges = np.array(edges)
+    h = 0.5 * np.diff(edges)[:, None]
+    tau = (0.5 * (edges[:-1, None] + edges[1:, None]) + h * _GK_NODES).ravel()
+    return tau, (h * _GK_W).ravel(), (h * _G_W).ravel(), float(edges[-1])
+
+
+def _nonhol_part(f: FormData, phi: TestFunction, delta: bool = False) -> _NonholPart:
+    """The b-part of the series, both routes, on one sampling of phi.
+
+    phi, phi_{2-k} (and phi_{3-k} with ``delta``) are sampled once on the
+    graded grid of ``laplace_many``.  With m = -n > 0 and lambda = 2 pi m / M
+    the y-route is ``_gamma_route`` and the t-route, after the substitution
+    tau = 2 lambda c1 t, is ``_tau_route`` over the nodes of ``_tau_rule``.
+
+    Both routes read the same samples, so neither estimate counts the error
+    of the x-grid itself (as with the a-part's ``laplace_many``), and their
+    cross-check tests only how the t-integral is taken: the tau-rule
+    against the closed-form incomplete gamma.
+    """
     bns, bvals = f._arrays("b")
-    value = 0.0 + 0.0j
-    quad = 0.0
-    for n, bv in zip(bns, bvals):
-        lam = 4.0 * math.pi * (-n) * c1 / f.period
-
-        def integrand(ts, n=n):
-            us = -_TWO_PI * n * (2.0 * ts + 1.0) / f.period
-            lv, _ = laplace_many(phi2k, us)
-            return lv * (1.0 + ts) ** (-k)
-
-        iv, ie = quadrature(
-            integrand, 0.0, math.inf, rel_tol=1e-12, decay_rate=lam, vectorized=True
-        )
-        pref = bv * (-4.0 * math.pi * n / f.period) ** (1.0 - k)
-        if delta:
-            pref *= -_TWO_PI / f.period * n
-        value += pref * iv
-        quad += abs(pref) * ie
-    return value, quad
-
-
-def _nonhol_sum_y(f: FormData, phi: TestFunction, tol: float):
-    """b-part through int Gamma(1-k, -4 pi n y / M) e^{-2 pi n y / M} phi(y) dy."""
+    if not len(bns):
+        return _NonholPart(0j, 0.0, 0j, 0.0, 0.0)
     lo, hi = phi.support()
-    bns, bvals = f._arrays("b")
-    value = 0.0 + 0.0j
-    quad = 0.0
-    for n, bv in zip(bns, bvals):
-
-        def integrand(ys, n=n):
-            xs = -4.0 * math.pi * n * ys / f.period
-            return _gamma_half_exp(1.0 - f.k, xs) * phi.eval_many(ys)
-
-        iv, ie = quadrature(
-            integrand, lo, hi, rel_tol=1e-12, knots=phi.knots(), vectorized=True
+    if not (lo > 0 and np.isfinite(hi)):
+        raise DomainError("the nonholomorphic terms need compact support in (0, inf)")
+    k = f.k
+    lam = _TWO_PI * -bns.astype(float) / f.period
+    rule = _tau_rule(2.0 * lam * lo, -k, hi / lo)
+    phis = (phi, shift_s(phi, 2.0 - k)) + ((shift_s(phi, 3.0 - k),) if delta else ())
+    u_max = np.max(lam) + rule[-1] / lo  # the t-route's largest frequency
+    x, wf = _sampled_grid(phis, np.array([u_max]), np.float64)
+    y_terms, y_mass, y_err = _gamma_route(lam, k, x, wf[:, 0])
+    t_int, t_err = _tau_route(x, wf[:, 1:], lam, lo, -k, rule)
+    nm = len(lam)
+    pref = bvals * (2.0 * lam) ** (1.0 - k)  # b(n) (-4 pi n / M)^{1-k}
+    absb = np.abs(bvals)
+    part = _NonholPart(
+        complex(np.sum(pref * t_int[:nm])),
+        float(np.sum(np.abs(pref) * t_err[:nm])),
+        complex(np.sum(bvals * y_terms)),
+        float(np.sum(absb * y_err)),
+        float(np.sum(absb * y_mass)),
+    )
+    if delta:
+        pref = pref * lam  # the delta_k weight -2 pi n / M
+        part = replace(
+            part,
+            delta_t=complex(np.sum(pref * t_int[nm:])),
+            delta_t_err=float(np.sum(np.abs(pref) * t_err[nm:])),
         )
-        value += bv * iv
-        quad += abs(bv) * ie
-    return value, quad
+    return part
+
+
+def _gamma_route(lam: np.ndarray, k: float, x: np.ndarray, w_phi: np.ndarray):
+    """sum_x w phi(x) Gamma(1-k, 2 lambda x) e^{lambda x} for every lambda,
+    from one table of the scaled incomplete gamma.
+
+    Returns the sums, their absolute masses and their error estimates: the
+    rounding of the gamma values and of the sums (50 eps of the mass) and
+    that of the argument 2 lambda x, relative to it, in e^{-lambda x}.
+    """
+    gam = _gamma_half_exp(1.0 - k, np.multiply.outer(2.0 * lam, x))
+    mag = np.abs(gam)
+    aw = np.abs(w_phi)
+    mass = mag @ aw
+    return gam @ w_phi, mass, _EPS * (50.0 * mass + 4.0 * lam * (mag @ (x * aw)))
+
+
+def _tau_route(x, samples, lam, c1: float, p: float, rule):
+    """int_0^inf sum_x A(x) e^{-tau x / c1} (1 + tau/s)^p d tau / s, where
+    A = samples e^{-lambda x} and s = 2 lambda c1, for every lambda and
+    sample column (the columns' lambdas vary fastest).
+
+    This is int_0^inf (L phi_{2-k})(lambda (2t + 1)) (1 + t)^{-k} dt with
+    tau = s t when the column holds w phi_{2-k}.  The exponentials
+    e^{-tau x / c1} are shared by every column and built a few panels of
+    ``rule`` at a time, so no table exceeds ``_CHUNK`` entries.  The
+    value takes the Kronrod weights.  The error estimate adds, per column,
+    sum over panels |Kronrod - Gauss|, the rounding columns of ``_split``
+    under the same weights, and the tail past the rule's end T, at most
+    sum |A| int_T^inf e^{-tau} (1 + tau/s)^p d tau since x >= c1.
+    """
+    tau, wk, wg, T = rule
+    tiny = np.finfo(np.float64).tiny
+    ncol = samples.shape[1] * len(lam)
+    cols = _exp_normal(np.multiply.outer(x, -lam))[:, None, :] * samples[:, :, None]
+    cols = cols.reshape(len(x), ncol)
+    cols[np.abs(cols) < tiny] = 0.0  # no subnormal enters the products
+    table = _columns(x, cols)
+    lam_c = np.tile(lam, samples.shape[1])
+    s_c = 2.0 * c1 * lam_c
+    lost = np.repeat(samples, len(lam), axis=1)  # bounds what fell below tiny
+    acc = np.zeros(ncol, dtype=cols.dtype)
+    err = np.zeros(ncol)
+    kg = np.zeros(ncol)
+    wd = wk - wg
+    rows = 15 * max(1, _CHUNK // (15 * len(x)))  # whole panels per chunk
+    buf = np.empty((rows, len(x)))
+    for i in range(0, len(tau), rows):
+        tc = tau[i:i + rows]
+        B = _exp_normal(np.multiply.outer(tc, -x / c1, out=buf[:len(tc)]))
+        vals, errs = _split(B @ table, lam_c[:, None] + tc / c1, x, lost, tiny, False)
+        power = (1.0 + tc / s_c[:, None]) ** p
+        vals *= power
+        acc += vals @ wk[i:i + rows]
+        err += (errs * power) @ wk[i:i + rows]
+        kg += np.sum(np.abs((vals * wd[i:i + rows]).reshape(ncol, -1, 15).sum(axis=2)), axis=1)
+    mass = np.sum(np.abs(cols), axis=0) + tiny * np.sum(np.abs(lost), axis=0)
+    return acc / s_c, (kg + err + mass * _tau_tail(T, s_c, p)) / s_c
 
 
 def lseries_integral(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue:

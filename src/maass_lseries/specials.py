@@ -311,7 +311,8 @@ def upper_gamma_scaled(s: complex, x: float) -> complex:
 
 
 def _gamma_half_exp(s: complex, xs: np.ndarray) -> np.ndarray:
-    """Gamma(s, x) e^{x/2} on an array of x > 0, from the scaled gamma.
+    """Gamma(s, x) e^{x/2} on an array of x > 0 (any shape), from the
+    scaled gamma.
 
     Integer orders m >= 1 take the whole array through the recurrence of
     ``_upper_gamma_int``; other orders go point by point.  Where e^{-x/2}
@@ -326,7 +327,9 @@ def _gamma_half_exp(s: complex, xs: np.ndarray) -> np.ndarray:
                 raise DomainError("upper_gamma_scaled requires x > 0")
             scaled = _upper_gamma_int(m, xs, scaled=True)
         else:
-            scaled = np.array([upper_gamma_scaled(s, x) for x in xs])
+            scaled = np.array(
+                [upper_gamma_scaled(s, x) for x in xs.ravel()], dtype=complex
+            ).reshape(xs.shape)
         half = np.exp(-0.5 * xs)
         return np.where(half > 0.0, scaled * half, 0.0).astype(complex)
 

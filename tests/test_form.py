@@ -14,6 +14,7 @@ from maass_lseries.errors import (
 )
 from maass_lseries.form import (
     FormData,
+    delta_k_iy,
     delta_k_point,
     eval_iy,
     eval_point,
@@ -53,6 +54,31 @@ def test_single_nonholomorphic_term():
     for y in (0.5, 1.0, 2.0):
         expect = upper_gamma(1 - k, 4 * math.pi * y) * math.exp(2 * math.pi * y)
         assert abs(eval_point(f, 1j * y) - expect) < 1e-12 * abs(expect)
+
+
+@pytest.mark.parametrize("weight2,level", [(-20, 1), (-1, 4), (1, 4)])
+def test_b_terms_over_an_array_match_mpmath(weight2, level):
+    # one incomplete-gamma table over ordinates x b-indices, at the integral
+    # order 11 and the half-integral orders 1.5 and 0.5; small y keeps some
+    # points below the continued fraction's range
+    mp = pytest.importorskip("mpmath")
+    f = FormData(
+        weight2=weight2, level=level, psi=trivial_character(level), n0=0,
+        a={}, b={-1: 1.0, -2: -0.5, -3: 0.25j}, growth_C=4.0, exhaustive=True,
+    )
+    k = f.k
+    ys = np.array([0.02, 0.1, 0.35, 1.0, 3.0, 11.0])
+    vals, dvals = eval_iy(f, ys), delta_k_iy(f, ys)
+    for y, v, dv in zip(ys, vals, dvals):
+        with mp.workdps(40):
+            ref = ref_d = 0
+            for n, c in f.b.items():
+                term = c * mp.gammainc(1 - k, -4 * mp.pi * n * y) * mp.exp(-2 * mp.pi * n * y)
+                ref += term
+                ref_d += term * (mp.mpf(k) / 2 - 2 * mp.pi * n * y)
+            ref, ref_d = complex(ref), complex(ref_d)
+        assert abs(v - ref) <= 1e-13 * abs(ref), y
+        assert abs(dv - ref_d) <= 1e-13 * abs(ref_d), y
 
 
 def test_delta_modularity_pointwise():

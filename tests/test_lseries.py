@@ -2,15 +2,16 @@
 the regularized series of weakly holomorphic forms, classical values."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from maass_lseries.errors import DomainError, MembershipError
+from maass_lseries import lseries as lseries_module
+from maass_lseries.errors import AccuracyError, DomainError, MembershipError
 from maass_lseries.form import FormData, RuleCoeffs, twist
 from maass_lseries.lseries import (
-    _nonhol_sum_t,
-    _nonhol_sum_y,
+    _nonhol_part,
     regularized_lseries,
     classical_value,
     lseries_delta,
@@ -22,7 +23,13 @@ from maass_lseries.lseries import (
     series_membership,
 )
 from maass_lseries.qseries import fixture
-from maass_lseries.specials import characters_mod, gauss_sum, trivial_character, upper_gamma
+from maass_lseries.specials import (
+    _gamma_half_exp,
+    characters_mod,
+    gauss_sum,
+    trivial_character,
+    upper_gamma,
+)
 from maass_lseries.testfn import (
     TestFunction,
     laplace,
@@ -87,12 +94,125 @@ def test_nonholomorphic_two_internal_forms():
         a={}, b={-1: 1.0}, growth_C=4.0, exhaustive=True,
     )
     for phi in (BAT[2], BAT[5]):
-        vt, _ = _nonhol_sum_t(f, phi, 1e-12)
-        vy, _ = _nonhol_sum_y(f, phi, 1e-12)
-        assert abs(vt - vy) < 1e-9 * max(abs(vt), abs(vy))
+        part = _nonhol_part(f, phi)
+        assert abs(part.t - part.y) < 1e-9 * max(abs(part.t), abs(part.y))
         sv = lseries_series(f, phi)
         iv = lseries_integral(f, phi)
         assert abs(sv.value - iv.value) < 1e-9 * abs(iv.value)
+
+
+def _bump_mp(mp, phi):
+    c1, c2 = phi.support()
+    return c1, c2, lambda y: mp.exp(4 / mp.mpf(c2 - c1) ** 2 - 1 / ((y - c1) * (c2 - y)))
+
+
+def _harmonic_form(n_terms):
+    """Weight -10, level 1, shadow Delta: b(-n) = -tau(n) (4 pi n)^{-11}."""
+    k = 12
+    tau = fixture("delta", n_terms + 1).a
+    return FormData(
+        weight2=2 * (2 - k), level=1, psi=trivial_character(1), n0=1,
+        a={-1: 1.0, 0: 2.0, 1: 5.0, 2: -1.0},
+        b={-n: -tau[n].real * (4.0 * math.pi * n) ** (1 - k) for n in range(1, n_terms + 1)},
+        growth_C=8.0, exhaustive=True,
+    )
+
+
+def test_nonholomorphic_part_within_its_budget():
+    # single b(-1), k = -10: both routes, the series and its delta_k variant
+    # against mpmath, each inside the error it reports
+    mp = pytest.importorskip("mpmath")
+    k = -10
+    f = FormData(
+        weight2=2 * k, level=1, psi=trivial_character(1), n0=0,
+        a={}, b={-1: 1.0}, growth_C=4.0, exhaustive=True,
+    )
+    for phi in (BAT[0], BAT[4], BAT[9]):
+        c1, c2, bump = _bump_mp(mp, phi)
+        with mp.workdps(30):
+            def term(y):
+                return mp.gammainc(1 - k, 4 * mp.pi * y) * mp.exp(2 * mp.pi * y) * bump(y)
+
+            ref = complex(mp.quad(term, [c1, (c1 + c2) / 2, c2]))
+            ref_d = complex(mp.quad(
+                lambda y: term(y) * (mp.mpf(k) / 2 + 2 * mp.pi * y), [c1, (c1 + c2) / 2, c2]
+            ))
+        part = _nonhol_part(f, phi)
+        for v, q in ((part.t, part.t_err), (part.y, part.y_err)):
+            assert abs(v - ref) <= q, (phi.label, v, ref, q)
+        sv, dv = lseries_series(f, phi), lseries_delta(f, phi)
+        assert abs(sv.value - ref) <= sv.quad_err + sv.trunc_err
+        assert abs(dv.value - ref_d) <= dv.quad_err + dv.trunc_err
+        assert dv.quad_err <= 1e-13 * abs(ref_d)
+
+
+@pytest.mark.parametrize("n_terms", [12, 100])
+def test_nonholomorphic_routes_agree(n_terms):
+    # shadow Delta with 12 and with 100 b-terms on the whole battery: every
+    # bump evaluates, and the routes agree far inside their cross-check
+    g = _harmonic_form(n_terms)
+    for phi in BAT:
+        part = _nonhol_part(g, phi)
+        assert abs(part.t - part.y) <= 1e-14 * part.mass, phi.label
+        assert part.mass >= abs(part.y)
+        assert np.isfinite(lseries_series(g, phi).value)
+
+
+def test_nonholomorphic_grid_against_an_adaptive_y_integral():
+    # both routes read one x-grid, so their cross-check cannot see its
+    # error; an independent adaptive quadrature of the y-integral can
+    g = _harmonic_form(100)
+    bns, bvals = g._arrays("b")
+    for phi in (BAT[0], BAT[5], BAT[9]):
+        def integrand(ys):
+            xs = np.multiply.outer(ys, -4.0 * math.pi * bns / g.period)
+            return (_gamma_half_exp(1.0 - g.k, xs) @ bvals) * phi.eval_many(ys)
+
+        ref, ref_err = quadrature(
+            integrand, *phi.support(), rel_tol=1e-14, knots=phi.knots(), vectorized=True
+        )
+        part = _nonhol_part(g, phi)
+        for v, q in ((part.t, part.t_err), (part.y, part.y_err)):
+            assert abs(v - ref) <= q + ref_err, (phi.label, v, ref, q, ref_err)
+
+
+def test_route_cross_check_fires_on_a_perturbed_route(monkeypatch):
+    # on bump 9 the b-part is about 1e-10, under the old absolute 1e-6
+    g = _harmonic_form(12)
+    honest = lseries_module._nonhol_part
+
+    def perturbed(*args, **kwargs):
+        part = honest(*args, **kwargs)
+        return replace(part, t=part.t + 1e-9 * part.mass)
+
+    monkeypatch.setattr(lseries_module, "_nonhol_part", perturbed)
+    for phi in (BAT[0], BAT[9]):
+        with pytest.raises(AccuracyError):
+            lseries_series(g, phi)
+
+
+@pytest.mark.parametrize("name", ["inv_delta", "j744"])
+def test_negative_index_terms_within_their_budgets(name):
+    # the a(-1) term of the fixture alone, plain and delta_k, against mpmath
+    mp = pytest.importorskip("mpmath")
+    full = fixture(name, 32)
+    a1 = complex(full.a[-1])
+    assert a1 != 0
+    f = FormData(
+        weight2=full.weight2, level=1, psi=trivial_character(1), n0=1,
+        a={-1: a1}, b={}, growth_C=full.growth_C, exhaustive=True,
+    )
+    for phi in (BAT[0], BAT[5], BAT[9]):
+        c1, c2, bump = _bump_mp(mp, phi)
+        with mp.workdps(30):
+            l1 = mp.quad(lambda y: bump(y) * mp.exp(2 * mp.pi * y), [c1, c2])
+            l2 = mp.quad(lambda y: bump(y) * y * mp.exp(2 * mp.pi * y), [c1, c2])
+            ref = complex(a1 * l1)
+            ref_d = complex(a1 * (mp.mpf(f.k) / 2 * l1 + 2 * mp.pi * l2))
+        sv, dv = lseries_series(f, phi), lseries_delta(f, phi)
+        assert abs(sv.value - ref) <= sv.quad_err + sv.trunc_err, phi.label
+        assert 0 < dv.quad_err <= 1e-13 * abs(ref_d)
+        assert abs(dv.value - ref_d) <= dv.quad_err + dv.trunc_err, phi.label
 
 
 def test_zero_form():

@@ -351,6 +351,75 @@ def test_gauss_sum_primitive_twist_factorization():
                     assert abs(gauss_sum(chi, n) - np.conj(chi(n)) * t1) < 1e-10
 
 
+def _kronecker_reference(a: int, n: int) -> int:
+    """(a|n) from its definition: completely multiplicative in n, Euler's
+    criterion at odd primes, the 2-adic rule at 2, the sign rule at -1."""
+    if n == 0:
+        return 1 if abs(a) == 1 else 0
+    out = -1 if n < 0 and a < 0 else 1
+    n = abs(n)
+    p = 2
+    while n > 1:
+        while n % p == 0:
+            n //= p
+            if p == 2:
+                out *= 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
+            else:
+                r = pow(a % p, (p - 1) // 2, p)
+                out *= 0 if r == 0 else (1 if r == 1 else -1)
+        p += 1
+    return out
+
+
+def test_kronecker_against_its_definition():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(-10**6, 10**6), st.integers(-10**4, 10**4), st.integers(-10**3, 10**3))
+    def check(a, n, m):
+        assert kronecker(a, n) == _kronecker_reference(a, n)
+        if n != 0 and m != 0:
+            assert kronecker(a, n * m) == kronecker(a, n) * kronecker(a, m)
+
+    check()
+
+
+def test_gauss_sum_against_a_direct_sum():
+    pytest.importorskip("hypothesis")
+    mp = pytest.importorskip("mpmath")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.integers(0, 10**6), st.integers(-10**6, 10**6))
+    def check(d, pick, n):
+        chars = characters_mod(d)
+        chi = chars[pick % len(chars)]
+        with mp.workdps(30):
+            ref = complex(mp.fsum(
+                mp.mpc(complex(chi.values[u])) * mp.expjpi(mp.mpf(2 * n * u) / d)
+                for u in range(d)
+            ))
+        assert abs(gauss_sum(chi, n) - ref) <= 1e-12 * d
+
+    check()
+
+
+def test_gauss_sum_primitive_magnitude_sweep():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(1, 120), st.integers(0, 10**6))
+    def check(d, pick):
+        primitive = [c for c in characters_mod(d) if c.is_primitive]
+        assume(primitive)
+        chi = primitive[pick % len(primitive)]
+        assert abs(abs(gauss_sum(chi, 1)) - math.sqrt(d)) <= 1e-12 * d
+
+    check()
+
+
 def test_kronecker_character_matches_symbol():
     for d in (1, 3, 5, 9, 15):
         chi = kronecker_character(d)
@@ -464,6 +533,27 @@ def test_gamma_half_exp_integer_orders_match_the_scalar_path():
         got = _gamma_half_exp(m, xs)
         one = np.array([upper_gamma_scaled(m, x) * math.exp(-0.5 * x) for x in xs])
         assert np.all(np.abs(got - one) <= 4 * np.finfo(float).eps * np.abs(one)), m
+
+
+def test_gamma_half_exp_noninteger_orders_match_mpmath():
+    mp = pytest.importorskip("mpmath")
+    xs = np.geomspace(1e-3, 1400.0, 60)
+    for s in (-2.5, -0.5, 0.5, 1.5, 11.5, 0.3 + 0.7j):
+        got = _gamma_half_exp(s, xs)
+        with mp.workdps(40):
+            ref = np.array([complex(mp.gammainc(s, x) * mp.exp(x / 2)) for x in xs])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), s
+
+
+def test_gamma_half_exp_noninteger_orders_match_the_scalar_path():
+    # orders off the m >= 1 recurrence go point by point, and a 2-D array
+    # keeps its shape
+    xs = np.array([[1e-3, 0.7, 1.0, 1.5], [2.4, 13.5, 50.0, 709.0]])
+    for s in (-2.5, 0.5, 1.5, 11.5, 0.0, -3.0):
+        got = _gamma_half_exp(s, xs)
+        assert got.shape == xs.shape
+        one = np.array([[upper_gamma_scaled(s, x) * math.exp(-0.5 * x) for x in row] for row in xs])
+        assert np.all(np.abs(got - one) <= 1e-14 * np.abs(one)), s
 
 
 def _whittaker_parameters():
