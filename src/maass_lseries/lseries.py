@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,12 +61,14 @@ class LValue:
         return complex(self.value)
 
 
+@lru_cache(maxsize=256)
 def _phi_mass(phi: TestFunction) -> tuple[float, float, float, float]:
     """(c1, c2, K, K2) with |(L phi)(u)| <= K e^{-u c1} for u >= 0.
 
     K is the L1 mass of |phi| over its support, estimated on a dense grid
     (sup sampling times width); adequate for tail certificates at desk
     scale.  K2 is the same estimate for phi x, from the same samples.
+    Cached: a sweep asks for the same few test functions on every side.
     """
     lo, hi = phi.support()
     if not (lo >= 0 and np.isfinite(hi)):
@@ -519,29 +522,30 @@ def _tau_route(x, samples, lam, c1: float, p: float, rule):
 
 def lseries_integral(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue:
     """L_f(phi) = int_0^inf f(iy) phi(y) dy over the support of phi."""
-    lo, hi = phi.support()
-    if not (lo > 0 and np.isfinite(hi)):
-        raise DomainError("integral route requires compact support")
-    eval_tol = tol / max(hi - lo, 1e-12)
-
-    def integrand(ys):
-        return eval_iy(f, ys, eval_tol) * phi.eval_many(ys)
-
-    value, qerr = quadrature(
-        integrand, lo, hi, rel_tol=1e-13, knots=phi.knots(), vectorized=True
-    )
-    return LValue(value, tol, qerr, len(f.a) + len(f.b), "integral")
+    return _integral_route(eval_iy, f, phi, tol)
 
 
 def lseries_delta_integral(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue:
     """L_{delta_k f}(phi) = int (delta_k f)(iy) phi(y) dy (cross-check route)."""
+    return _integral_route(delta_k_iy, f, phi, tol)
+
+
+def _integral_route(evaluate, f: FormData, phi: TestFunction, tol: float, lo_min: float = 0.0):
+    """int evaluate(f, y) phi(y) dy by adaptive quadrature over phi's
+    support, cut below at ``lo_min``.
+
+    Deliberately not on phi's transform grid: there it would be the series
+    route summed in another order, and the agreement of the two routes
+    would test nothing.
+    """
     lo, hi = phi.support()
+    lo = max(lo, lo_min)
     if not (lo > 0 and np.isfinite(hi)):
         raise DomainError("integral route requires compact support")
     eval_tol = tol / max(hi - lo, 1e-12)
 
     def integrand(ys):
-        return delta_k_iy(f, ys, eval_tol) * phi.eval_many(ys)
+        return evaluate(f, ys, eval_tol) * phi.eval_many(ys)
 
     value, qerr = quadrature(
         integrand, lo, hi, rel_tol=1e-13, knots=phi.knots(), vectorized=True
@@ -607,29 +611,14 @@ def lseries_s(
     phi_w = slash_W(phi, 1.0 - k, N)
     quad = 0.0
     value = 0.0 + 0.0j
-
     for func, test, expo, pref in (
         (g, phi_w, 1.0 - s, i_pow(int(round(k))) * N ** (-k / 2.0 + 1.0 - s)),
         (f, phi, s, 1.0 + 0.0j),
     ):
-        lo, hi = test.support()
-        lo = max(lo, root)
-        if hi <= lo:
-            continue
-        eval_tol = tol / max(hi - lo, 1e-12)
-
-        def integrand(xs, func=func, test=test, expo=expo):
-            return (
-                eval_iy(func, xs, eval_tol)
-                * test.eval_many(xs)
-                * np.exp((expo - 1.0) * np.log(xs))
-            )
-
-        v, e = quadrature(
-            integrand, lo, hi, rel_tol=1e-13, knots=test.knots(), vectorized=True
-        )
-        value += pref * v
-        quad += abs(pref) * e
+        if test.support()[1] > root:
+            part = _integral_route(eval_iy, func, shift_s(test, expo), tol, root)
+            value += pref * part.value
+            quad += abs(pref) * part.quad_err
     return LValue(value, tol, quad, len(f.a) + len(g.a), "integral")
 
 

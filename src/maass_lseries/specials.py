@@ -6,12 +6,12 @@ function, the Kronecker symbol and its companion epsilon factor, and dense
 Dirichlet-character tables with generalized Gauss sums.  Everything here is
 a pure function of its arguments.
 
-Three kernels take whole arrays of points, for quadrature integrands:
-``whittaker_M`` (a float or an array of z), ``bessel_J_grid`` (one Miller
-sweep for every point past x = 12) and ``_gamma_half_exp``, which runs
-integer orders m >= 1 through the finite-sum recurrence of
-``_upper_gamma_int`` on the whole array.  ``upper_gamma``,
-``upper_gamma_scaled`` and ``bessel_J`` stay scalar.
+Four kernels take whole arrays of points, for quadrature integrands:
+``whittaker_M`` and ``_whittaker_kernel`` (the summation formula's k - 1
+M-kernels as one series), ``bessel_J_grid`` (one Miller sweep past x = 12)
+and ``_gamma_half_exp``, which runs integer orders m >= 1 through the
+finite-sum recurrence of ``_upper_gamma_int`` on the whole array.
+``upper_gamma``, ``upper_gamma_scaled`` and ``bessel_J`` stay scalar.
 """
 
 from __future__ import annotations
@@ -359,55 +359,96 @@ def whittaker_M(kappa: float, mu: float, z):
     a = mu - kappa + 1/2, b = 1 + 2 mu, seeded with e^{-z/2} z^{mu+1/2}
     (as e^{-z/4} z^{mu+1/2} e^{-z/4}) so that the partial sums stay finite
     wherever M is (``RangeOverflowError`` where they do not), and summed
-    for each point until ten consecutive terms fall below 1e-16 of its
-    partial sum.  The terms are taken in blocks: a (points, block) table
-    of factors, a running product seeded with each point's last term and
-    a running sum seeded with its partial sum; points drop out as they
-    settle.
+    by ``_seeded_series``.
     """
     zs = np.asarray(z, dtype=float)
-    if not np.all(zs > 0):
-        raise DomainError("whittaker_M requires z > 0")
     b = 1.0 + 2.0 * mu
     if b <= 0 and abs(b - round(b)) < 1e-12:
         raise DomainError("whittaker_M undefined: 1 + 2*mu is a nonpositive integer")
     a = mu - kappa + 0.5
+    out = _seeded_series(
+        zs, mu, lambda ks, z: (a + ks) * z[:, None] / ((b + ks) * (ks + 1.0)),
+        f"whittaker_M({kappa}, {mu}, z)",
+    )
+    return out.reshape(zs.shape) if zs.ndim else float(out[0])
+
+
+def _whittaker_kernel(k: int, z) -> np.ndarray:
+    """sum_{l=0}^{k-2} 2^{l+1} M_{1-k/2+l, (k-1)/2}(z) on an array of z > 0
+    (even k >= 2), as one series of positive terms.
+
+    The terms share mu = (k-1)/2, hence b = k and the seed e^{-z/2} z^{k/2},
+    and their Kummer parameters a_l = k-1-l are positive integers, so the
+    sum is (2^k - 2) seed sum_j C_j z^j with C_0 = 1.  Since
+    (a)_j / (k)_j = prod_{i=a}^{k-1} i / (i + j) for integer a,
+    C_j j! is proportional to e_j = sum_{a=1}^{k-1} prod_{i=a}^{k-1} 2i / (i + j).
+    The ratios C_{j+1} / C_j are formed from it in long double, a block at
+    a time (cached per k and block), and rounded once, as the factors of ``whittaker_M``.
+    """
+    return (2.0 ** k - 2.0) * _seeded_series(
+        np.asarray(z, dtype=float), 0.5 * (k - 1),
+        lambda ks, z: np.multiply.outer(z, _kernel_ratios(k, int(ks[0]))),
+        f"the M-kernel sum at k={k}",
+    )
+
+
+@lru_cache(maxsize=256)
+def _kernel_ratios(k: int, j0: int) -> tuple[float, ...]:
+    js = np.arange(j0, j0 + _WHITTAKER_BLOCK + 1, dtype=np.longdouble)
+    e = np.cumprod([(2 * i) / (i + js) for i in range(k - 1, 0, -1)], axis=0).sum(axis=0)
+    return tuple((e[1:] / (e[:-1] * (js[:-1] + 1))).astype(float))  # immutable, as it is shared
+
+
+def _seeded_series(zs: np.ndarray, mu: float, factors, name: str) -> np.ndarray:
+    """sum_j t_j(z) on the flattened array of z > 0, with
+    t_0 = e^{-z/2} z^{mu+1/2} (as e^{-z/4} z^{mu+1/2} e^{-z/4}) and t_{j+1} / t_j
+    column j of ``factors(js, z)`` for a block of indices js.
+
+    Each point is summed until ten consecutive terms fall below 1e-16 of
+    its partial sum, at most 256 points at a time and in blocks of terms:
+    a (points, block) table of factors, a running product seeded with each
+    point's last term and a running sum seeded with its partial sum;
+    points drop out as they settle.
+    ``RangeOverflowError`` where the seed or a partial sum leaves the
+    double range; a seed that underflows at z <= 1 gives 0.
+    """
+    if not np.all(zs > 0):
+        raise DomainError(f"{name} requires z > 0")
     flat = zs.ravel()
     quarter = np.exp(-0.25 * flat)
     with np.errstate(over="ignore", invalid="ignore"):
         seed = quarter * flat ** (mu + 0.5) * quarter
     # a seed that underflows leaves M at 0 for small z and beyond range for large z
     if np.any(((seed == 0.0) & (flat > 1.0)) | ~np.isfinite(seed)):
-        raise RangeOverflowError(f"whittaker_M({kappa}, {mu}, z) overflows double precision")
+        raise RangeOverflowError(f"{name} overflows double precision")
     out = np.zeros(flat.size)
-    live = np.flatnonzero(seed)
-    live_z, term = flat[live], seed[live]
-    acc = term.copy()
-    quiet = np.zeros(live.size, dtype=np.int64)
     cols = np.arange(_WHITTAKER_BLOCK)
-    for k0 in range(0, 100000, _WHITTAKER_BLOCK):
-        ks = k0 + cols
-        factors = (a + ks) * live_z[:, None] / ((b + ks) * (ks + 1.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.cumprod(np.column_stack((term, factors)), axis=1)[:, 1:]
-            sums = np.cumsum(np.column_stack((acc, terms)), axis=1)[:, 1:]
-        if not np.all(np.isfinite(sums[:, -1])):
-            raise RangeOverflowError(f"whittaker_M({kappa}, {mu}, z) overflows double precision")
-        # length of the run of quiet terms ending at each column
-        loud = np.where(np.abs(terms) < 1e-16 * np.abs(sums), -1 - quiet[:, None], cols)
-        run = cols - np.maximum.accumulate(loud, axis=1)
-        settled = run >= 10
-        done = settled.any(axis=1)
-        stop = settled.argmax(axis=1)[done]
-        out[live[done]] = sums[done, stop]
-        keep = ~done
-        live, live_z = live[keep], live_z[keep]
-        term, acc, quiet = terms[keep, -1], sums[keep, -1], run[keep, -1]
-        if not live.size:
-            break
-    else:
-        raise AccuracyError("whittaker_M series did not settle")
-    return out.reshape(zs.shape) if zs.ndim else float(out[0])
+    for live in np.array_split(np.flatnonzero(seed), 1 + np.count_nonzero(seed) // 256):
+        live_z, term = flat[live], seed[live]
+        acc = term.copy()
+        quiet = np.zeros(live.size, dtype=np.int64)
+        for k0 in range(0, 100000, _WHITTAKER_BLOCK):
+            ks = k0 + cols
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = np.cumprod(np.column_stack((term, factors(ks, live_z))), axis=1)[:, 1:]
+                sums = np.cumsum(np.column_stack((acc, terms)), axis=1)[:, 1:]
+            if not np.all(np.isfinite(sums[:, -1])):
+                raise RangeOverflowError(f"{name} overflows double precision")
+            # length of the run of quiet terms ending at each column
+            loud = np.where(np.abs(terms) < 1e-16 * np.abs(sums), -1 - quiet[:, None], cols)
+            run = cols - np.maximum.accumulate(loud, axis=1)
+            settled = run >= 10
+            done = settled.any(axis=1)
+            stop = settled.argmax(axis=1)[done]
+            out[live[done]] = sums[done, stop]
+            keep = ~done
+            live, live_z = live[keep], live_z[keep]
+            term, acc, quiet = terms[keep, -1], sums[keep, -1], run[keep, -1]
+            if not live.size:
+                break
+        else:
+            raise AccuracyError(f"{name}: series did not settle")
+    return out
 
 
 def _bessel_j_series(nu: float, x: float) -> float:

@@ -56,6 +56,7 @@ _GK_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
 # Gauss weights aligned with the 15-node layout (zeros at Kronrod-only nodes)
 _G_W = np.zeros(15)
 _G_W[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+_GRID_RULES = (32, 20)  # Gauss points a panel of _grid_integrals: its value's and its check's
 
 
 def _gk15(f, a: float, b: float):
@@ -694,12 +695,13 @@ def laplace(phi: TestFunction, s: complex):
     return val
 
 
-def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype):
+def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: int = 32):
     """Nodes x and weighted samples w phi(x), one column per test function.
 
     A composite Gauss-Legendre grid on the common support, dyadically
     graded into both endpoints (resolving bump-type essential singularities
-    and keeping |u| h small on the panels that matter).  A bump
+    and keeping |u| h small on the panels that matter), ``order`` nodes a
+    panel in float64 and 40 in long double.  A bump
     underflows to exactly 0 on the nodes graded into its endpoints; the
     nodes where every test function is 0 add nothing to any transform and
     are dropped.
@@ -721,7 +723,7 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype):
     if np.dtype(dtype) == np.dtype(np.longdouble):
         xg, wg = _leggauss_longdouble(40)
     else:
-        xg, wg = _leggauss(32)
+        xg, wg = _leggauss(order)
     edges = np.array(sorted(edges), dtype=dtype)
     a, b = edges[:-1, None], edges[1:, None]
     h = 0.5 * (b - a)
@@ -730,6 +732,30 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype):
     wf = np.stack([w * p.eval_many(x) for p in phis], axis=1)
     live = np.any(wf != 0, axis=1)
     return x[live], wf[live]
+
+
+def _grid_integrals(phi: TestFunction, kernel, us, rel_tol: float):
+    """int phi(x) kernel(x)[:, c] dx for each column c of ``kernel`` (nodes ->
+    (nodes, columns) array, column c at frequency ``us[c]``), on the grid of
+    ``_sampled_grid`` for ``us``, ``_GRID_RULES[0]`` points a panel.
+
+    ``kernel`` is called once, on these nodes and those of the coarser rule
+    ``_GRID_RULES[1]`` on the same panels.  Raises :class:`AccuracyError` where
+    the rules differ by more than rel_tol |value| + 300 eps m, m = int |phi kernel|
+    (``quadrature``'s test).  Returns the values and estimates: that difference
+    plus the rounding bound of ``_split``, 50 eps m + 4 eps |u| int x |phi kernel|.
+    """
+    us = np.asarray(us, dtype=float)
+    x, wf = _sampled_grid((phi,), us, np.float64, _GRID_RULES[0])
+    xc, wc = _sampled_grid((phi,), us, np.float64, _GRID_RULES[1])
+    table = kernel(np.concatenate([x, xc]))
+    vals = wf[:, 0] @ table[:len(x)]
+    diff = np.abs(vals - wc[:, 0] @ table[len(x):])
+    eps = np.finfo(float).eps
+    mass, xmass = np.abs(np.stack([wf[:, 0], x * wf[:, 0]])) @ np.abs(table[:len(x)])
+    if np.any(diff > rel_tol * np.abs(vals) + 300.0 * eps * mass):
+        raise AccuracyError(f"grid rules differ by {np.max(diff):.3e}", best=vals, err_est=diff)
+    return vals, diff + eps * (50.0 * mass + 4.0 * np.abs(us) * xmass)
 
 
 def _columns(x: np.ndarray, wf: np.ndarray) -> np.ndarray:

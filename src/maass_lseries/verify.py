@@ -32,26 +32,25 @@ from .lseries import _twisted_pair, lseries_series
 from .specials import (
     Character,
     _gamma_half_exp,
+    _whittaker_kernel,
     bessel_J_grid,
     characters_mod,
     epsilon_d,
     i_pow,
     kronecker,
     kronecker_character,
-    whittaker_M,
 )
 from .testfn import (
     ExpRationalPiece,
     TestFunction,
     _Bump,
     _Spline,
+    _grid_integrals,
     _padd,
     _pmul,
     _pscale,
     derivative,
-    laplace,
     quadrature,
-    shift_s,
     slash_W,
     standard_battery,
 )
@@ -525,24 +524,40 @@ def gf_term_check(n: int, k: int, phi: TestFunction, tol: float = 1e-10) -> Iden
     (4 pi n)^{1-k} int Gamma(k-1, 4 pi n y) e^{2 pi n y} phi(y) dy
       = sum_{l=0}^{k-2} (k-2)!/l! (4 pi n)^{1-k+l} int e^{-2 pi n y} y^l phi(y) dy,
     exact for even k >= 2 because Gamma(k-1, x) is e^{-x} times a
-    polynomial.
+    polynomial.  The left side is an adaptive quadrature, the right side
+    ``_gf_moments`` on phi's grid.
     """
     if k < 2 or k % 2 != 0 or n < 1:
         raise DomainError("gf term check needs even k >= 2 and n >= 1")
-    lo, hi = phi.support()
     c = 4.0 * math.pi * n
+    lhs = c ** (1 - k) * _gamma_moment(phi, k, [c], [1.0])
+    return IdentityReport.build(lhs, _gf_moments(phi, k, [n])[0][0], tol, f"gf term n={n} k={k}")
 
-    def lhs_integrand(ys):
-        return _gamma_half_exp(k - 1, c * ys) * phi.eval_many(ys)
 
-    lv, le = quadrature(lhs_integrand, lo, hi, rel_tol=1e-13, knots=phi.knots(), vectorized=True)
-    lhs = c ** (1 - k) * lv
-    rhs = 0.0 + 0.0j
-    fact = math.factorial(k - 2)
-    for l in range(k - 1):
-        mom = laplace(shift_s(phi, l + 1), _TWO_PI * n)
-        rhs += fact / math.factorial(l) * c ** (1 - k + l) * mom
-    return IdentityReport.build(lhs, rhs, tol, f"gf term n={n} k={k}")
+def _gamma_moment(phi: TestFunction, k: int, cs, weights) -> complex:
+    """sum_c weight_c int Gamma(k-1, c y) e^{c y / 2} phi(y) dy, one adaptive
+    quadrature over a (nodes x c) table."""
+
+    def integrand(ys):
+        return (_gamma_half_exp(k - 1, np.outer(ys, cs)) @ weights) * phi.eval_many(ys)
+
+    lo, hi = phi.support()
+    return quadrature(integrand, lo, hi, rel_tol=1e-13, knots=phi.knots(), vectorized=True)[0]
+
+
+def _gf_moments(phi: TestFunction, k: int, ns) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{l=0}^{k-2} (k-2)!/l! (4 pi n)^{1-k+l} int e^{-2 pi n y} y^l phi(y) dy
+    for every n of ``ns``: one column e^{-2 pi n y} P_n(y) per n, with P_n
+    the polynomial in y, on phi's checked grid: (values, grid estimates)."""
+    ns = np.asarray(ns, dtype=float)
+    ls = np.arange(k - 1)
+    inv_fact = np.array([math.factorial(k - 2) / math.factorial(l) for l in ls])
+    coef = inv_fact[:, None] * np.power.outer(4.0 * math.pi * ns, 1.0 - k + ls).T
+
+    def kernel(ys):
+        return np.exp(-_TWO_PI * np.outer(ys, ns)) * (np.power.outer(ys, ls) @ coef)
+
+    return _grid_integrals(phi, kernel, _TWO_PI * ns, 1e-13)
 
 
 def mf_term_check(
@@ -559,6 +574,11 @@ def mf_term_check(
     kernels reduce to (4 pi n N)^{-1} int phi (1 - e^{-2 pi n y}) dy; an
     alternative normalization carrying an extra (8 pi n)^{-1/2} is
     inconsistent with that reduction (see the regression test).
+
+    The sides are computed independently: the left by one adaptive
+    quadrature in y, whose k - 1 inner u-integrals are the columns of one
+    product e^{-u^2/y} @ kernels on a fixed Gauss grid in u, the right by
+    ``_whittaker_side``.
     """
     if k < 2 or k % 2 != 0 or n < 1 or N < 1:
         raise DomainError("mf term check needs even k >= 2, n >= 1, N >= 1")
@@ -568,52 +588,42 @@ def mf_term_check(
     # the Gaussian cutoff overshoots so the u^{k-2} growth cannot bite
     u_max = math.sqrt(80.0 * hi) + 2.0 / beta
     panel = min(math.pi / beta, u_max / 8.0)
-    n_panels = int(math.ceil(u_max / panel))
+    edges = np.minimum(np.arange(int(math.ceil(u_max / panel)) + 1) * panel, u_max)
     xg, wg = np.polynomial.legendre.leggauss(16)
-    us = []
-    ws = []
-    for i in range(n_panels):
-        a, b = i * panel, min((i + 1) * panel, u_max)
-        h = 0.5 * (b - a)
-        us.append(0.5 * (a + b) + h * xg)
-        ws.append(h * wg)
-    us = np.concatenate(us)
-    ws = np.concatenate(ws)
-    jvals = bessel_J_grid(k - 1, beta * us)
-
+    h = 0.5 * np.diff(edges)[:, None]
+    us = (0.5 * (edges[:-1, None] + edges[1:, None]) + h * xg).ravel()
+    ws = (h * wg).ravel()
+    ls = np.arange(k - 1)
+    kern = (ws * bessel_J_grid(k - 1, beta * us))[:, None] * np.power.outer(us, 2.0 - k + 2 * ls)
     fact = math.factorial(k - 2)
-    lhs = 0.0
-    for l in range(k - 1):
-        kern = ws * jvals * us ** (2 - k + 2 * l)
+    coef = np.array([2.0 ** (l + 1) * fact / math.factorial(l) for l in ls])
 
-        def outer(ys, kern=kern, l=l):
-            E = np.exp(-np.outer(1.0 / ys, us ** 2))
-            return phi.eval_many(ys) * ys ** (k - 2 - l) * (E @ kern)
+    def outer(ys):
+        E = np.exp(-np.outer(1.0 / ys, us ** 2))
+        return phi.eval_many(ys) * (((E @ kern) * np.power.outer(ys, k - 2.0 - ls)) @ coef)
 
-        ov, _ = quadrature(outer, lo, hi, rel_tol=1e-11, knots=phi.knots(), vectorized=True)
-        lhs += 2.0 ** (l + 1) * fact / math.factorial(l) * float(np.real(ov))
-    lhs *= (8.0 * math.pi * n) ** (0.5 * (1 - k)) / N
-
-    rhs = float(np.real(_whittaker_side(phi, k, n))) / N
+    ov, _ = quadrature(outer, lo, hi, rel_tol=1e-11, knots=phi.knots(), vectorized=True)
+    lhs = float(np.real(ov)) * (8.0 * math.pi * n) ** (0.5 * (1 - k)) / N
+    rhs = float(np.real(_whittaker_side(phi, k, n)[0])) / N
     return IdentityReport.build(lhs, rhs, tol, f"mf term n={n} k={k} N={N}")
 
 
-def _whittaker_side(phi: TestFunction, k: int, n: int) -> complex:
+def _whittaker_side(phi: TestFunction, k: int, n: int) -> tuple[complex, float]:
     """The Whittaker kernel of the W_N side, without its 1/N:
     (8 pi n)^{-k/2} (k-1)^{-1} sum_l 2^{l+1}
         int phi(y) y^{k/2-1} e^{-pi n y} M_{1-k/2+l, (k-1)/2}(2 pi n y) dy.
+
+    The k - 1 kernels are one positive series (``_whittaker_kernel``), run
+    once per node of phi's checked grid (``_grid_integrals``, rel_tol 1e-12).
+    Returns (value, grid estimate); ``RangeOverflowError`` past 2 pi n y ~ 1420.
     """
-    lo, hi = phi.support()
-    acc = 0.0
-    for l in range(k - 1):
+    def kernel(ys):
+        m = _whittaker_kernel(k, _TWO_PI * n * ys)
+        return (ys ** (0.5 * k - 1.0) * np.exp(-math.pi * n * ys) * m)[:, None]
 
-        def integrand(ys, l=l):
-            m = whittaker_M(1.0 - 0.5 * k + l, 0.5 * (k - 1), _TWO_PI * n * ys)
-            return phi.eval_many(ys) * ys ** (0.5 * k - 1.0) * np.exp(-math.pi * n * ys) * m
-
-        wv, _ = quadrature(integrand, lo, hi, rel_tol=1e-12, knots=phi.knots(), vectorized=True)
-        acc += 2.0 ** (l + 1) * wv
-    return acc * (8.0 * math.pi * n) ** (-0.5 * k) / (k - 1)
+    (wv,), (we,) = _grid_integrals(phi, kernel, [_TWO_PI * n], 1e-12)
+    scale = (8.0 * math.pi * n) ** (-0.5 * k) / (k - 1)
+    return wv * scale, we * scale
 
 
 def decomp_identity_check(
@@ -625,23 +635,16 @@ def decomp_identity_check(
     splits as L_g(phi) = L_g^+(phi)
         - conj( sum_n a_f(n) (4 pi n)^{1-k}
                 int Gamma(k-1, 4 pi n y) e^{2 pi n y} phi(y) dy ),
-    an identity independent of any modularity (phi real-valued).
+    an identity independent of any modularity (phi real-valued).  The sum
+    over n is one adaptive quadrature (``_gamma_moment``).
     """
     k = 2 - g.weight2 // 2
     lhs = lseries_series(g, phi).value
     g_plus = replace(g, b={}, label=f"{g.label}+")
     rhs = lseries_series(g_plus, phi).value
-    lo, hi = phi.support()
-    corr = 0.0 + 0.0j
-    for n, av in sorted(a_f.items()):
-        c = 4.0 * math.pi * n
-
-        def integrand(ys, c=c):
-            return _gamma_half_exp(k - 1, c * ys) * phi.eval_many(ys)
-
-        iv, _ = quadrature(integrand, lo, hi, rel_tol=1e-13, knots=phi.knots(), vectorized=True)
-        corr += av * c ** (1 - k) * iv
-    rhs = rhs - np.conj(corr)
+    cs = 4.0 * math.pi * np.array(sorted(a_f), dtype=float)
+    weights = np.array([a_f[n] for n in sorted(a_f)], dtype=complex) * cs ** (1 - k)
+    rhs = rhs - np.conj(_gamma_moment(phi, k, cs, weights))
     return IdentityReport.build(lhs, rhs, tol, "decomposition")
 
 
@@ -702,20 +705,11 @@ def summation_residual(
     part2 *= miy * N
     lhs = part1 - float(N) ** (0.5 * k - 1.0) * part2
 
-    rhs = 0.0 + 0.0j
-    fact = math.factorial(k - 2)
-    n_terms = 0
-    for n, av in sorted(f.a.items()):
-        if n < 1 or av == 0:
-            continue
-        n_terms += 1
-        gf = 0.0 + 0.0j
-        for l in range(k - 1):
-            mom = laplace(shift_s(phi, l + 1), _TWO_PI * n)
-            gf += fact / math.factorial(l) * (4.0 * math.pi * n) ** (1 - k + l) * mom
-        rhs += np.conj(av) * (gf + _whittaker_side(phi, k, n))
+    terms = [(n, av) for n, av in sorted(f.a.items()) if n >= 1 and av != 0]
+    gf, _ = _gf_moments(phi, k, [n for n, _ in terms])
+    rhs = sum((np.conj(av) * (gf_n + _whittaker_side(phi, k, n)[0]) for (n, av), gf_n in zip(terms, gf)), 0j)
     a = abs(lhs - rhs)
     r = a / max(abs(lhs), abs(rhs), _REL_FLOOR)
     return SummationReport(
-        complex(lhs), complex(rhs), a, r, r <= tol, (complex(part1), complex(part2)), n_terms
+        complex(lhs), complex(rhs), a, r, r <= tol, (complex(part1), complex(part2)), len(terms)
     )

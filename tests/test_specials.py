@@ -23,6 +23,7 @@ from maass_lseries.specials import (
     whittaker_M,
     _gamma_half_exp,
     _principal_pow,
+    _whittaker_kernel,
 )
 from maass_lseries.testfn import quadrature
 
@@ -597,6 +598,33 @@ def test_whittaker_array_matches_scalar_calls():
     assert whittaker_M(-5.0, 5.5, np.array([])).shape == (0,)
     with pytest.raises(DomainError):
         whittaker_M(0.0, 0.5, np.array([1.0, 0.0]))
+
+
+def test_whittaker_kernel_sum_matches_mpmath():
+    # the k - 1 Whittaker kernels of the summation formula as one series
+    mp = pytest.importorskip("mpmath")
+    zs = np.concatenate([np.geomspace(1e-3, 1300.0, 25), [2 * math.pi, 720.0, 800.0]])
+    for k in (2, 4, 12):
+        got = _whittaker_kernel(k, zs)
+        with mp.workdps(40):
+            mu = mp.mpf(k - 1) / 2
+            ref = np.array([
+                float(sum(2 ** (l + 1) * mp.whitm(1 - mp.mpf(k) / 2 + l, mu, z) for l in range(k - 1)))
+                for z in zs
+            ])
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref), k
+
+
+def test_whittaker_kernel_sum_out_of_range():
+    # a named error where whittaker_M raises one, not inf
+    for k in (2, 4, 12):
+        for z in (1500.0, 3000.0):
+            with pytest.raises(RangeOverflowError):
+                whittaker_M(1.0 - 0.5 * k, 0.5 * (k - 1), np.array([1.0, z]))
+            with pytest.raises(RangeOverflowError):
+                _whittaker_kernel(k, np.array([1.0, z]))
+    with pytest.raises(DomainError):
+        _whittaker_kernel(4, np.array([1.0, 0.0]))
 
 
 def test_bessel_grid_matches_mpmath_across_the_crossover():

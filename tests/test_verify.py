@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from maass_lseries.errors import DomainError, MembershipError
+from maass_lseries import testfn
+from maass_lseries.errors import AccuracyError, DomainError, MembershipError
 from maass_lseries.form import FormData, twist
 from maass_lseries.lseries import _series_pair, lseries_delta, lseries_series
 from maass_lseries.qseries import fixture, fixture_pair
@@ -15,6 +16,8 @@ from maass_lseries.testfn import TestFunction, slash_W, standard_battery
 from maass_lseries.verify import (
     FEReport,
     _fe_side,
+    _gf_moments,
+    _whittaker_side,
     alpha_identity_check,
     converse_sweep,
     decomp_identity_check,
@@ -370,6 +373,68 @@ def test_summation_term_assembly():
         manual += np.conj(av) * (gf.rhs + mf.rhs)
     assert abs(rep.rhs - manual) < 1e-10 * abs(manual)
     assert rep.rhs_n_terms == 2
+
+
+KERNEL_PHIS = (TestFunction.bump(1, 2), BAT[0], BAT[9])
+
+
+def _mp_integral(phi, g, cuts, dps):
+    """int phi(y) g(y) dy over phi's support by mpmath, in ``cuts`` equal
+    pieces.  mpmath's quadrature stops on an absolute error, so g must keep
+    the integral of order 1 or more."""
+    mp = pytest.importorskip("mpmath")
+    c1, c2 = phi.base.c1, phi.base.c2
+    w = c2 - c1
+    with mp.workdps(dps):
+        bump = lambda y: mp.exp(4 / mp.mpf(w) ** 2 - 1 / ((y - c1) * (c2 - y)))
+        return mp.quad(lambda y: bump(y) * g(y), [c1 + w * j / cuts for j in range(cuts + 1)])
+
+
+@pytest.mark.parametrize("phi", KERNEL_PHIS, ids=lambda p: p.label)
+def test_whittaker_side_against_mpmath(phi):
+    mp = pytest.importorskip("mpmath")
+    for k, n in ((4, 1), (12, 2)):
+        mu = mp.mpf(k - 1) / 2
+
+        def g(y):
+            z = 2 * mp.pi * n * y
+            kern = sum(2 ** (l + 1) * mp.whitm(1 - mp.mpf(k) / 2 + l, mu, z) for l in range(k - 1))
+            return y ** (mp.mpf(k) / 2 - 1) * mp.exp(-mp.pi * n * y) * kern
+
+        ref = float(_mp_integral(phi, g, 2, 16) * (8 * mp.pi * n) ** (-mp.mpf(k) / 2) / (k - 1))
+        got, est = _whittaker_side(phi, k, n)
+        assert est < 1e-12 * abs(ref), (k, n)
+        assert abs(got - ref) <= est, (k, n, abs(got - ref), est)
+
+
+@pytest.mark.parametrize("phi", KERNEL_PHIS, ids=lambda p: p.label)
+def test_gf_moments_against_mpmath(phi):
+    # (4 pi n)^{1-k} e^{-2 pi n c1} int phi(y) e^{-2 pi n (y - c1)} sum_l (k-2)!/l! (4 pi n y)^l dy
+    mp = pytest.importorskip("mpmath")
+    ns = [1, 2, 5]
+    c1 = phi.base.c1
+    for k in (4, 12):
+        got, est = _gf_moments(phi, k, ns)
+        for n, v, e in zip(ns, got, est):
+            c = 4 * mp.pi * n
+            poly = lambda y: sum(mp.factorial(k - 2) / mp.factorial(l) * (c * y) ** l for l in range(k - 1))
+            g = lambda y: mp.exp(-2 * mp.pi * n * (y - c1)) * poly(y)
+            ref = float(_mp_integral(phi, g, 4, 20) * c ** (1 - k) * mp.exp(-2 * mp.pi * n * c1))
+            assert e < 1e-12 * abs(ref), (k, n)
+            assert abs(v - ref) <= e, (k, n, abs(v - ref), e)
+
+
+def test_grid_check_fires_on_a_coarse_grid(monkeypatch):
+    # six and four Gauss points a panel cannot resolve the bump: the two
+    # rules disagree, and the kernels raise instead of returning the value
+    phi = TestFunction.bump(1, 2)
+    monkeypatch.setattr(testfn, "_GRID_RULES", (6, 4))
+    with pytest.raises(AccuracyError):
+        _whittaker_side(phi, 12, 2)
+    with pytest.raises(AccuracyError):
+        _gf_moments(phi, 12, [1, 2])
+    with pytest.raises(AccuracyError):
+        mf_term_check(2, 12, 1, phi)
 
 
 def test_summation_domain_errors():
