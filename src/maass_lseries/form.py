@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, ShadowVanishesError
-from .specials import Character, _gamma_half_exp, gauss_sum, upper_gamma_scaled
+from .specials import Character, _gamma_half_exp, gauss_sum
 
 _TWO_PI = 2.0 * math.pi
 
@@ -184,12 +184,15 @@ def required_n_estimate(A: float, C: float, alpha: float, tol: float) -> int:
 # evaluation
 
 
-def _hol_tail(f: FormData, alpha: float, extra_poly: float = 0.0) -> float:
+def _hol_tail(f: FormData, alpha: float, extra_poly: float = 0.0, mass: float = 1.0) -> float:
+    """Tail of the a-part past the stored range against the envelope
+    mass A e^{C sqrt n - alpha n} n^extra_poly; ``mass`` scales A (the
+    series route passes phi's L1 mass)."""
     if f.exhaustive:
         return 0.0
     ns, _ = f._arrays("a")
     n_max = int(ns[-1]) if len(ns) else 0
-    return geom_tail(f.amplitude("a"), f.growth_C, alpha, max(n_max, 0), extra_poly)
+    return geom_tail(f.amplitude("a") * mass, f.growth_C, alpha, max(n_max, 0), extra_poly)
 
 
 def _nonhol_tail(f: FormData, alpha: float, extra_poly: float = 0.0) -> float:
@@ -212,105 +215,70 @@ def _nonhol_tail(f: FormData, alpha: float, extra_poly: float = 0.0) -> float:
     return geom_tail(f.amplitude("b") * pref, f.growth_C, alpha, m_max, -k + extra_poly)
 
 
-def eval_point(f: FormData, z: complex, tol: float = 1e-12) -> complex:
-    """f(z) for Im z > 0 by truncated Fourier expansion with certified tail."""
-    z = complex(z)
-    y = z.imag
-    if y <= 0:
-        raise DomainError("eval requires Im z > 0")
-    alpha = _TWO_PI * y / f.period
-    tail = _hol_tail(f, alpha) + _nonhol_tail(f, alpha)
-    if tail > tol:
-        raise InsufficientDataError(
-            f"tail bound {tail:.2e} > tol {tol:.2e} at y={y:g}",
-            required_n=required_n_estimate(f.amplitude("a"), f.growth_C, alpha, tol),
-        )
-    ns, avals = f._arrays("a")
-    acc = complex(np.sum(avals * np.exp(2j * math.pi * ns * z / f.period)))
-    bns, bvals = f._arrays("b")
-    for n, bv in zip(bns, bvals):
-        x = -4.0 * math.pi * n * y / f.period
-        acc += bv * upper_gamma_scaled(1.0 - f.k, x) * np.exp(2j * math.pi * n * z / f.period - x)
-    return acc
+def _evaluate(f: FormData, zs, delta: bool, tol: float) -> np.ndarray:
+    """f(z), or (delta_k f)(z) = z df/dx + (k/2) f with ``delta``, at every z
+    of the array ``zs`` (Im z > 0), by the truncated Fourier expansion.
 
-
-def eval_iy(f: FormData, ys, tol: float = 1e-12) -> np.ndarray:
-    """f(iy) on an array of ordinates (vectorized over stored coefficients)."""
-    ys = np.asarray(ys, dtype=float)
+    One pass over the a- and b-parts at w = Re(2 pi i n z / M) = -2 pi n y / M:
+    a-terms take e^w, b-terms Gamma(1-k, 2w) e^w through ``_gamma_half_exp``
+    (finite past underflow).  The phases e^{2 pi i n Re z / M} are formed
+    only when some Re z != 0; delta_k weights each term by
+    k/2 + 2 pi i n z / M.  The tail is certified at the smallest Im z and,
+    for delta_k, the largest |z|.
+    """
+    zs = np.asarray(zs, dtype=complex).reshape(-1, 1)
+    xs, ys = zs.real, zs.imag
     if np.any(ys <= 0):
-        raise DomainError("eval requires y > 0")
+        raise DomainError("evaluation requires Im z > 0")
     y_min = float(ys.min())
     alpha = _TWO_PI * y_min / f.period
     tail = _hol_tail(f, alpha) + _nonhol_tail(f, alpha)
+    if delta:
+        scale = _TWO_PI * float(np.abs(zs).max()) / f.period
+        tail = abs(0.5 * f.k) * tail + scale * (
+            _hol_tail(f, alpha, 1.0) + _nonhol_tail(f, alpha, 1.0)
+        )
     if tail > tol:
         raise InsufficientDataError(
             f"tail bound {tail:.2e} > tol {tol:.2e} at y={y_min:g}",
             required_n=required_n_estimate(f.amplitude("a"), f.growth_C, alpha, tol),
         )
-    ns, avals = f._arrays("a")
-    E = np.exp(-_TWO_PI * np.outer(ys, ns.astype(float)) / f.period)
-    acc = E @ avals
-    bns, bvals = f._arrays("b")
-    if len(bns):
-        # Gamma(1-k, x) e^{x/2} at x = -4 pi n y / M, finite past underflow
-        xs = -4.0 * math.pi * bns * ys.reshape(-1, 1) / f.period
-        acc = acc + _gamma_half_exp(1.0 - f.k, xs) @ bvals
+    off_axis = bool(np.any(xs != 0))
+    acc = np.zeros(len(zs), dtype=complex)
+    for part in ("a", "b"):
+        ns, vals = f._arrays(part)
+        if not len(ns):
+            continue
+        w = -_TWO_PI * (ys * ns) / f.period
+        terms = np.exp(w) if part == "a" else _gamma_half_exp(1.0 - f.k, 2.0 * w)
+        if off_axis:
+            theta = _TWO_PI * (xs * ns) / f.period
+            terms = terms * np.exp(1j * theta)
+            w = w + 1j * theta
+        if delta:
+            terms = terms * (0.5 * f.k + w)
+        acc += terms @ vals
     return acc
+
+
+def eval_point(f: FormData, z: complex, tol: float = 1e-12) -> complex:
+    """f(z) for Im z > 0 by truncated Fourier expansion with certified tail."""
+    return complex(_evaluate(f, [z], False, tol)[0])
+
+
+def eval_iy(f: FormData, ys, tol: float = 1e-12) -> np.ndarray:
+    """f(iy) on an array of ordinates y > 0."""
+    return _evaluate(f, 1j * np.asarray(ys, dtype=float), False, tol)
 
 
 def delta_k_point(f: FormData, z: complex, tol: float = 1e-12) -> complex:
     """(delta_k f)(z) = z d f/dx + (k/2) f, via the term-wise expansion."""
-    z = complex(z)
-    y = z.imag
-    if y <= 0:
-        raise DomainError("delta_k_eval requires Im z > 0")
-    alpha = _TWO_PI * y / f.period
-    scale = _TWO_PI * abs(z) / f.period
-    halfk = abs(0.5 * f.k)
-    tail = (
-        halfk * (_hol_tail(f, alpha) + _nonhol_tail(f, alpha))
-        + scale * (_hol_tail(f, alpha, 1.0) + _nonhol_tail(f, alpha, 1.0))
-    )
-    if tail > tol:
-        raise InsufficientDataError(f"tail bound {tail:.2e} > tol {tol:.2e}")
-    half_k = 0.5 * f.k
-    ns, avals = f._arrays("a")
-    phases = np.exp(2j * math.pi * ns * z / f.period)
-    acc = complex(np.sum(avals * (half_k + 2j * math.pi * ns * z / f.period) * phases))
-    bns, bvals = f._arrays("b")
-    for n, bv in zip(bns, bvals):
-        x = -4.0 * math.pi * n * y / f.period
-        w = 2j * math.pi * n * z / f.period
-        acc += bv * upper_gamma_scaled(1.0 - f.k, x) * (half_k + w) * np.exp(w - x)
-    return acc
+    return complex(_evaluate(f, [z], True, tol)[0])
 
 
 def delta_k_iy(f: FormData, ys, tol: float = 1e-12) -> np.ndarray:
-    """(delta_k f)(iy) on an array of ordinates."""
-    ys = np.asarray(ys, dtype=float)
-    if np.any(ys <= 0):
-        raise DomainError("delta_k_eval requires y > 0")
-    y_min = float(ys.min())
-    alpha = _TWO_PI * y_min / f.period
-    scale = _TWO_PI * float(ys.max()) / f.period
-    halfk = abs(0.5 * f.k)
-    tail = (
-        halfk * (_hol_tail(f, alpha) + _nonhol_tail(f, alpha))
-        + scale * (_hol_tail(f, alpha, 1.0) + _nonhol_tail(f, alpha, 1.0))
-    )
-    if tail > tol:
-        raise InsufficientDataError(f"tail bound {tail:.2e} > tol {tol:.2e}")
-    half_k = 0.5 * f.k
-    ns, avals = f._arrays("a")
-    nf = ns.astype(float)
-    E = np.exp(-_TWO_PI * np.outer(ys, nf) / f.period)
-    # at z = iy:  2 pi i n z / M = -2 pi n y / M  (real)
-    acc = E @ (avals * half_k) + (E * (-_TWO_PI * np.outer(ys, nf) / f.period)) @ avals
-    bns, bvals = f._arrays("b")
-    if len(bns):
-        w = -_TWO_PI * bns * ys.reshape(-1, 1) / f.period
-        acc = acc + (_gamma_half_exp(1.0 - f.k, 2.0 * w) * (half_k + w)) @ bvals
-    return acc
+    """(delta_k f)(iy) on an array of ordinates y > 0."""
+    return _evaluate(f, 1j * np.asarray(ys, dtype=float), True, tol)
 
 
 # ----------------------------------------------------------------------------
@@ -370,14 +338,19 @@ class GrowthReport:
     ok: bool
 
 
+def _growth_fit(items) -> float:
+    """The smallest C >= 0 with |c| <= e^{C sqrt|n|} over the (n, c) pairs
+    (n != 0, |c| > 1)."""
+    c_fit = 0.0
+    for n, v in items:
+        if n != 0 and abs(v) > 1.0:
+            c_fit = max(c_fit, math.log(abs(v)) / math.sqrt(abs(n)))
+    return c_fit
+
+
 def validate_growth(f: FormData) -> GrowthReport:
     """Fit the smallest C with |c(n)| <= e^{C sqrt|n|} over the stored range."""
-    c_fit = 0.0
-    for part in ("a", "b"):
-        ns, vals = f._arrays(part)
-        for n, v in zip(ns, vals):
-            if n != 0 and abs(v) > 1.0:
-                c_fit = max(c_fit, math.log(abs(v)) / math.sqrt(abs(n)))
+    c_fit = max(_growth_fit(zip(*f._arrays(part))) for part in ("a", "b"))
     return GrowthReport(C_fit=c_fit, ok=c_fit <= f.growth_C)
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, DomainError, MembershipError
-from .form import FormData, RuleCoeffs, delta_k_iy, eval_iy, geom_tail, twist
+from .form import FormData, RuleCoeffs, _hol_tail, delta_k_iy, eval_iy, geom_tail, twist
 from .specials import Character, _gamma_half_exp, _principal_pow, i_pow, upper_gamma
 from .testfn import (
     _G_W,
@@ -89,28 +89,19 @@ def series_membership(f: FormData, phi: TestFunction, for_delta: bool = False) -
     envelope cannot certify a finite tail (e.g. non-compact test functions
     against exponentially growing coefficients).
     """
-    return _membership(f, phi, for_delta)[0]
-
-
-def _membership(f: FormData, phi: TestFunction, for_delta: bool):
-    """``series_membership``'s bound and the ``_phi_mass`` it sampled
-    (None when phi is not compactly supported)."""
     if not phi.is_compact:
         lo, hi = phi.support()
         finite_width = np.isfinite(hi)
         if f.exhaustive and ((all(n > 0 for n in f.a) and len(f.b) == 0) or finite_width):
-            return math.inf, None  # finitely many terms, each individually finite
+            return math.inf  # finitely many terms, each individually finite
         raise MembershipError(
             f"{phi.label!r} is not compactly supported in (0, inf); the "
             "coefficient growth envelope cannot certify convergence"
         )
-    mass = _phi_mass(phi)
-    c1, c2, K, _ = mass
+    c1, c2, K, _ = _phi_mass(phi)
     alpha = _TWO_PI * c1 / f.period
     pw = 1.0 if for_delta else 0.0
-    hol_tail = 0.0 if f.exhaustive else geom_tail(
-        f.amplitude("a") * K, f.growth_C, alpha, _max_stored(f, "a"), pw
-    )
+    hol_tail = _hol_tail(f, alpha, pw, K)
     nonhol_tail = _nonhol_series_tail(f, c1, pw)
     if not (np.isfinite(hol_tail) and np.isfinite(nonhol_tail)):
         raise MembershipError(
@@ -122,12 +113,7 @@ def _membership(f: FormData, phi: TestFunction, for_delta: bool):
         nf = ns.astype(float)
         env = np.where(nf >= 0, np.exp(-alpha * nf), np.exp(_TWO_PI * c2 / f.period * -nf))
         acc += float(np.sum(np.abs(avals) * K * env))
-    return acc + hol_tail + nonhol_tail, mass
-
-
-def _max_stored(f: FormData, part: str) -> int:
-    ns, _ = f._arrays(part)
-    return int(ns[-1]) if len(ns) else 0
+    return acc + hol_tail + nonhol_tail
 
 
 def _nonhol_series_tail(f: FormData, c1: float, extra_poly: float = 0.0) -> float:
@@ -191,9 +177,9 @@ def _series_pair(
     its image sum coeff_err |(L phi)(2 pi n / M)| joins the quadrature budget.
     """
     # the delta_k envelope carries an extra factor n, so certifying it
-    # certifies the plain series as well; its samples of phi serve below
-    _, mass = _membership(f, phi, delta)
-    c1, _, K, K2 = mass or _phi_mass(phi)
+    # certifies the plain series as well
+    series_membership(f, phi, delta)
+    c1, _, K, K2 = _phi_mass(phi)
     alpha = _TWO_PI * c1 / f.period
     step = _TWO_PI / f.period
     phi2 = shift_s(phi, 2.0)
@@ -229,9 +215,7 @@ def _series_pair(
         quad += float(np.sum(np.abs(avals[neg]) * ne[0]))
         if coeff_err is not None:
             quad += float(np.sum(coeff_err[neg] * np.abs(nv[0])))
-    trunc = 0.0 if f.exhaustive else geom_tail(
-        f.amplitude("a") * K, f.growth_C, alpha, _max_stored(f, "a")
-    )
+    trunc = _hol_tail(f, alpha, mass=K)
     n_terms = int(np.count_nonzero(plain | neg))
     if len(f.b):
         part = _nonhol_part(f, phi, delta)
@@ -267,10 +251,7 @@ def _series_pair(
         quad += step * float(np.sum(np.abs(weights) * ne[1]))
         if coeff_err is not None:
             quad += step * float(np.sum(coeff_err[neg] * np.abs(ns[neg] * nv[1])))
-    if not f.exhaustive:
-        trunc += step * geom_tail(
-            f.amplitude("a") * K2, f.growth_C, alpha, _max_stored(f, "a"), 1.0
-        )
+    trunc += step * _hol_tail(f, alpha, 1.0, K2)
     if len(f.b):
         value += part.delta_t
         quad += part.delta_t_err

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .form import FormData
+from .form import FormData, _growth_fit
 from .specials import trivial_character
 
 FIXTURE_NAMES = ("delta", "e4", "e6", "j744", "inv_delta", "theta")
@@ -229,19 +229,9 @@ def fixture(name: str, precision: int = 64) -> FormData:
         n0=n0,
         a=a,
         b={},
-        growth_C=_fitted_growth(a),
+        growth_C=max(1.0, 1.05 * _growth_fit(a.items()) + 0.25),
         label=name,
     )
-
-
-def _fitted_growth(a: dict) -> float:
-    import math
-
-    c = 0.0
-    for n, v in a.items():
-        if n != 0 and abs(v) > 1:
-            c = max(c, math.log(abs(v)) / math.sqrt(abs(n)))
-    return max(1.0, 1.05 * c + 0.25)
 
 
 def fixture_pair(name: str, precision: int = 64) -> tuple[FormData, FormData]:

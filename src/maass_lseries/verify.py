@@ -372,13 +372,15 @@ class IdentityReport:
     passed: bool
     detail: str = ""
 
-    @staticmethod
-    def build(lhs, rhs, tol, detail="") -> "IdentityReport":
+    @classmethod
+    def build(cls, lhs, rhs, tol, detail="", **extra):
+        """The report on lhs = rhs at relative tolerance ``tol``; ``extra``
+        fills a subclass's own fields."""
         lhs = complex(lhs)
         rhs = complex(rhs)
         a = abs(lhs - rhs)
         r = a / max(abs(lhs), abs(rhs), _REL_FLOOR)
-        return IdentityReport(lhs, rhs, a, r, r <= tol, detail)
+        return cls(lhs, rhs, a, r, r <= tol, detail, **extra)
 
 
 def _slashed_exp_rational(phi: TestFunction, power: int, M: int = 1) -> ExpRationalPiece:
@@ -649,14 +651,12 @@ def decomp_identity_check(
 
 
 @dataclass(frozen=True)
-class SummationReport:
-    lhs: complex
-    rhs: complex
-    abs_residual: float
-    rel_residual: float
-    passed: bool
-    lhs_parts: tuple[complex, complex]
-    rhs_n_terms: int
+class SummationReport(IdentityReport):
+    """The summation formula's residual, with the two parts of its left side
+    and the number of right-side terms."""
+
+    lhs_parts: tuple[complex, complex] = (0j, 0j)
+    rhs_n_terms: int = 0
 
 
 def summation_residual(
@@ -708,8 +708,7 @@ def summation_residual(
     terms = [(n, av) for n, av in sorted(f.a.items()) if n >= 1 and av != 0]
     gf, _ = _gf_moments(phi, k, [n for n, _ in terms])
     rhs = sum((np.conj(av) * (gf_n + _whittaker_side(phi, k, n)[0]) for (n, av), gf_n in zip(terms, gf)), 0j)
-    a = abs(lhs - rhs)
-    r = a / max(abs(lhs), abs(rhs), _REL_FLOOR)
-    return SummationReport(
-        complex(lhs), complex(rhs), a, r, r <= tol, (complex(part1), complex(part2)), len(terms)
+    return SummationReport.build(
+        lhs, rhs, tol, "summation formula",
+        lhs_parts=(complex(part1), complex(part2)), rhs_n_terms=len(terms),
     )

@@ -81,6 +81,35 @@ def test_b_terms_over_an_array_match_mpmath(weight2, level):
         assert abs(dv - ref_d) <= 1e-13 * abs(ref_d), y
 
 
+@pytest.mark.parametrize("weight2,level,period", [(-20, 1, 1), (-1, 4, 3)])
+@pytest.mark.parametrize("x", [0.3, -0.2])
+def test_point_evaluators_off_axis_match_mpmath(weight2, level, period, x):
+    # a- and b-terms at Re z != 0, where the phases e^{2 pi i n Re z / M}
+    # and the delta_k weight k/2 + 2 pi i n z / M are complex
+    mp = pytest.importorskip("mpmath")
+    f = FormData(
+        weight2=weight2, level=level, psi=trivial_character(level), period=period,
+        n0=1, a={-1: 0.5, 0: 1.0, 1: 2.0, 3: -1j},
+        b={-1: 1.0, -2: -0.5, -3: 0.25j}, growth_C=4.0, exhaustive=True,
+    )
+    k = f.k
+    for y in (0.35, 0.8, 1.7):
+        z = complex(x, y)
+        with mp.workdps(40):
+            zm = mp.mpc(x, y)
+            ref = ref_d = 0
+            terms = [(n, c, 1) for n, c in f.a.items()] + [
+                (n, c, mp.gammainc(1 - k, -4 * mp.pi * n * y / period)) for n, c in f.b.items()
+            ]
+            for n, c, gamma in terms:
+                term = c * gamma * mp.exp(2j * mp.pi * n * zm / period)
+                ref += term
+                ref_d += term * (mp.mpf(k) / 2 + 2j * mp.pi * n * zm / period)
+            ref, ref_d = complex(ref), complex(ref_d)
+        assert abs(eval_point(f, z) - ref) <= 1e-13 * abs(ref), y
+        assert abs(delta_k_point(f, z) - ref_d) <= 1e-13 * abs(ref_d), y
+
+
 def test_delta_modularity_pointwise():
     f = fixture("delta", 96)
     lhs = eval_point(f, 2j)
@@ -125,6 +154,13 @@ def test_insufficient_data_error():
     with pytest.raises(InsufficientDataError) as exc:
         eval_point(f, 0.05j, tol=1e-12)
     assert exc.value.required_n is None or exc.value.required_n > 32
+
+
+def test_delta_k_insufficient_data_names_required_n():
+    f = fixture("inv_delta", 32)
+    with pytest.raises(InsufficientDataError) as exc:
+        delta_k_point(f, 0.05j)
+    assert exc.value.required_n is not None and exc.value.required_n > 32
 
 
 def test_delta_k_finite_difference_oracle():
