@@ -6,12 +6,17 @@ function, the Kronecker symbol and its companion epsilon factor, and dense
 Dirichlet-character tables with generalized Gauss sums.  Everything here is
 a pure function of its arguments.
 
+``upper_gamma`` and ``upper_gamma_scaled`` share ``_upper_gamma``, which
+covers four regions of (s, x) with a finite sum, the continued fraction,
+the series of DLMF 8.4.15 and Gamma(s) minus a series of one-signed terms.
+
 Four kernels take whole arrays of points, for quadrature integrands:
 ``whittaker_M`` and ``_whittaker_kernel`` (the summation formula's k - 1
-M-kernels as one series), ``bessel_J_grid`` (one Miller sweep past x = 12)
-and ``_gamma_half_exp``, which runs integer orders m >= 1 through the
-finite-sum recurrence of ``_upper_gamma_int`` on the whole array.
-``upper_gamma``, ``upper_gamma_scaled`` and ``bessel_J`` stay scalar.
+M-kernels as one series), ``bessel_J_grid`` (the ascending series to
+x = 12, one Miller sweep past it) and ``_gamma_half_exp``, which runs
+integer orders m >= 1 through the finite-sum recurrence of
+``_upper_gamma_int`` on the whole array.  ``upper_gamma``,
+``upper_gamma_scaled`` and ``bessel_J`` stay scalar.
 """
 
 from __future__ import annotations
@@ -82,33 +87,6 @@ def i_pow(k: int) -> complex:
     return (1 + 0j, 1j, -1 + 0j, -1j)[k % 4]
 
 
-def _gamma0(x: float, scaled: bool = False) -> complex:
-    """Gamma(0, x) for real x != 0, continued to x < 0 on the upper branch.
-
-    Gamma(0, z) = -euler_gamma - log z - sum_{k>=1} (-z)^k / (k k!).
-    The series has positive terms for z < 0, so it stays stable for large
-    negative arguments; for large positive x the continued fraction is
-    used instead to avoid the alternating-sum cancellation.  ``scaled``
-    returns e^x Gamma(0, x) (x > 0).
-    """
-    if x == 0.0:
-        raise DomainError("Gamma(0, 0) diverges")
-    if x > 1.5:
-        return _upper_gamma_cf(0.0 + 0.0j, x, scaled)
-    logx = complex(math.log(abs(x)), math.pi if x < 0 else 0.0)
-    acc = 0.0
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= -x / k
-        contrib = term / k
-        acc += contrib
-        if abs(contrib) < 1e-18 * (abs(acc) + 1e-300) or k > 800:
-            break
-    return (-_EULER_GAMMA - logx - acc) * (math.exp(x) if scaled else 1.0)
-
-
 def _upper_gamma_cf(s: complex, x: float, scaled: bool = False, max_iter: int = 1000) -> complex:
     """Continued fraction for Gamma(s, x), x > 0 (modified Lentz).
 
@@ -135,115 +113,112 @@ def _upper_gamma_cf(s: complex, x: float, scaled: bool = False, max_iter: int = 
     raise AccuracyError(f"Gamma(s,x) continued fraction stalled at s={s}, x={x}")
 
 
-def _lower_gamma_series(s: complex, x: float, max_iter: int = 800) -> complex:
-    """gamma(s, x) = x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k)), x > 0."""
+def _lower_gamma_series(s: complex, x: float, max_iter: int = 2000) -> complex:
+    """gamma(s, x) for real x != 0 by a series of one-signed terms (for real
+    s): x^s e^{-x} sum_k x^k / (s (s+1) ... (s+k)) for x > 0 (DLMF 8.5.1, s > 0),
+    x^s sum_k (-x)^k / (k! (s+k)) for x < 0 (DLMF 8.7.1, from k > -s on)."""
     acc = 1.0 / s
-    term = acc
-    for k in range(1, max_iter):
-        term *= x / (s + k)
-        acc += term
-        if abs(term) < 1e-18 * abs(acc):
-            return _principal_pow(x, s) * math.exp(-x) * acc
+    if x > 0.0:
+        term = acc
+        for k in range(1, max_iter):
+            term *= x / (s + k)
+            acc += term
+            if abs(term) < 1e-18 * abs(acc):
+                return _principal_pow(x, s) * math.exp(-x) * acc
+    else:
+        power = 1.0  # (-x)^k / k!
+        for k in range(1, max_iter):
+            power *= -x / k
+            term = power / (s + k)
+            acc += term
+            if k > -x and abs(term) <= 1e-18 * abs(acc):
+                return _principal_pow(x, s) * acc
     raise AccuracyError(f"lower gamma series stalled at s={s}, x={x}")
 
 
-def _gamma_star(s: complex, x: float, max_iter: int = 800) -> complex:
-    """Tricomi's entire gamma*: e^{-x} sum_k x^k / Gamma(s+k+1).
-
-    Entire in both variables; used for the continuation of Gamma(s, x) to
-    x < 0.  The series alternates for x < 0, so callers keep |x| moderate
-    (the bridge integral takes over beyond the anchor point).
-    """
-    inv = 1.0 / complete_gamma(s + 1.0)
-    acc = complex(inv)
-    xk = 1.0
-    for k in range(1, max_iter):
-        inv /= (s + k)  # 1/Gamma(s+k+1) = (1/Gamma(s+k)) / (s+k)
-        xk *= x
-        term = xk * inv
-        acc += term
-        if abs(term) < 1e-18 * (abs(acc) + 1e-300) and k > 4:
-            return math.exp(-x) * acc
-    raise AccuracyError(f"gamma* series stalled at s={s}, x={x}")
-
-
 def _upper_gamma_int(m: int, x, scaled: bool = False):
-    """Gamma(m, x) for integer m (any sign), real x != 0, via recurrences.
+    """Gamma(m, x) for integer m >= 1 and real x, by the finite sum
+    e^x Gamma(m, x) = (m-1)! sum_{j<m} x^j / j!.
 
-    Anchors: Gamma(1, x) = e^{-x} and Gamma(0, x) from the E1 continuation.
-    The recurrence Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x} runs upward
-    from s = 1 or, for 0 < x < 2, downward from s = 0; all divisors are
-    nonzero integers.  Every term carries e^{-x}, so ``scaled``
-    (e^x Gamma(m, x)) drops it.  Orders m <= 0 at x < 0 take the power
-    series instead (``scaled`` is for x > 0 only).
-
-    For m >= 1 the upward recurrence is the finite sum
-    e^x Gamma(m, x) = (m-1)! sum_{j<m} x^j / j!, with the powers x^j formed
-    by repeated products; there ``x`` may also be an array, and the result
+    The sum is the recurrence Gamma(s+1, x) = s Gamma(s, x) + x^s e^{-x}
+    run upward from Gamma(1, x) = e^{-x}, with the powers x^j formed by
+    repeated products.  Every term carries e^{-x}, so ``scaled``
+    (e^x Gamma(m, x)) drops it.  ``x`` may also be an array, and the result
     is real (a float or a float array).
     """
-    if m >= 1:
-        val = 1.0
-        xj = 1.0
-        for j in range(1, m):
-            xj = xj * x
-            val = j * val + xj
-        return val if scaled else val * np.exp(-x)
-    ex = 1.0 if scaled else math.exp(-x)
-    if x < 0.0 and m >= -170:  # 1/170! is the last representable
-        return _upper_gamma_negint_series(-m, x)
-    val = _gamma0(x, scaled)
-    for j in range(0, -m):
-        # Gamma(-j-1, x) = (Gamma(-j, x) - x^{-j-1} e^{-x}) / (-j-1)
-        val = (val - _principal_pow(x, -j - 1) * ex) / (-j - 1)
-    return val
+    val = 1.0
+    xj = 1.0
+    for j in range(1, m):
+        xj = xj * x
+        val = j * val + xj
+    return val if scaled else val * np.exp(-x)
 
 
 def _upper_gamma_negint_series(n: int, x: float) -> complex:
-    """Gamma(-n, x) for integer n >= 0 and x < 0, by its power series.
+    """Gamma(-n, x) for integer n >= 0 and real x != 0, by its power series.
 
     Gamma(-n, z) = (-1)^n [(psi(n+1) - log z) / n!
                            - sum_{j >= 0, j != n} (-z)^{j-n} / (j! (j-n))]
     (DLMF 8.4.15).  For z < 0 every (-z)^{j-n} is positive, so the terms
     below j = n share one sign and those above share the other: nothing
-    cancels within either group, unlike the downward recurrence, which
-    loses about a factor |x| per step.
+    cancels within either group (at 0 < z < 2 they alternate but fall off
+    fast).  Past n = 170, where 1/n! underflows, the order recurs downward
+    from -170; a step multiplies the error by |x| / (j+1), so x < -171 raises.
     """
-    ax = -x
+    if n > 170:
+        if x < -171.0:
+            raise AccuracyError(f"Gamma({-n}, {x}): the downward recurrence is unstable")
+        val = _upper_gamma_negint_series(170, x)
+        for j in range(170, n):  # x^{-j-1} e^{-x} in two factors: x^{-j-1} may underflow
+            val = (val - math.exp(-x) * x ** -(j // 2 + 1) * x ** (j // 2 - j)) / (-j - 1)
+        return val
+    w = -x
     inv_fact = 1.0 / math.factorial(n)  # (-z)^{j-n} / j! at j = n
     below = 0.0  # j < n: the terms (-z)^{j-n} / (j! (n-j)), added
     term = inv_fact
     for j in range(n - 1, -1, -1):
-        term *= (j + 1) / ax
+        term *= (j + 1) / w
         below += term / (n - j)
     above = 0.0  # j > n: the terms (-z)^{j-n} / (j! (j-n)), subtracted
     term = inv_fact
-    j = n
-    while True:
-        j += 1
-        term *= ax / j
+    for j in range(n + 1, n + 2000):
+        term *= w / j
         contrib = term / (j - n)
         above += contrib
-        if j > ax and contrib < 1e-18 * above:
+        if j > abs(w) and abs(contrib) <= 1e-18 * abs(above):
             break
+    else:
+        raise AccuracyError(f"Gamma({-n}, {x}) series stalled")
     psi = -_EULER_GAMMA + math.fsum(1.0 / i for i in range(1, n + 1))
-    log_z = complex(math.log(ax), math.pi)
+    log_z = complex(math.log(abs(x)), math.pi if x < 0.0 else 0.0)
     return (-1.0) ** n * ((psi - log_z) * inv_fact + below - above)
 
 
-_NEG_BRIDGE_ANCHOR = -10.0
+def _upper_gamma(s: complex, x: float, scaled: bool) -> complex:
+    """Gamma(s, x), or e^x Gamma(s, x) with ``scaled``, for real x != 0.
 
-
-def _recurrence_order(s: complex, x: float) -> bool:
-    """Whether Gamma(s, x) goes through the integer-order recurrences.
-
-    Upward from s = 1 they add positive terms.  Downward from s = 0 each
-    step cancels about a factor x, so for x >= 2 the continued fraction,
-    accurate for every order there, takes over.
+    Four regions: integer orders m >= 1 take the finite sum of
+    ``_upper_gamma_int``; x >= 2 at integer orders and x >= max(Re s + 2, 1)
+    at the others the continued fraction; integer orders m <= 0 at x < 2
+    the series of DLMF 8.4.15; other orders Gamma(s) - gamma(s, x) by
+    ``_lower_gamma_series``, Re s raised into [1, 2) first at x > 0.
     """
-    if s.imag != 0.0 or abs(s.real - round(s.real)) >= 1e-12:
-        return False
-    return round(s.real) >= 1 or x < 2.0
+    m = round(s.real)
+    integer = s.imag == 0.0 and abs(s.real - m) < 1e-12
+    if integer and m >= 1:
+        return complex(_upper_gamma_int(m, x, scaled))
+    if x >= (2.0 if integer else max(s.real + 2.0, 1.0)):
+        return _upper_gamma_cf(s, x, scaled)
+    if integer:
+        val = _upper_gamma_negint_series(-m, x)
+    else:
+        shift = max(0, math.ceil(1.0 - s.real)) if x > 0.0 else 0
+        val = complete_gamma(s + shift) - _lower_gamma_series(s + shift, x)
+        for j in range(shift, 0, -1):
+            val = (val - _principal_pow(x, s + j - 1) * math.exp(-x)) / (s + j - 1)
+    if not cmath.isfinite(val):
+        raise RangeOverflowError(f"Gamma({s}, {x}) overflows double precision")
+    return val * math.exp(x) if scaled else val
 
 
 def upper_gamma(s: complex, x: float) -> complex:
@@ -262,35 +237,7 @@ def upper_gamma(s: complex, x: float) -> complex:
         raise DomainError("Gamma(s, 0) diverges for Re(s) <= 0")
     if x < -700.0:
         raise RangeOverflowError(f"Gamma(s, {x}) overflows double precision")
-
-    if _recurrence_order(s, x):
-        return complex(_upper_gamma_int(int(round(s.real)), x))
-
-    if x > 0.0:
-        if x >= s.real + 2.0 and x >= 1.0:
-            return _upper_gamma_cf(s, x)
-        # series region; raise Re(s) into [1, 2) first if needed
-        m = max(0, int(math.ceil(1.0 - s.real)))
-        sm = s + m
-        val = complete_gamma(sm) - _lower_gamma_series(sm, x)
-        ex = math.exp(-x)
-        for j in range(m, 0, -1):
-            val = (val - _principal_pow(x, s + j - 1) * ex) / (s + j - 1)
-        return val
-
-    # x < 0: continuation
-    if x >= _NEG_BRIDGE_ANCHOR:
-        return complete_gamma(s) * (1.0 - _principal_pow(x, s) * _gamma_star(s, x))
-    anchor = complete_gamma(s) * (
-        1.0
-        - _principal_pow(_NEG_BRIDGE_ANCHOR, s)
-        * _gamma_star(s, _NEG_BRIDGE_ANCHOR)
-    )
-    # Gamma(s, x) = Gamma(s, anchor) + int_x^{anchor} t^{s-1} e^{-t} dt with
-    # the path on the upper lip of the cut: t = u e^{i pi}, u > 0.
-    phase = cmath.exp(1j * math.pi * (s - 1.0))
-    bridge = phase * _real_exp_moment(s, -_NEG_BRIDGE_ANCHOR, -x)
-    return anchor + bridge
+    return _upper_gamma(s, x, scaled=False)
 
 
 def upper_gamma_scaled(s: complex, x: float) -> complex:
@@ -299,15 +246,10 @@ def upper_gamma_scaled(s: complex, x: float) -> complex:
     Products such as Gamma(s, x) e^{x/2} are formed as
     upper_gamma_scaled(s, x) e^{-x/2}, never as 0 * inf.
     """
-    s = complex(s)
     x = float(x)
     if not x > 0.0:
         raise DomainError("upper_gamma_scaled requires x > 0")
-    if _recurrence_order(s, x):
-        return complex(_upper_gamma_int(int(round(s.real)), x, scaled=True))
-    if x >= s.real + 2.0 and x >= 1.0:
-        return _upper_gamma_cf(s, x, scaled=True)
-    return upper_gamma(s, x) * math.exp(x)  # series region: x < Re(s) + 2
+    return _upper_gamma(complex(s), x, scaled=True)
 
 
 def _gamma_half_exp(s: complex, xs: np.ndarray) -> np.ndarray:
@@ -332,20 +274,6 @@ def _gamma_half_exp(s: complex, xs: np.ndarray) -> np.ndarray:
             ).reshape(xs.shape)
         half = np.exp(-0.5 * xs)
         return np.where(half > 0.0, scaled * half, 0.0).astype(complex)
-
-
-def _real_exp_moment(s: complex, a: float, b: float) -> complex:
-    """int_a^b u^{s-1} e^u du for 0 < a < b, adaptive Gauss-Kronrod."""
-    from .testfn import quadrature  # deferred import, no cycle at call time
-
-    val, _ = quadrature(
-        lambda u: np.exp((s - 1.0) * np.log(u) + u),
-        a,
-        b,
-        rel_tol=1e-13,
-        vectorized=True,
-    )
-    return val
 
 
 _WHITTAKER_BLOCK = 64  # series terms per block of the array evaluation
@@ -451,14 +379,16 @@ def _seeded_series(zs: np.ndarray, mu: float, factors, name: str) -> np.ndarray:
     return out
 
 
-def _bessel_j_series(nu: float, x: float) -> float:
-    t = (0.5 * x) ** nu / math.gamma(nu + 1.0)
+def _bessel_j_series(nu: float, x) -> np.ndarray:
+    """J_nu on an array of x >= 0 (any shape) by the ascending series."""
+    xs = np.asarray(x, dtype=float)
+    t = (0.5 * xs) ** nu / math.gamma(nu + 1.0)
     acc = t
-    q = 0.25 * x * x
+    q = 0.25 * xs * xs
     for k in range(0, 10000):
-        t *= -q / ((k + 1.0) * (nu + k + 1.0))
-        acc += t
-        if abs(t) < 1e-18 * (abs(acc) + 1e-300) and k > 4:
+        t = t * (-q / ((k + 1.0) * (nu + k + 1.0)))
+        acc = acc + t
+        if k > 4 and np.all(np.abs(t) < 1e-18 * (np.abs(acc) + 1e-300)):
             return acc
     raise AccuracyError("bessel series did not settle")
 
@@ -503,19 +433,16 @@ def _bessel_j_miller_all(nmax: int, x) -> np.ndarray:
 def bessel_J(nu: float, x: float) -> float:
     """Bessel function of the first kind, nu >= 0, x >= 0.
 
-    Ascending series for x <= 12, backward recurrence for integer orders
-    beyond that, Hankel asymptotics for noninteger large-x arguments.
+    Integer orders are ``bessel_J_grid`` at one point; other orders take
+    the ascending series for x <= 12 and Hankel asymptotics beyond.
     Absolute error <= ~1e-12 for x <= 100.
     """
     if nu < 0 or x < 0:
         raise DomainError("bessel_J requires nu >= 0 and x >= 0")
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    if x <= 12.0:
-        return _bessel_j_series(nu, x)
     if abs(nu - round(nu)) < 1e-12:
-        n = int(round(nu))
-        return float(_bessel_j_miller_all(n, x)[n])
+        return float(bessel_J_grid(int(round(nu)), x))
+    if x <= 12.0:
+        return float(_bessel_j_series(nu, x))
     return _bessel_j_hankel(nu, x)
 
 
@@ -546,19 +473,17 @@ def _bessel_j_hankel(nu: float, x: float) -> float:
 def bessel_J_grid(n: int, xs: np.ndarray) -> np.ndarray:
     """J_n on an array of nonnegative points (integer order n).
 
-    Points x > 12 share one backward Miller sweep; the others take the
-    ascending series of ``bessel_J`` point by point.
+    Points x > 12 share one backward Miller sweep; the others share the
+    ascending series of ``bessel_J``.
     """
     xs = np.asarray(xs, dtype=float)
     if n < 0 or not np.all(xs >= 0):
         raise DomainError("bessel_J requires nu >= 0 and x >= 0")
-    flat = xs.ravel()
-    out = np.empty(flat.size)
-    far = flat > 12.0
-    out[far] = _bessel_j_miller_all(n, flat[far])[n]
-    for i in np.flatnonzero(~far):
-        out[i] = bessel_J(n, float(flat[i]))
-    return out.reshape(xs.shape)
+    out = np.empty(xs.shape)
+    far = xs > 12.0
+    out[far] = _bessel_j_miller_all(n, xs[far])[n]
+    out[~far] = _bessel_j_series(n, xs[~far])
+    return out
 
 
 # ----------------------------------------------------------------------------

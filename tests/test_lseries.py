@@ -381,6 +381,27 @@ def test_regularized_t0_independence_j744():
     assert all(np.isfinite([v.real, v.imag]).all() for v in vals)
 
 
+def test_regularized_j744_matches_mpmath_sum():
+    # the same series term by term in mpmath; the n = -1 term takes the
+    # continuation of Gamma(s, x) to x < 0
+    mp = pytest.importorskip("mpmath")
+    f = fixture("j744", 64)
+    s, t0, k = 2.5, 1.0, round(f.k)
+    got = regularized_lseries(f, s, t0)
+    with mp.workdps(40):
+        ref = mp.mpf(0)
+        for n, v in sorted(f.a.items()):
+            if n == 0 or v == 0:
+                continue
+            u = 2 * mp.pi * n
+            ref += complex(v) * (
+                mp.gammainc(s, u * t0) * u ** -s
+                + mp.mpc(0, 1) ** k * mp.gammainc(k - s, u / t0) * u ** (s - k)
+            )
+        ref = complex(ref)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 def test_regularized_first_sum_vanishes_large_t0():
     # each Gamma(6, 2 pi n t0) -> 0, so the first sum alone dies off
     f = fixture("delta", 64)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from maass_lseries.errors import DomainError, RangeOverflowError
+from maass_lseries.errors import AccuracyError, DomainError, RangeOverflowError
 from maass_lseries.specials import (
     bessel_J,
     bessel_J_grid,
@@ -84,7 +84,7 @@ def test_gamma_recurrence_negative_integer_orders():
 
 
 def test_gamma_bridge_region_consistency():
-    # recurrence across the |x| > 10 bridge path
+    # recurrence far out on the negative axis, x <= -11
     for s in (0.6 + 0.8j, 2.5, -1.3 + 0.2j):
         for x in (-11.0, -15.0, -40.0):
             lhs = upper_gamma(s + 1, x)
@@ -118,6 +118,8 @@ def test_gamma_domain_and_range_errors():
     assert abs(upper_gamma(2.0, 0.0) - 1.0) < 1e-15  # Gamma(2) = 1
     with pytest.raises(RangeOverflowError):
         upper_gamma(1.5, -800.0)
+    with pytest.raises(RangeOverflowError):
+        upper_gamma(-170, 1e-3)  # about 1e508
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +478,34 @@ def test_upper_gamma_negative_integer_order_negative_x_sweep():
         assert abs(upper_gamma(s, x) - ref) <= 1e-12 * abs(ref)
 
     check()
+
+
+def test_upper_gamma_noninteger_order_at_negative_x_matches_mpmath():
+    # Tricomi's alternating gamma* series left 5e-8 at s = -0.999, x = -10;
+    # the series of gamma(s, x) has terms of one sign there
+    mp = pytest.importorskip("mpmath")
+    orders = (-2.5, -1.3, -0.999, -0.5, 0.25, 0.5, 2.5, 0.6 + 0.8j, -1.3 + 0.2j, -3.5 + 1j)
+    for s in orders:
+        for x in (-60.0, -40.0, -15.0, -11.0, -10.0, -9.9, -5.0, -1.9, -1.0, -0.3, -1e-3):
+            with mp.workdps(40):
+                ref = complex(mp.gammainc(mp.mpc(s), x))
+            assert abs(upper_gamma(s, x) - ref) <= 1e-12 * abs(ref), (s, x)
+
+
+def test_upper_gamma_orders_near_and_past_the_factorial_underflow():
+    # 1/n! underflows past n = 170: upper_gamma(-169, -0.5) and
+    # upper_gamma(-170, x < 0) used to loop forever in the series
+    mp = pytest.importorskip("mpmath")
+    points = ((-169, -0.5), (-170, 0.5), (-170, -0.5), (-170, -3.0), (-171, 0.5),
+              (-171, 1.9), (-171, -0.5), (-200, -3.0))
+    for s, x in points:
+        with mp.workdps(400):
+            ref = complex(mp.gammainc(s, x))
+        assert abs(upper_gamma(s, x) - ref) <= 1e-13 * abs(ref), (s, x)
+    with pytest.raises(AccuracyError):
+        upper_gamma(-171, -300.0)  # the downward recurrence is unstable there
+    with pytest.raises(AccuracyError):
+        upper_gamma(-1, math.nan)  # a series that cannot settle stops
 
 
 def test_upper_gamma_scaled_stays_finite_past_underflow():
