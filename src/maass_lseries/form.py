@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, ShadowVanishesError
 from .specials import Character, _gamma_half_exp, gauss_sum
+from .testfn import _CHUNK, _LOG_TINY, _exp_normal
 
 _TWO_PI = 2.0 * math.pi
 
@@ -225,40 +226,63 @@ def _evaluate(f: FormData, zs, delta: bool, tol: float) -> np.ndarray:
     only when some Re z != 0; delta_k weights each term by
     k/2 + 2 pi i n z / M.  The tail is certified at the smallest Im z and,
     for delta_k, the largest |z|.
+
+    The ordinates are taken in ascending order, in row blocks of at most
+    ``_CHUNK`` table entries.  A block keeps only the a-columns whose e^w
+    is normal at its smallest y, and ``_exp_normal`` flushes the rest of
+    its subnormal e^w to 0; what is flushed, at most tiny |a(n)| a term
+    (times the delta_k weight), joins the tail bound.
     """
-    zs = np.asarray(zs, dtype=complex).reshape(-1, 1)
-    xs, ys = zs.real, zs.imag
-    if np.any(ys <= 0):
+    zs = np.asarray(zs, dtype=complex).ravel()
+    if np.any(zs.imag <= 0):
         raise DomainError("evaluation requires Im z > 0")
-    y_min = float(ys.min())
+    y_min = float(zs.imag.min())
     alpha = _TWO_PI * y_min / f.period
     tail = _hol_tail(f, alpha) + _nonhol_tail(f, alpha)
+    ns_a, vals_a = f._arrays("a")
+    pos = ns_a > 0
+    flushed = np.abs(vals_a[pos])  # bounds a term whose e^w < tiny is flushed, over tiny
     if delta:
         scale = _TWO_PI * float(np.abs(zs).max()) / f.period
         tail = abs(0.5 * f.k) * tail + scale * (
             _hol_tail(f, alpha, 1.0) + _nonhol_tail(f, alpha, 1.0)
         )
+        flushed = flushed * (abs(0.5 * f.k) + scale * ns_a[pos])
+    tail += np.finfo(float).tiny * float(np.sum(flushed))
     if tail > tol:
         raise InsufficientDataError(
             f"tail bound {tail:.2e} > tol {tol:.2e} at y={y_min:g}",
             required_n=required_n_estimate(f.amplitude("a"), f.growth_C, alpha, tol),
         )
-    off_axis = bool(np.any(xs != 0))
-    acc = np.zeros(len(zs), dtype=complex)
-    for part in ("a", "b"):
-        ns, vals = f._arrays(part)
-        if not len(ns):
-            continue
-        w = -_TWO_PI * (ys * ns) / f.period
-        terms = np.exp(w) if part == "a" else _gamma_half_exp(1.0 - f.k, 2.0 * w)
-        if off_axis:
-            theta = _TWO_PI * (xs * ns) / f.period
-            terms = terms * np.exp(1j * theta)
-            w = w + 1j * theta
-        if delta:
-            terms = terms * (0.5 * f.k + w)
-        acc += terms @ vals
-    return acc
+    off_axis = bool(np.any(zs.real != 0))
+    nb = len(f._arrays("b")[0])
+    order = np.argsort(zs.imag, kind="stable")
+    out = np.empty(len(zs), dtype=complex)
+    i = 0
+    while i < len(zs):
+        # e^w < tiny past n = -log(tiny) M / (2 pi y) at the block's smallest y,
+        # with a margin for the rounding of w
+        n_cut = -_LOG_TINY * f.period / (_TWO_PI * zs[order[i]].imag) * (1.0 + 1e-9)
+        cut = int(np.searchsorted(ns_a, n_cut, side="right"))
+        block = order[i:i + max(1, _CHUNK // max(1, cut + nb))]
+        z = zs[block, None]
+        acc = np.zeros(len(block), dtype=complex)
+        for part, (ns, vals) in (("a", (ns_a[:cut], vals_a[:cut])), ("b", f._arrays("b"))):
+            if not len(ns):
+                continue
+            w = -_TWO_PI * (z.imag * ns) / f.period
+            weight = 0.5 * f.k + w if delta else 1.0
+            terms = _exp_normal(w) if part == "a" else _gamma_half_exp(1.0 - f.k, 2.0 * w)
+            if off_axis:
+                theta = _TWO_PI * (z.real * ns) / f.period
+                terms = terms * np.exp(1j * theta)
+                weight = weight + 1j * theta
+            if delta:
+                terms *= weight
+            acc += terms @ vals
+        out[block] = acc
+        i += len(block)
+    return out
 
 
 def eval_point(f: FormData, z: complex, tol: float = 1e-12) -> complex:

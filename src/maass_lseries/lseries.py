@@ -28,6 +28,7 @@ from .errors import AccuracyError, DomainError, MembershipError
 from .form import FormData, RuleCoeffs, _hol_tail, delta_k_iy, eval_iy, geom_tail, twist
 from .specials import Character, _gamma_half_exp, _principal_pow, i_pow, upper_gamma
 from .testfn import (
+    _CHUNK,
     _G_W,
     _GK_NODES,
     _GK_W,
@@ -349,7 +350,6 @@ _ROUTE_AGREEMENT = 1e-12
 _TAU_TAIL = 1e-17  # tail of the tau-rule, relative to its integral's scale
 _TAU_GAUSS = 1e3  # z^14 at the peak, z = half the panel width times the rate
 _TAU_ZMAX = 8.0
-_CHUNK = 1 << 15  # entries of the tau-route's exponential table (256 kB)
 
 
 def _tau_tail(T: float, s: np.ndarray, p: float) -> np.ndarray:

@@ -74,12 +74,15 @@ def complete_gamma(s: complex) -> complex:
 
 
 def _principal_pow(x: float, s: complex) -> complex:
-    """x**s on the principal branch, arg(x) = +pi for x < 0."""
-    if x > 0:
-        return cmath.exp(complex(s) * math.log(x))
-    if x < 0:
-        return cmath.exp(complex(s) * complex(math.log(-x), math.pi))
-    raise DomainError("0**s undefined here")
+    """x**s on the principal branch, arg(x) = +pi for x < 0;
+    ``RangeOverflowError`` where it overflows."""
+    if x == 0:
+        raise DomainError("0**s undefined here")
+    log_x = math.log(x) if x > 0 else complex(math.log(-x), math.pi)
+    try:
+        return cmath.exp(complex(s) * log_x)
+    except OverflowError:
+        raise RangeOverflowError(f"{x}**{s} overflows double precision") from None
 
 
 def i_pow(k: int) -> complex:
@@ -169,8 +172,11 @@ def _upper_gamma_negint_series(n: int, x: float) -> complex:
         if x < -171.0:
             raise AccuracyError(f"Gamma({-n}, {x}): the downward recurrence is unstable")
         val = _upper_gamma_negint_series(170, x)
-        for j in range(170, n):  # x^{-j-1} e^{-x} in two factors: x^{-j-1} may underflow
-            val = (val - math.exp(-x) * x ** -(j // 2 + 1) * x ** (j // 2 - j)) / (-j - 1)
+        try:
+            for j in range(170, n):  # x^{-j-1} e^{-x} in two factors: x^{-j-1} may underflow
+                val = (val - math.exp(-x) * x ** -(j // 2 + 1) * x ** (j // 2 - j)) / (-j - 1)
+        except OverflowError:
+            raise RangeOverflowError(f"Gamma({-n}, {x}) overflows double precision") from None
         return val
     w = -x
     inv_fact = 1.0 / math.factorial(n)  # (-z)^{j-n} / j! at j = n

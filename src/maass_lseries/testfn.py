@@ -10,7 +10,6 @@ form for truncated powers and adaptive Gauss-Kronrod quadrature otherwise.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -57,27 +56,40 @@ _GK_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _G_W = np.zeros(15)
 _G_W[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 _GRID_RULES = (32, 20)  # Gauss points a panel of _grid_integrals: its value's and its check's
+_CHUNK = 1 << 15  # entries of an exponential table built at once (256 kB in float64)
 
 
-def _gk15(f, a: float, b: float):
-    """One GK15 panel: returns (value, err_est, abs_mass)."""
+# exp(_LOG_TINY) is normal and exp of the next double below it is subnormal
+# (the tests pin both)
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
+
+
+def _exp_normal(arg: np.ndarray) -> np.ndarray:
+    """exp(arg) in place, with 0 where it would fall below the smallest
+    normal double.  No argument below that reaches ``np.exp``, so no
+    subnormal is formed and no underflow taken: both are slow paths, and
+    the terms they would give are below every error bound that uses this."""
+    low = arg < _LOG_TINY
+    np.exp(arg, out=arg, where=~low)
+    arg[low] = 0.0
+    return arg
+
+
+def _gk15(fv, a: np.ndarray, b: np.ndarray):
+    """GK15 on the panels (a[i], b[i]), all nodes in one call of ``fv``:
+    returns arrays (values, err_ests, abs_masses), one entry a panel."""
     h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + h * _GK_NODES
-    ys = np.asarray(f(xs))
-    vk = h * np.sum(_GK_W * ys)
-    vg = h * np.sum(_G_W * ys)
-    mass = h * np.sum(_GK_W * np.abs(ys))
+    xs = (0.5 * (a + b))[:, None] + h[:, None] * _GK_NODES
+    ys = np.asarray(fv(xs.ravel())).reshape(xs.shape)
+    vk = h * (ys @ _GK_W)
+    diff = np.abs(vk - h * (ys @ _G_W))
+    mass = h * (np.abs(ys) @ _GK_W)
     # QUADPACK-style damped error estimate
-    mean = vk / (b - a)
-    asc = h * np.sum(_GK_W * np.abs(ys - mean))
-    diff = abs(vk - vg)
-    if asc > 0 and diff > 0:
-        err = asc * min(1.0, (200.0 * diff / asc) ** 1.5)
-    else:
-        err = diff
-    err = max(err, 50.0 * np.finfo(float).eps * mass)
-    return vk, err, mass
+    asc = h * (np.abs(ys - (vk / (b - a))[:, None]) @ _GK_W)
+    damped = (asc > 0) & (diff > 0)
+    err = diff.copy()
+    err[damped] = asc[damped] * np.minimum(1.0, (200.0 * diff[damped] / asc[damped]) ** 1.5)
+    return vk, np.maximum(err, 50.0 * np.finfo(float).eps * mass), mass
 
 
 def _as_vectorized(f, vectorized: bool):
@@ -105,9 +117,14 @@ def quadrature(
     Returns ``(value, err_est)``; raises :class:`AccuracyError` with the
     best estimate if the target is unreachable within ``max_subdiv``
     subdivisions.  Convergence means
-    ``err <= max(rel_tol |value|, 300 eps int|f|)``, the second term being
-    the roundoff floor that genuinely vanishing integrals of oscillating
-    integrands bottom out at.
+    ``err <= target = max(rel_tol |value|, 300 eps int|f|)``, the second
+    term being the roundoff floor that genuinely vanishing integrals of
+    oscillating integrands bottom out at.
+
+    Refinement runs in passes.  A pass bisects the largest-error panels
+    whose errors add up to the excess ``err - target / 2`` and evaluates
+    all their children with one call of ``f``, so a vectorized integrand
+    sees a few large node arrays rather than one small array a panel.
     """
     fv = _as_vectorized(f, vectorized)
     tail_bound = 0.0
@@ -117,48 +134,35 @@ def quadrature(
         if decay_rate is None or decay_rate <= 0:
             raise DomainError("semi-infinite quadrature needs a decay_rate hint")
         b, tail_bound = _truncate_semi_infinite(fv, a, decay_rate, rel_tol, knots)
-    edges = sorted({float(a), float(b), *(float(k) for k in knots if a < k < b)})
-    heap = []
-    count = 0
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    total_mass = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e, m = _gk15(fv, lo, hi)
-        heapq.heappush(heap, (-e, count, lo, hi, v, m))
-        count += 1
-        total += v
-        total_err += e
-        total_mass += m
-
-    def converged():
+    edges = np.array(sorted({float(a), float(b), *(float(k) for k in knots if a < k < b)}))
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs, masses = _gk15(fv, lo, hi)
+    budget = max_subdiv
+    while True:
+        total, total_err = complex(np.sum(vals)), float(np.sum(errs))
         # roundoff of the absolute mass is the attainable floor, which
         # matters for genuinely vanishing integrals of oscillating f
-        floor = 300.0 * np.finfo(float).eps * total_mass
-        return total_err <= max(rel_tol * abs(total), floor)
-
-    for _ in range(max_subdiv):
-        if converged():
-            break
-        neg_e, _, lo, hi, v, m = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1, m1 = _gk15(fv, lo, mid)
-        v2, e2, m2 = _gk15(fv, mid, hi)
-        total += v1 + v2 - v
-        total_err += e1 + e2 - (-neg_e)
-        total_mass += m1 + m2 - m
-        heapq.heappush(heap, (-e1, count, lo, mid, v1, m1))
-        count += 1
-        heapq.heappush(heap, (-e2, count, mid, hi, v2, m2))
-        count += 1
-    else:
-        if not converged():
+        target = max(rel_tol * abs(total), 300.0 * np.finfo(float).eps * float(np.sum(masses)))
+        if total_err <= target:
+            return total, total_err + tail_bound
+        if budget == 0:
             raise AccuracyError(
                 f"quadrature did not converge: err={total_err:.3e}",
-                best=complex(total),
+                best=total,
                 err_est=total_err + tail_bound,
             )
-    return complex(total), float(total_err + tail_bound)
+        order = np.argsort(-errs)
+        count = int(np.searchsorted(np.cumsum(errs[order]), total_err - 0.5 * target)) + 1
+        pick = order[:min(count, budget)]
+        budget -= len(pick)
+        keep = np.ones(len(lo), dtype=bool)
+        keep[pick] = False
+        mid = 0.5 * (lo[pick] + hi[pick])
+        halves = (np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]]))
+        lo, hi, vals, errs, masses = (
+            np.concatenate([old[keep], new])
+            for old, new in zip((lo, hi, vals, errs, masses), halves + _gk15(fv, *halves))
+        )
 
 
 def _truncate_semi_infinite(fv, a, decay_rate, rel_tol, knots):
@@ -168,7 +172,7 @@ def _truncate_semi_infinite(fv, a, decay_rate, rel_tol, knots):
     acc = 0.0
     ratio = math.exp(-decay_rate * w)
     for k in range(400):
-        _, _, m = _gk15(fv, lo, lo + w)
+        m = float(_gk15(fv, np.array([lo]), np.array([lo + w]))[2][0])
         acc += m
         lo += w
         tail = m * ratio / max(1e-300, 1.0 - ratio)
@@ -224,7 +228,9 @@ class _Bump:
         inside = (xs > c1) & (xs < c2)
         xi = xs[inside]
         expo = 4.0 / w2 - 1.0 / ((xi - c1) * (c2 - xi))
-        # exp(-inf) = 0 where exp(expo) underflows, without computing a subnormal
+        # exp(-inf) = 0 where exp(expo) underflows.  The cut stays at -745, not
+        # at _exp_normal's: flushing the subnormal values too would drop nodes
+        # from the transform grids and move the FE values in their last bits
         out[inside] = np.exp(np.where(expo > -745.0, expo, -np.inf))
         return out
 
@@ -810,19 +816,13 @@ def laplace_many(
     us = np.asarray(us, dtype=dtype)
     x, wf = _sampled_grid(phis, us, dtype)
     E = np.multiply.outer(-us, x)
-    np.exp(E, out=E)
-    unit = np.finfo(dtype).smallest_subnormal  # underflow is the only loss
+    if E.dtype == np.float64:
+        _exp_normal(E)
+        unit = np.finfo(np.float64).tiny  # what _exp_normal flushes is the only loss
+    else:
+        np.exp(E, out=E)
+        unit = np.finfo(dtype).smallest_subnormal  # underflow is the only loss
     return _split(E @ _columns(x, wf), us, x, wf, unit, single)
-
-
-_LOG_TINY = math.log(np.finfo(np.float64).tiny)
-
-
-def _exp_normal(arg: np.ndarray) -> np.ndarray:
-    """exp(arg) in place, with 0 where it would fall below the smallest
-    normal number (those exponentials would come out subnormal, slowly)."""
-    arg[arg < _LOG_TINY] = -np.inf
-    return np.exp(arg, out=arg)
 
 
 def laplace_lattice(

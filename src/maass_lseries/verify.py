@@ -41,10 +41,12 @@ from .specials import (
     kronecker_character,
 )
 from .testfn import (
+    _CHUNK,
     ExpRationalPiece,
     TestFunction,
     _Bump,
     _Spline,
+    _exp_normal,
     _grid_integrals,
     _padd,
     _pmul,
@@ -557,7 +559,7 @@ def _gf_moments(phi: TestFunction, k: int, ns) -> tuple[np.ndarray, np.ndarray]:
     coef = inv_fact[:, None] * np.power.outer(4.0 * math.pi * ns, 1.0 - k + ls).T
 
     def kernel(ys):
-        return np.exp(-_TWO_PI * np.outer(ys, ns)) * (np.power.outer(ys, ls) @ coef)
+        return _exp_normal(-_TWO_PI * np.outer(ys, ns)) * (np.power.outer(ys, ls) @ coef)
 
     return _grid_integrals(phi, kernel, _TWO_PI * ns, 1e-13)
 
@@ -601,8 +603,11 @@ def mf_term_check(
     coef = np.array([2.0 ** (l + 1) * fact / math.factorial(l) for l in ls])
 
     def outer(ys):
-        E = np.exp(-np.outer(1.0 / ys, us ** 2))
-        return phi.eval_many(ys) * (((E @ kern) * np.power.outer(ys, k - 2.0 - ls)) @ coef)
+        inner = np.empty((len(ys), len(ls)))
+        rows = max(1, _CHUNK // len(us))  # bounds the table e^{-u^2/y}
+        for i in range(0, len(ys), rows):
+            inner[i:i + rows] = _exp_normal(-np.outer(1.0 / ys[i:i + rows], us ** 2)) @ kern
+        return phi.eval_many(ys) * ((inner * np.power.outer(ys, k - 2.0 - ls)) @ coef)
 
     ov, _ = quadrature(outer, lo, hi, rel_tol=1e-11, knots=phi.knots(), vectorized=True)
     lhs = float(np.real(ov)) * (8.0 * math.pi * n) ** (0.5 * (1 - k)) / N

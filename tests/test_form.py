@@ -14,6 +14,7 @@ from maass_lseries.errors import (
 )
 from maass_lseries.form import (
     FormData,
+    _evaluate,
     delta_k_iy,
     delta_k_point,
     eval_iy,
@@ -127,6 +128,45 @@ def test_eval_iy_matches_pointwise():
     vec = eval_iy(f, ys)
     for y, v in zip(ys, vec):
         assert abs(v - eval_point(f, 1j * float(y))) < 1e-12 * abs(v)
+
+
+def _full_sum(f, zs, delta):
+    """The a-part over every column in one table, subnormals and all:
+    its values and absolute masses sum |a(n) term(n)|."""
+    ns, vals = f._arrays("a")
+    arg = 2j * math.pi * (zs[:, None] * ns) / f.period
+    terms = np.exp(arg.real) * (np.exp(1j * arg.imag) if np.any(zs.real) else 1.0)
+    if delta:
+        terms = terms * (0.5 * f.k + arg)
+    return terms @ vals, np.abs(terms) @ np.abs(vals)
+
+
+@pytest.mark.parametrize("name", ["j744", "inv_delta", "spike"])
+@pytest.mark.parametrize("off_axis", [False, True])
+@pytest.mark.parametrize("delta", [False, True])
+def test_evaluator_blocks_and_column_cut_match_the_full_sum(name, off_axis, delta):
+    # unsorted ordinates over several row blocks, most of them past the point
+    # where e^{-2 pi n y} leaves the normal range for the top columns.  The
+    # spike's a(400) = 1e288 makes its terms count down to e^{-700}, so only
+    # a cut at the normal range itself passes; one ordinate a call puts each
+    # at the smallest y of its block, where the cut is made
+    rng = np.random.default_rng(5)
+    if name == "spike":
+        f = FormData(weight2=24, level=1, psi=trivial_character(1), a={1: 1.0, 400: 1e288},
+                     exhaustive=True)
+        ys = np.linspace(0.25, 0.32, 300)
+    else:
+        f = fixture(name, 768)
+        ys = rng.permutation(np.concatenate([np.linspace(0.25, 11.5, 2000), [0.3, 7.0]]))
+    zs = (rng.uniform(-0.5, 0.5, len(ys)) if off_axis else 0.0) + 1j * ys
+    if name == "spike":
+        got = np.concatenate([_evaluate(f, [z], delta, 1e-6) for z in zs])
+    else:
+        got = _evaluate(f, zs, delta, 1e-6)
+    ref, mass = _full_sum(f, zs, delta)
+    # ulps of the mass: off the axis the delta_k sums cancel, and one
+    # term's last bit is up to 1e6 ulps of the value
+    assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * mass)
 
 
 def test_truncation_consistency_against_declared_tail():

@@ -9,7 +9,7 @@ import pytest
 
 from maass_lseries import lseries as lseries_module
 from maass_lseries.errors import AccuracyError, DomainError, MembershipError
-from maass_lseries.form import FormData, RuleCoeffs, twist
+from maass_lseries.form import FormData, RuleCoeffs, eval_iy, twist
 from maass_lseries.lseries import (
     _nonhol_part,
     regularized_lseries,
@@ -267,6 +267,27 @@ def test_delta_variant_closed_forms():
         shift_s(phi, 2.0), 2 * math.pi
     )
     assert abs(lseries_delta(f1, phi).value - expect) < 1e-13 * abs(expect)
+
+
+def test_integral_route_refines_in_few_passes(monkeypatch):
+    # one integrand call per refinement pass: about 27 calls when the
+    # quadrature refined one panel at a time
+    calls = []
+    monkeypatch.setattr(
+        lseries_module, "eval_iy", lambda *a, **k: calls.append(1) or eval_iy(*a, **k)
+    )
+    f = fixture("j744", 768)
+    iv = lseries_integral(f, BAT[0])
+    sv = lseries_series(f, BAT[0])
+    assert len(calls) <= 10
+    assert abs(iv.value - sv.value) <= 1e-12 * abs(sv.value)
+
+
+def test_lseries_s_keeps_its_value_under_the_pass_quadrature():
+    # a complex integrand; the reference is the one-panel-at-a-time value
+    lv = lseries_s(fixture("delta", 256), TestFunction.bump(0.5, 1.5), 0.5 + 2.0j)
+    ref = 0.0009098922071955875 - 0.00023770981664072215j
+    assert abs(lv.value - ref) <= 1e-15 * abs(ref)
 
 
 def test_delta_variant_series_vs_integral():

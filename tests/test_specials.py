@@ -508,6 +508,15 @@ def test_upper_gamma_orders_near_and_past_the_factorial_underflow():
         upper_gamma(-1, math.nan)  # a series that cannot settle stops
 
 
+def test_upper_gamma_overflow_raises_range_overflow():
+    # x^s past the double range in the order shift, and in the recurrence
+    # below order -170: both used to escape as a bare OverflowError
+    with pytest.raises(RangeOverflowError):
+        upper_gamma(-60.5, 1e-10)
+    with pytest.raises(RangeOverflowError):
+        upper_gamma(-210, 1e-3)
+
+
 def test_upper_gamma_scaled_stays_finite_past_underflow():
     # Gamma(11, 1500) underflows to 0; its scaled value is about 1500^10
     assert upper_gamma(11, 1500.0) == 0.0

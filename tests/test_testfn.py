@@ -7,7 +7,9 @@ import pytest
 
 from maass_lseries.errors import AccuracyError, DomainError
 from maass_lseries.testfn import (
+    _LOG_TINY,
     TestFunction,
+    _exp_normal,
     derivative,
     eval_at,
     laplace,
@@ -61,6 +63,54 @@ def test_quadrature_reports_failure_with_best_estimate():
             rel_tol=1e-13, max_subdiv=3,
         )
     assert exc.value.best is not None
+
+
+def test_quadrature_budget_caps_the_passes():
+    # a vectorized integrand: the budget of 3 bisections holds across passes,
+    # and the error carries the best estimate
+    nodes = []
+
+    def f(xs):
+        nodes.append(len(xs))
+        return np.abs(xs - 0.3) ** -0.9
+
+    with pytest.raises(AccuracyError) as exc:
+        quadrature(f, 0.0, 1.0, vectorized=True, max_subdiv=3)
+    assert exc.value.best is not None and exc.value.err_est > 0
+    assert sum(nodes) <= 15 * (1 + 2 * 3)
+
+
+@pytest.mark.parametrize("f, lo, hi, ref", [
+    # values of the one-panel-at-a-time quadrature the passes replaced
+    (lambda x: math.sqrt(x) * math.log(1.0 + x), 0.0, 2.0, 1.426347068120945),
+    (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0, 309.398691512415),
+])
+def test_quadrature_passes_keep_pointwise_values(f, lo, hi, ref):
+    v, e = quadrature(f, lo, hi)
+    assert abs(v - ref) <= 1e-15 * abs(ref)
+    assert e <= 1e-12 * abs(v)
+
+
+def test_exp_normal_is_exp_with_subnormals_flushed():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    tiny = np.finfo(np.float64).tiny
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.integers(1, 64), elements=st.floats(-800.0, 10.0)))
+    def check(arg):
+        ref = np.exp(arg)
+        ref[ref < tiny] = 0.0
+        assert np.array_equal(_exp_normal(arg.copy()).view(np.int64), ref.view(np.int64))
+
+    check()
+    # either side of the threshold, where a rounding of log(tiny) would err
+    edge = np.nextafter(_LOG_TINY, -np.inf)
+    assert _exp_normal(np.array([_LOG_TINY]))[0] >= tiny and np.exp(edge) < tiny
+    out = _exp_normal(np.array([edge, math.nan]))
+    assert out[0] == 0.0 and math.isnan(out[1])  # a NaN is not hidden
 
 
 # ---------------------------------------------------------------------------
