@@ -26,6 +26,7 @@ from .errors import AccuracyError, DomainError, MembershipError, RangeOverflowEr
 from .form import FormData, form_from_dict, form_to_dict
 from .lseries import classical_value, lseries_integral, lseries_series
 from .qseries import FIXTURE_NAMES, fixture, fixture_pair
+from .specials import trivial_character
 from .testfn import standard_battery
 from .verify import (
     converse_sweep,
@@ -50,9 +51,8 @@ def _battery_from_args(args) -> list:
     tol = getattr(args, "tol", None)
     if tol is not None and tol <= 0:
         raise SchemaError("tolerances must be positive")
-    if getattr(args, "dmax", 1) is not None and getattr(args, "dmax", 1) < 1:
-        raise SchemaError("the twisting-modulus cap must be >= 1")
-    if getattr(args, "dcap", None) is not None and args.dcap < 1:
+    caps = [getattr(args, cap, None) for cap in ("dmax", "dcap")]
+    if any(cap is not None and cap < 1 for cap in caps):
         raise SchemaError("the modulus cap must be >= 1")
     try:
         shifts = tuple(float(s) for s in args.shifts.split(",")) if args.shifts else (1,)
@@ -89,7 +89,8 @@ def _write_csv(records, stream):
         writer.writerow(r)
 
 
-def _emit(records: list[dict], args) -> None:
+def _emit(records, args) -> None:
+    """``records`` as JSON or CSV to --output, or to stdout when that is None or -."""
     if args.format == "csv":
         if args.output in (None, "-"):
             _write_csv(records, sys.stdout)
@@ -115,7 +116,11 @@ def cmd_lseries(args) -> int:
     if args.classical:
         if args.s is None:
             raise SchemaError("--classical needs --s")
-        lv = classical_value(f, complex(args.s), tol=args.tol)
+        try:
+            s = complex(args.s)
+        except ValueError as exc:
+            raise SchemaError(f"bad --s {args.s!r}: not a complex number") from exc
+        lv = classical_value(f, s, tol=args.tol)
         records.append(
             {
                 "kind": "classical",
@@ -127,7 +132,7 @@ def cmd_lseries(args) -> int:
         )
     else:
         for phi in _battery_from_args(args):
-            sv = lseries_series(f, phi, args.tol)
+            sv = lseries_series(f, phi)
             iv = lseries_integral(f, phi, args.tol)
             agree = abs(sv.value - iv.value) / max(abs(sv.value), abs(iv.value), 1e-30)
             records.append(
@@ -148,12 +153,9 @@ def cmd_lseries(args) -> int:
 def cmd_fe_check(args) -> int:
     f, g = _load_form(args)
     battery = _battery_from_args(args)
-    tol = args.tol if args.tol is not None else (1e-6 if f.weight2 % 2 else 1e-8)
     records = []
-    all_pass = True
     for D, chi, phi in sweep_instances(f, battery, range(1, args.dmax + 1)):
-        for r in fe_pair(f, g, chi, phi, tol):
-            all_pass &= r.passed
+        for r in fe_pair(f, g, chi, phi, args.tol):
             records.append(
                 {
                     "D": D,
@@ -170,7 +172,7 @@ def cmd_fe_check(args) -> int:
                 }
             )
     _emit(records, args)
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return EXIT_OK if all(r["pass"] for r in records) else EXIT_CHECK_FAILED
 
 
 def cmd_converse(args) -> int:
@@ -200,28 +202,28 @@ def cmd_converse(args) -> int:
     return EXIT_OK if rep.consistent else EXIT_CHECK_FAILED
 
 
+SUMMATION_TERMS = ("gf", "mf", "decomp")
+
+
 def cmd_summation_check(args) -> int:
     terms = args.terms.split(",")
+    unknown = [t for t in terms if t not in SUMMATION_TERMS]
+    if unknown:
+        raise SchemaError(f"unknown terms {unknown}; choose from {', '.join(SUMMATION_TERMS)}")
     battery = _battery_from_args(args)
     phi = battery[min(2, len(battery) - 1)]
+    checks = {
+        "gf": lambda n: gf_term_check(n, args.k, phi, tol=1e-10),
+        "mf": lambda n: mf_term_check(n, args.k, args.level, phi, tol=1e-6),
+    }
     records = []
-    all_pass = True
     for n in range(1, args.nmax + 1):
-        if "gf" in terms:
-            r = gf_term_check(n, args.k, phi, tol=1e-10)
-            records.append(
-                {"term": "gf", "n": n, "k": args.k, "rel_residual": r.rel_residual, "pass": r.passed}
-            )
-            all_pass &= r.passed
-        if "mf" in terms:
-            r = mf_term_check(n, args.k, args.level, phi, tol=1e-6)
-            records.append(
-                {"term": "mf", "n": n, "k": args.k, "rel_residual": r.rel_residual, "pass": r.passed}
-            )
-            all_pass &= r.passed
+        for term, check in checks.items():
+            if term in terms:
+                r = check(n)
+                records.append({"term": term, "n": n, "k": args.k,
+                                "rel_residual": r.rel_residual, "pass": r.passed})
     if "decomp" in terms:
-        from .specials import trivial_character
-
         a_f = {1: 2.0 + 1.0j, 2: -3.0 + 0.5j}
         b = {
             -n: -complex(v).conjugate() * (4.0 * math.pi * n) ** (1 - args.k)
@@ -242,22 +244,16 @@ def cmd_summation_check(args) -> int:
         records.append(
             {"term": "decomp", "k": args.k, "rel_residual": r.rel_residual, "pass": r.passed}
         )
-        all_pass &= r.passed
+    if not records:
+        raise SchemaError("nothing to check: gf and mf need --nmax >= 1")
     _emit(records, args)
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    return EXIT_OK if all(r["pass"] for r in records) else EXIT_CHECK_FAILED
 
 
 def cmd_fixtures_export(args) -> int:
     if args.name not in FIXTURE_NAMES:
         raise SchemaError(f"unknown fixture {args.name!r}")
-    f = fixture(args.name, args.precision)
-    payload = form_to_dict(f)
-    text = json.dumps(payload, indent=2)
-    if args.output in (None, "-"):
-        print(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+    _emit(form_to_dict(fixture(args.name, args.precision)), args)
     return EXIT_OK
 
 
@@ -281,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--classical", action="store_true", help="Dirichlet-series value")
     p.add_argument("--s", default=None, help="s for --classical")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="tolerance of the integral route and of --classical")
     p.set_defaults(func=cmd_lseries)
 
     p = sub.add_parser("fe-check", help="functional-equation residuals")
@@ -310,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--name", required=True)
     pe.add_argument("--precision", type=int, default=64)
     pe.add_argument("--output", "-o", default=None)
-    pe.set_defaults(func=cmd_fixtures_export)
+    pe.set_defaults(func=cmd_fixtures_export, format="json")
 
     return ap
 

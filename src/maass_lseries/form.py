@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, ShadowVanishesError
-from .specials import Character, _gamma_half_exp, gauss_sum
+from .errors import DomainError, InsufficientDataError, SchemaError, ShadowVanishesError
+from .specials import Character, _gamma_half_exp, characters_mod, gauss_sum
 from .testfn import _CHUNK, _LOG_TINY, _exp_normal
 
 _TWO_PI = 2.0 * math.pi
@@ -390,16 +390,20 @@ def form_to_dict(f: FormData) -> dict:
         "period": f.period,
         "n0": f.n0,
         "growth_C": f.growth_C,
+        "label": f.label,
+        "exhaustive": f.exhaustive,
         "a": [[int(n), float(np.real(v)), float(np.imag(v))] for n, v in sorted(f.a.items())],
         "b": [[int(n), float(np.real(v)), float(np.imag(v))] for n, v in sorted(f.b.items())],
     }
 
 
 def form_from_dict(d: dict) -> FormData:
-    from .errors import SchemaError
-    from .specials import characters_mod
-
+    """The form of a coefficient JSON object; ``label`` and ``exhaustive``
+    may be absent (files written before they were)."""
     try:
+        exhaustive = d.get("exhaustive", False)
+        if not isinstance(exhaustive, bool):
+            raise TypeError(f"exhaustive must be true or false, not {exhaustive!r}")
         ch = d["character"]
         chars = characters_mod(int(ch["modulus"]))
         psi = chars[int(ch["index"])]
@@ -415,6 +419,7 @@ def form_from_dict(d: dict) -> FormData:
             b=b,
             growth_C=float(d["growth_C"]),
             label=str(d.get("label", "")),
+            exhaustive=exhaustive,
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed coefficient data: {exc}") from exc

@@ -137,7 +137,7 @@ def _nonhol_series_tail(f: FormData, c1: float, extra_poly: float = 0.0) -> floa
 # the two defining routes
 
 
-def lseries_series(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue:
+def lseries_series(f: FormData, phi: TestFunction) -> LValue:
     """L_f(phi) by the defining coefficient-side series.
 
     The nonholomorphic terms are computed through the t-integral of the
@@ -154,18 +154,17 @@ def lseries_series(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue
       times both estimates.  Sharing the samples, the check covers the
       t-integral only; the x-grid's own error is in neither estimate.
     """
-    return _series_pair(f, phi, tol, delta=False)[0]
+    return _series_pair(f, phi, delta=False)[0]
 
 
-def lseries_delta(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue:
+def lseries_delta(f: FormData, phi: TestFunction) -> LValue:
     """L_{delta_k f}(phi) by the renormalized-derivative series."""
-    return _series_pair(f, phi, tol, delta=True)[1]
+    return _series_pair(f, phi, delta=True)[1]
 
 
 def _series_pair(
     f: FormData,
     phi: TestFunction,
-    tol: float,
     delta: bool,
     coeff_err: np.ndarray | None = None,
 ) -> tuple[LValue, LValue | None]:
@@ -176,13 +175,22 @@ def _series_pair(
     phi and phi_2 = phi x share one transform table.  ``coeff_err`` bounds
     the absolute error of each stored a(n), aligned with ``f._arrays("a")``;
     its image sum coeff_err |(L phi)(2 pi n / M)| joins the quadrature budget.
+
+    The tails past the stored range are taken once, up front: a tail that
+    is not finite means the envelope cannot certify the series, and raises
+    ``MembershipError`` before any transform is built (as does a phi
+    without compact support, in ``_phi_mass``).
     """
-    # the delta_k envelope carries an extra factor n, so certifying it
-    # certifies the plain series as well
-    series_membership(f, phi, delta)
     c1, _, K, K2 = _phi_mass(phi)
     alpha = _TWO_PI * c1 / f.period
     step = _TWO_PI / f.period
+    # the a- and b-tails of the plain series, then of the delta_k series,
+    # whose envelope carries an extra factor n (phi's mass K2 is that of phi x)
+    tails = (_hol_tail(f, alpha, mass=K), _nonhol_series_tail(f, c1))
+    if delta:
+        tails += (_hol_tail(f, alpha, 1.0, K2), _nonhol_series_tail(f, c1, 1.0))
+    if not all(map(math.isfinite, tails)):
+        raise MembershipError(f"membership series for {phi.label!r} not certifiably convergent")
     phi2 = shift_s(phi, 2.0)
     ns, avals = f._arrays("a")
     neg = ns < 0
@@ -216,7 +224,7 @@ def _series_pair(
         quad += float(np.sum(np.abs(avals[neg]) * ne[0]))
         if coeff_err is not None:
             quad += float(np.sum(coeff_err[neg] * np.abs(nv[0])))
-    trunc = _hol_tail(f, alpha, mass=K)
+    trunc = tails[0]
     n_terms = int(np.count_nonzero(plain | neg))
     if len(f.b):
         part = _nonhol_part(f, phi, delta)
@@ -230,7 +238,7 @@ def _series_pair(
             )
         value += part.t
         quad += part.t_err
-        trunc += _nonhol_series_tail(f, c1)
+        trunc += tails[1]
         n_terms += len(f.b)
     base = LValue(value, trunc, quad, n_terms, "series")
     if not delta:
@@ -252,11 +260,11 @@ def _series_pair(
         quad += step * float(np.sum(np.abs(weights) * ne[1]))
         if coeff_err is not None:
             quad += step * float(np.sum(coeff_err[neg] * np.abs(ns[neg] * nv[1])))
-    trunc += step * _hol_tail(f, alpha, 1.0, K2)
+    trunc += step * tails[2]
     if len(f.b):
         value += part.delta_t
         quad += part.delta_t_err
-        trunc += _nonhol_series_tail(f, c1, 1.0)
+        trunc += tails[3]
     return base, LValue(value, trunc, quad, len(f.a) + len(f.b), "series")
 
 
@@ -538,16 +546,14 @@ def lseries_twisted(
     f: FormData,
     chi: Character,
     phi: TestFunction,
-    tol: float = 1e-12,
     delta: bool = False,
 ) -> LValue:
     """L_{f_chi}(phi) (or the delta_k analogue), by delegation to the twist."""
-    plain, dval = _twisted_pair(f, chi, phi, tol, delta)
-    return dval if delta else plain
+    return _twisted_pair(f, chi, phi, delta)[delta]
 
 
 def _twisted_pair(
-    f: FormData, chi: Character, phi: TestFunction, tol: float = 1e-12, delta: bool = True
+    f: FormData, chi: Character, phi: TestFunction, delta: bool = True
 ) -> tuple[LValue, LValue | None]:
     """``_series_pair`` of f_chi, with the rounding of its coefficients charged.
 
@@ -560,7 +566,7 @@ def _twisted_pair(
     rounding = None
     if chi.modulus > 1:
         rounding = (2.0 * chi.modulus * _EPS) * np.abs(f._arrays("a")[1])
-    return _series_pair(twist(f, chi), phi, tol, delta, rounding)
+    return _series_pair(twist(f, chi), phi, delta, rounding)
 
 
 # ----------------------------------------------------------------------------
@@ -607,7 +613,7 @@ def lseries_s(
 # incomplete-gamma regularized series of weakly holomorphic forms
 
 
-def regularized_lseries(f: FormData, s: complex, t0: float, tol: float = 1e-12) -> complex:
+def regularized_lseries(f: FormData, s: complex, t0: float) -> complex:
     """The t0-regularized L-series of a weakly holomorphic form.
 
     L(s, f) = sum_{n != 0} a(n) Gamma(s, 2 pi n t0) (2 pi n)^{-s}
@@ -646,59 +652,59 @@ def regularized_lseries(f: FormData, s: complex, t0: float, tol: float = 1e-12) 
 # classical Dirichlet-series values
 
 
-def classical_value(
-    f: FormData, s: complex, tol: float = 1e-10, chunk: int = 1 << 22
-) -> LValue:
+_DIRICHLET_CHUNK = 1 << 22  # terms of rule-backed data summed per pass
+_ENVELOPE_TERMS = 4097  # of rule-backed data's first chunk, for the envelope fit
+
+
+def classical_value(f: FormData, s: complex, tol: float = 1e-10) -> LValue:
     """sum_{n >= 1} a(n) n^{-s} = L_f(I_s) for holomorphic cusp data.
 
-    The abscissa check fits a polynomial envelope |a(n)| <= A n^P to the
-    stored range and requires Re(s) > P + 1.  Rule-backed coefficient maps
-    are summed in vectorized chunks until the certified integral tail bound
-    drops below ``tol`` or the rule range is exhausted (the remaining tail
-    is reported in ``trunc_err``).
+    The abscissa check fits a polynomial envelope |a(n)| <= A n^P, to every
+    stored term or to the first ``_ENVELOPE_TERMS`` of a rule, and requires
+    Re(s) > P + 1.  Stored data is one chunk; rule-backed data is read in
+    chunks until the certified integral tail bound drops below ``tol`` or
+    the rule range ends.  The tail left is ``trunc_err``, zero when
+    exhaustive data was summed to its end.
     """
     if len(f.b) or f.n0 != 0:
         raise DomainError("classical_value requires holomorphic cusp data (b empty, n0 = 0)")
     s = complex(s)
     sig = s.real
     if isinstance(f.a, RuleCoeffs):
-        lo, hi_all = f.a.n_min, f.a.n_max
+        lo, last = f.a.n_min, f.a.n_max
         if lo < 1:
             raise DomainError("classical series starts at n = 1")
-        probe = np.abs(f.a.eval_range(lo, min(hi_all, lo + 4096)))
-        P, A = _poly_envelope(np.arange(lo, min(hi_all, lo + 4096) + 1), probe)
-        if sig <= P + 1.0 + 1e-9:
-            raise DomainError(
-                f"series diverges: Re(s)={sig:g} below abscissa ~{P + 1.0:g}"
-            )
-        acc = 0.0 + 0.0j
-        n_done = lo - 1
-        terms = 0
-        while n_done < hi_all:
-            n_hi = min(hi_all, n_done + chunk)
-            ns = np.arange(n_done + 1, n_hi + 1, dtype=float)
-            vals = f.a.eval_range(n_done + 1, n_hi)
-            if s.imag == 0:
-                acc += complex(np.sum(vals * ns ** (-sig)))
-            else:
-                acc += complex(np.sum(vals * np.exp(-s * np.log(ns))))
-            terms += len(ns)
-            n_done = n_hi
-            tail = _dirichlet_tail(A, P, sig, n_done)
-            if tail <= tol:
-                break
-        return LValue(complex(acc), _dirichlet_tail(A, P, sig, n_done), 0.0, terms, "series")
-    ns, avals = f._arrays("a")
-    pos = ns >= 1
-    ns, avals = ns[pos].astype(float), avals[pos]
-    if len(ns) == 0:
-        return LValue(0.0 + 0.0j, 0.0, 0.0, 0, "series")
-    P, A = _poly_envelope(ns, np.abs(avals))
-    if sig <= P + 1.0 + 1e-9:
-        raise DomainError(f"series diverges: Re(s)={sig:g} below abscissa ~{P + 1.0:g}")
-    acc = complex(np.sum(avals * np.exp(-s * np.log(ns))))
-    trunc = 0.0 if f.exhaustive else _dirichlet_tail(A, P, sig, int(ns[-1]))
-    return LValue(acc, trunc, 0.0, len(ns), "series")
+
+        def read(n):
+            m = min(last, n + _DIRICHLET_CHUNK - 1)
+            return np.arange(n, m + 1, dtype=float), f.a.eval_range(n, m)
+
+        chunks = map(read, range(lo, last + 1, _DIRICHLET_CHUNK))
+        fit = slice(_ENVELOPE_TERMS)
+    else:
+        ns, avals = f._arrays("a")
+        pos = ns >= 1
+        if not np.any(pos):
+            return LValue(0.0 + 0.0j, 0.0, 0.0, 0, "series")
+        last = int(ns[-1])
+        chunks = [(ns[pos].astype(float), avals[pos])]
+        fit = slice(None)
+    acc = 0.0 + 0.0j
+    terms = 0
+    for ns, vals in chunks:
+        if not terms:
+            P, A = _poly_envelope(ns[fit], np.abs(vals[fit]))
+            if sig <= P + 1.0 + 1e-9:
+                raise DomainError(f"series diverges: Re(s)={sig:g} below abscissa ~{P + 1.0:g}")
+        # real s: one power per term, much cheaper than a complex exponential
+        powers = ns ** (-sig) if s.imag == 0 else np.exp(-s * np.log(ns))
+        acc += complex(np.sum(vals * powers))
+        terms += len(ns)
+        n_done = int(ns[-1])
+        if _dirichlet_tail(A, P, sig, n_done) <= tol:
+            break
+    exact = f.exhaustive and n_done == last
+    return LValue(acc, 0.0 if exact else _dirichlet_tail(A, P, sig, n_done), 0.0, terms, "series")
 
 
 def _poly_envelope(ns, mags):

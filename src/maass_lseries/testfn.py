@@ -612,8 +612,9 @@ def slash_W(phi: TestFunction, a, M: int) -> TestFunction:
 def derivative(phi: TestFunction, m: int) -> TestFunction:
     """m-th derivative of an unmodified bump or spline.
 
-    Modifier stacks are rejected: normalize first.  (Slashed bumps used by
-    the derivative-lift identity go through ExpRationalPiece directly.)
+    Modifier stacks are rejected: normalize first.  (The slashed bumps and
+    splines of the derivative-lift identity are exp-rational pieces, built
+    by ``verify._slashed_pieces``.)
     """
     if m < 0:
         raise DomainError("derivative order must be >= 0")

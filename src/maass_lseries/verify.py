@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, MembershipError
 from .form import FormData
-from .lseries import _twisted_pair, lseries_series
+from .lseries import _twisted_pair, _weighted_transform_sum, lseries_series
 from .specials import (
     Character,
     _gamma_half_exp,
@@ -39,12 +40,14 @@ from .specials import (
     i_pow,
     kronecker,
     kronecker_character,
+    trivial_character,
 )
 from .testfn import (
     _CHUNK,
     ExpRationalPiece,
     TestFunction,
     _Bump,
+    _ExpRatPieces,
     _Spline,
     _exp_normal,
     _grid_integrals,
@@ -219,7 +222,8 @@ def fe_residual_half(
 
 
 def fe_pair(f: FormData, g: FormData, chi: Character, phi: TestFunction, tol=None):
-    """Dispatch on weight parity; default tolerances 1e-8 / 1e-6."""
+    """Dispatch on weight parity; default tolerances 1e-8 / 1e-6, decided
+    here for every caller."""
     if f.weight2 % 2 == 0:
         return fe_residual_int(f, g, chi, phi, 1e-8 if tol is None else tol)
     return fe_residual_half(f, g, chi, phi, 1e-6 if tol is None else tol)
@@ -279,35 +283,31 @@ def converse_sweep(
     tol: float | None = None,
     dmax: int | None = None,
     primitive_only: bool = False,
-    dcap: int = 20,
 ) -> SweepReport:
     """Run the functional-equation hypotheses over (D, chi, phi) triples.
 
-    D ranges over the moduli coprime to N below N^2 (level 1 checks the
-    single D = 1 equation); ``primitive_only`` switches to the
+    D ranges over the moduli coprime to N below N^2, at most ``dmax`` (level
+    1 checks the single D = 1 equation); ``primitive_only`` switches to the
     primitive-character variant, whose unbounded modulus quantifier is
-    truncated at ``dcap``.  Both the plain and the delta_k equations are
+    truncated at ``dmax``, 20 when None.  ``tol`` defaults to ``fe_pair``'s
+    parity default.  Both the plain and the delta_k equations are
     required.  The verdict is monotone in the battery: adding test
     functions can only break consistency, never restore it.  A sweep whose
     failures are all unreliable is "inconclusive"; it is not consistent.
     """
     if battery is None:
         battery = standard_battery()
-    half = f.weight2 % 2 != 0
-    N = f.level
-    if tol is None:
-        tol = 1e-6 if half else 1e-8
     if primitive_only:
-        if half:
+        if f.weight2 % 2 != 0:
             raise DomainError("the primitive-only sweep is stated for integral weight")
-        d_range = range(1, dcap + 1)
+        d_top = 20 if dmax is None else dmax
     else:
-        d_range = range(1, max(1, N * N - 1) + 1)
+        d_top = max(1, f.level ** 2 - 1)
         if dmax is not None:
-            d_range = range(1, min(max(1, N * N - 1), dmax) + 1)
+            d_top = min(d_top, dmax)
     reports = tuple(
         r
-        for _, chi, phi in sweep_instances(f, battery, d_range, primitive_only)
+        for _, chi, phi in sweep_instances(f, battery, range(1, d_top + 1), primitive_only)
         for r in fe_pair(f, g, chi, phi, tol)
     )
     failures = tuple(r for r in reports if not r.passed)
@@ -350,19 +350,10 @@ def derivative_lift(f: FormData) -> FormData:
     # there keeps the certificate valid
     n_edge = max((abs(n) for n in a), default=2)
     bump_c = (k - 1) * math.log(_TWO_PI * (n_edge + 1)) / math.sqrt(n_edge + 1)
-    lifted = FormData(
-        weight2=2 * k,
-        level=f.level,
-        psi=f.psi,
-        period=f.period,
-        n0=f.n0,
-        a=a,
-        b={},
-        growth_C=f.growth_C + bump_c + 0.1,
+    return replace(
+        f, weight2=2 * k, a=a, growth_C=f.growth_C + bump_c + 0.1,
         label=f"lift[{f.label}]" if f.label else "lift",
-        exhaustive=f.exhaustive,
     )
-    return lifted
 
 
 @dataclass(frozen=True)
@@ -385,30 +376,33 @@ class IdentityReport:
         return cls(lhs, rhs, a, r, r <= tol, detail, **extra)
 
 
-def _slashed_exp_rational(phi: TestFunction, power: int, M: int = 1) -> ExpRationalPiece:
-    """(M x)^{power} phi(1/(M x)) for a bump phi, as an exact piece.
+def _slashed_pieces(base, power: int) -> _ExpRatPieces:
+    """x^{power} phi(1/x) for a bump or spline phi (``base``), as exact
+    exp-rational pieces.
 
-    With phi = exp(u0(y)/v0(y)) on (c1, c2), the composition y = 1/(Mx)
-    turns u0/v0 into a rational function of x, and the prefactor is the
-    polynomial (M x)^{power} (power >= 0).
+    At y = 1/x a bump exp(u0(y)/v0(y)) on (c1, c2) is exp(u(x)/v(x)) with
+    v = (1 - c1 x)(c2 x - 1) and u = (4/w^2) v - x^2, and a spline piece
+    sum_j c_j y^j is sum_j c_j x^{2m+power-j} / x^{2m} with u = 0, v = x and
+    2m >= j - power for every j (power >= 0).
     """
-    from fractions import Fraction
-
-    if not isinstance(phi.base, _Bump) or phi.ops:
-        raise DomainError("slashed closed form implemented for plain bumps")
-    if power < 0:
-        raise DomainError("polynomial prefactor needs power >= 0")
-    c1 = Fraction(phi.base.c1)
-    c2 = Fraction(phi.base.c2)
-    Mf = Fraction(M)
-    # v(x) = (1 - c1 M x)(c2 M x - 1), u(x) = (4/w^2) v(x) - (M x)^2
-    v = _pmul((Fraction(1), -c1 * Mf), (Fraction(-1), c2 * Mf))
-    w2 = (c2 - c1) ** 2
-    u = _padd(_pscale(v, Fraction(4) / w2), (Fraction(0), Fraction(0), -(Mf ** 2)))
-    s = tuple([Fraction(0)] * power + [Mf ** power])
-    lo = 1.0 / (M * float(c2))
-    hi = 1.0 / (M * float(c1))
-    return ExpRationalPiece(s, 0, u, v, lo, hi)
+    one, zero = Fraction(1), Fraction(0)
+    if isinstance(base, _Bump):
+        c1, c2 = Fraction(base.c1), Fraction(base.c2)
+        v = _pmul((one, -c1), (-one, c2))
+        u = _padd(_pscale(v, 4 / (c2 - c1) ** 2), (zero, zero, -one))
+        snum = (zero,) * power + (one,)
+        return _ExpRatPieces((ExpRationalPiece(snum, 0, u, v, 1.0 / float(c2), 1.0 / float(c1)),))
+    pieces = []
+    ks = base.knots_
+    for i in range(len(base.pieces)):
+        cs = base.global_piece(i)
+        m = max(0, len(cs) - power) // 2
+        snum = [zero] * (2 * m + power + 1)
+        for j, c in enumerate(cs):
+            snum[2 * m + power - j] = c
+        lo, hi = 1.0 / ks[i + 1], 1.0 / ks[i]
+        pieces.append(ExpRationalPiece(tuple(snum), m, (zero,), (zero, one), lo, hi))
+    return _ExpRatPieces(tuple(pieces))
 
 
 def alpha_identity_check(
@@ -432,8 +426,6 @@ def alpha_identity_check(
     if phi.ops or not isinstance(base, (_Bump, _Spline)):
         raise DomainError("alpha identity needs an unmodified bump or spline")
     if f is None:
-        from .specials import trivial_character
-
         f = FormData(
             weight2=2 * (2 - k),
             level=1,
@@ -450,26 +442,13 @@ def alpha_identity_check(
     rhs_i = lseries_series(f, dphi)
     rep_i = IdentityReport.build(lhs_i.value, rhs_i.value, tol, "L-series transfer")
 
-    # (ii) pointwise, on the reciprocal support
-    if isinstance(base, _Bump):
-        lo, hi = 1.0 / base.c2, 1.0 / base.c1
-        xs = np.linspace(lo, hi, 102)[1:-1]
-        # left: x^{-k} phi^{(k-1)}(1/x)
-        dvals = dphi.eval_many(1.0 / xs)
-        lhs_vals = xs ** (-float(k)) * dvals
-        # right: -(d/dx)^{k-1} [x^{k-2} phi(1/x)]
-        piece = _slashed_exp_rational(phi, k - 2, 1)
-        for _ in range(k - 1):
-            piece = piece.derivative()
-        rhs_vals = -piece.eval_many(xs)
-    else:
-        ks = base.knots_
-        lo, hi = 1.0 / ks[-1], 1.0 / ks[0]
-        xs = np.linspace(lo, hi, 102)[1:-1]
-        xs = np.array([x for x in xs if all(abs(1.0 / x - kn) > 1e-9 for kn in ks)])
-        dvals = dphi.eval_many(1.0 / xs)
-        lhs_vals = xs ** (-float(k)) * dvals
-        rhs_vals = -_spline_slashed_derivative(base, k, xs)
+    # (ii) pointwise, on the reciprocal support away from phi's knots
+    ks = base.knots()
+    xs = np.linspace(1.0 / ks[-1], 1.0 / ks[0], 102)[1:-1]
+    xs = np.array([x for x in xs if all(abs(1.0 / x - kn) > 1e-9 for kn in ks)])
+    # left: x^{-k} phi^{(k-1)}(1/x); right: -(d/dx)^{k-1} [x^{k-2} phi(1/x)]
+    lhs_vals = xs ** (-float(k)) * dphi.eval_many(1.0 / xs)
+    rhs_vals = -derivative(TestFunction(_slashed_pieces(base, k - 2)), k - 1).eval_many(xs)
     scale = max(float(np.max(np.abs(lhs_vals))), float(np.max(np.abs(rhs_vals))), _REL_FLOOR)
     worst_abs = float(np.max(np.abs(lhs_vals - rhs_vals)))
     worst = worst_abs / scale
@@ -482,40 +461,6 @@ def alpha_identity_check(
         detail="pointwise involution (sup over 100 samples)",
     )
     return rep_i, rep_ii
-
-
-def _spline_slashed_derivative(base: _Spline, k: int, xs: np.ndarray) -> np.ndarray:
-    """(d/dx)^{k-1} [x^{k-2} p(1/x)] for piecewise-polynomial p, by pieces.
-
-    x^{k-2} p(1/x) = sum_j c_j x^{k-2-j} with the global monomial
-    coefficients c_j, differentiated termwise; the falling factorial kills
-    every exponent in [0, k-2], so only the genuinely rational terms
-    survive.  Exact Fraction arithmetic avoids the monomial-basis blowup of
-    high-degree pieces.
-    """
-    from fractions import Fraction
-
-    out = np.zeros(xs.shape)
-    for i in range(len(base.pieces)):
-        lo, hi = base.knots_[i], base.knots_[i + 1]
-        mask = (1.0 / xs > lo) & (1.0 / xs < hi)
-        if not np.any(mask):
-            continue
-        coeffs = base.global_piece(i)
-        terms = []
-        for j, c in enumerate(coeffs):
-            p = k - 2 - j
-            fac = 1
-            for t in range(k - 1):
-                fac *= p - t
-            if fac != 0 and c != 0:
-                terms.append((c * fac, p - (k - 1)))
-        vals = []
-        for x in xs[mask]:
-            xf = Fraction(float(x))
-            vals.append(float(sum(c * xf ** e for c, e in terms)))
-        out[mask] = vals
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -687,27 +632,16 @@ def summation_residual(
         raise DomainError("summation formula needs even k >= 2")
     N = f.level
 
-    from .lseries import _weighted_transform_sum
+    def transform_sum(coeffs: dict[int, complex], test: TestFunction) -> complex:
+        """sum_n coeffs[n] (L test)(2 pi n)"""
+        items = sorted(coeffs.items())
+        cs = np.array([c for _, c in items], dtype=complex)
+        return _weighted_transform_sum(cs, test, np.array([n for n, _ in items]), 1)[0]
 
-    g_items = sorted(g_plus.items())
-    part1, _ = _weighted_transform_sum(
-        np.array([c for _, c in g_items], dtype=complex),
-        phi,
-        np.array([n for n, _ in g_items]),
-        1,
-    )
+    part1 = transform_sum(g_plus, phi)
     # int phi(y) (-iy)^{k-2} e^{-2 pi n/(N y)} dy
     #   = (-i)^{k-2} N (L (phi|_k W_N))(2 pi n)   via y -> 1/(N x)
-    gw_items = sorted(gW_plus.items())
-    miy = (-1j) ** (k - 2)
-    phi_w = slash_W(phi, float(k), N)
-    part2, _ = _weighted_transform_sum(
-        np.array([c for _, c in gw_items], dtype=complex),
-        phi_w,
-        np.array([n for n, _ in gw_items]),
-        1,
-    )
-    part2 *= miy * N
+    part2 = transform_sum(gW_plus, slash_W(phi, float(k), N)) * ((-1j) ** (k - 2) * N)
     lhs = part1 - float(N) ** (0.5 * k - 1.0) * part2
 
     terms = [(n, av) for n, av in sorted(f.a.items()) if n >= 1 and av != 0]

@@ -167,10 +167,23 @@ def test_domain_error_exit_code(tmp_path):
     assert code == 3
 
 
+def test_unusable_requests_are_input_errors(capsys):
+    # a value of s that is not a number is an input error, not a failed check
+    assert run(["lseries", "--fixture", "delta", "--precision", "64",
+                "--classical", "--s", "abc"]) == 2
+    # unknown term names, and requests that yield no record, print nothing
+    assert run(["summation-check", "--terms", "foo"]) == 2
+    assert run(["summation-check", "--terms", "gf,foo", "--nmax", "1"]) == 2
+    assert run(["summation-check", "--terms", "gf", "--nmax", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("input error: ") == 4
+
+
 def test_config_invariants_are_input_errors():
     assert run(["lseries", "--fixture", "delta", "--battery-count", "0"]) == 2
     assert run(["fe-check", "--fixture", "delta", "--tol=-1e-8"]) == 2
     assert run(["converse", "--fixture", "delta", "--dcap", "0"]) == 2
+    assert run(["fe-check", "--fixture", "delta", "--dmax", "0"]) == 2
 
 
 @pytest.mark.parametrize("error", [AccuracyError("did not converge"), RangeOverflowError("too big")])

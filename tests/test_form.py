@@ -357,9 +357,39 @@ def test_validate_growth_cases():
 def test_json_schema_roundtrip():
     f = fixture("theta", 32)
     d = form_to_dict(f)
-    assert set(d) == {"weight2", "level", "character", "period", "n0", "growth_C", "a", "b"}
+    assert set(d) == {
+        "weight2", "level", "character", "period", "n0", "growth_C", "label", "exhaustive", "a", "b",
+    }
     f2 = form_from_dict(d)
     assert f2.weight2 == f.weight2 and f2.level == f.level
     assert all(abs(f2.a[n] - f.a[n]) < 1e-15 for n in f.a)
     with pytest.raises(SchemaError):
         form_from_dict({"weight2": 2})
+
+
+def test_json_roundtrip_keeps_exhaustive_and_label():
+    # the harmonic g of weight -10 with shadow Delta, a finite Fourier
+    # polynomial: exported and loaded back it must still need no tail
+    from maass_lseries.lseries import lseries_series
+    from maass_lseries.testfn import standard_battery
+
+    k = 12
+    tau = fixture("delta", 13).a
+    g = FormData(
+        weight2=2 * (2 - k), level=1, psi=trivial_character(1), n0=1,
+        a={-1: 1.0, 0: 2.0, 1: 5.0, 2: -1.0},
+        b={-n: -complex(tau[n]).conjugate() * (4 * math.pi * n) ** (1 - k) for n in range(1, 13)},
+        growth_C=8.0, label="g", exhaustive=True,
+    )
+    g2 = form_from_dict(form_to_dict(g))
+    assert (g2.label, g2.exhaustive) == ("g", True)
+    phi = standard_battery()[3]
+    want, got = lseries_series(g, phi), lseries_series(g2, phi)
+    assert got.trunc_err == want.trunc_err == 0.0
+    assert got.value == want.value
+    # files written without the two fields still load, as non-exhaustive data
+    old = {key: v for key, v in form_to_dict(g).items() if key not in ("label", "exhaustive")}
+    g3 = form_from_dict(old)
+    assert (g3.label, g3.exhaustive) == ("", False)
+    with pytest.raises(SchemaError):
+        form_from_dict({**form_to_dict(g), "exhaustive": "false"})

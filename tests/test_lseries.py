@@ -348,7 +348,11 @@ def test_membership_error_for_noncompact():
     with pytest.raises(MembershipError):
         series_membership(f, tp)
     with pytest.raises(MembershipError):
+        series_membership(f, tp, for_delta=True)
+    with pytest.raises(MembershipError):
         lseries_series(f, tp)
+    with pytest.raises(MembershipError):
+        lseries_delta(f, tp)
 
 
 def test_s_family_consistency_and_cross_route():

@@ -9,9 +9,9 @@ import pytest
 from maass_lseries import testfn
 from maass_lseries.errors import AccuracyError, DomainError, MembershipError
 from maass_lseries.form import FormData, twist
-from maass_lseries.lseries import _series_pair, lseries_delta, lseries_series
+from maass_lseries.lseries import _series_pair, lseries_delta, lseries_series, series_membership
 from maass_lseries.qseries import fixture, fixture_pair
-from maass_lseries.specials import characters_mod, trivial_character
+from maass_lseries.specials import characters_mod, kronecker_character, trivial_character
 from maass_lseries.testfn import TestFunction, slash_W, standard_battery
 from maass_lseries.verify import (
     FEReport,
@@ -109,6 +109,36 @@ def test_fe_membership_error_names_side():
     assert exc.value.__context__ is None and exc.value.__cause__ is None
 
 
+def test_fe_side_raises_where_membership_fails_on_theta():
+    """A side raises MembershipError exactly where ``series_membership``
+    rejects its twisted form: on theta@768 at D < 16 that is the right side
+    of the outer bumps from D = 7 on, for every character mod D."""
+    def failure(call):
+        try:
+            call()
+        except MembershipError as exc:
+            return str(exc)
+        return None
+
+    f, g = fixture_pair("theta", 768)
+    raised = set()
+    for D in range(1, 16, 2):
+        for chi in characters_mod(D):
+            chi_right = chi.conjugate() * kronecker_character(D)
+            for j, phi in enumerate(BAT):
+                assert failure(lambda: _fe_side(f, chi, phi, "left")) is None
+                phi_w = slash_W(phi, 1.5, 4)
+                side = failure(lambda: _fe_side(g, chi_right, phi_w, "right"))
+                bound = failure(lambda: series_membership(twist(g, chi_right), phi_w, True))
+                assert (side is None) == (bound is None), (D, chi.index, j)
+                if side is not None:
+                    assert side == f"right side: {bound}"
+                    raised.add((D, j))
+    assert raised == {(7, 9), (9, 8), (9, 9), (11, 8), (11, 9)} | {
+        (D, j) for D in (13, 15) for j in (7, 8, 9)
+    }
+
+
 def test_converse_sweep_delta_consistent():
     f, g = fixture_pair("delta", 256)
     rep = converse_sweep(f, g, BAT)
@@ -153,11 +183,17 @@ def test_converse_sweep_monotone_in_battery():
 
 def test_converse_sweep_primitive_mode():
     f, g = fixture_pair("delta", 256)
-    rep = converse_sweep(f, g, BAT[:3], primitive_only=True, dcap=5)
+    rep = converse_sweep(f, g, BAT[:3], primitive_only=True, dmax=5)
     assert rep.consistent
     # D in {1,3,4,5} coprime to 1 with primitive characters only:
     # phi(1)=1, D=2 trivial not primitive, D=3: 1, D=4: 1, D=5: 3
     assert rep.n_checked == (1 + 1 + 1 + 3) * 3 * 2
+    # the modulus cap is 20 by default, and dmax moves it either way
+    for dmax, top in ((None, 20), (25, 25)):
+        rep = converse_sweep(f, g, BAT[3:4], primitive_only=True, dmax=dmax)
+        primitive = sum(chi.is_primitive for D in range(1, top + 1) for chi in characters_mod(D))
+        assert rep.consistent and rep.n_checked == 2 * primitive
+        assert max(int(r.chi_id.split(".")[0]) for r in rep.reports) == top
 
 
 def test_twisted_fe_delta_mod3_mod5():
@@ -239,14 +275,20 @@ def test_derivative_lift_sweep():
     assert rep.worst.rel_residual < 1e-7
 
 
-@pytest.mark.parametrize("k,phi_kind", [(2, "bump"), (4, "bump"), (12, "bspline")])
+ALPHA_PHIS = {
+    "bump": TestFunction.bump(1, 2),
+    "bspline": TestFunction.bspline(11, 1, 3),
+    "bspline7": TestFunction.bspline(7, 0.5, 2.5),
+    "bump_wide": TestFunction.bump(0.3, 1.7),
+}
+
+
+@pytest.mark.parametrize(
+    "k,phi_kind",
+    [(2, "bump"), (4, "bump"), (12, "bspline"), (6, "bspline7"), (4, "bump_wide")],
+)
 def test_alpha_identities(k, phi_kind):
-    phi = (
-        TestFunction.bump(1, 2)
-        if phi_kind == "bump"
-        else TestFunction.bspline(11, 1, 3)
-    )
-    rep_i, rep_ii = alpha_identity_check(phi, k, tol=1e-9)
+    rep_i, rep_ii = alpha_identity_check(ALPHA_PHIS[phi_kind], k, tol=1e-9)
     assert rep_i.passed and rep_i.rel_residual < 1e-9
     assert rep_ii.passed and rep_ii.rel_residual < 1e-9
 
@@ -465,7 +507,7 @@ def _check_side_matches_routes(f, chi, phi):
     assert _within_budgets(dval, lseries_delta(fx, phi)), (chi, phi.label)
     if chi.modulus == 1:
         # twisting mod 1 is exact, so nothing is charged for it
-        ref, ref_d = _series_pair(fx, phi, 1e-12, delta=True)
+        ref, ref_d = _series_pair(fx, phi, delta=True)
         assert (plain.quad_err, dval.quad_err) == (ref.quad_err, ref_d.quad_err)
     else:
         # the side's budget also carries the rounding of the twisted coefficients
@@ -501,7 +543,7 @@ def test_trivial_twist_charges_no_coefficient_rounding():
         phi_w = slash_W(phi, 2.0 - f.weight2 / 2.0, f.level)
         for form, test in ((f, phi), (g, phi_w)):
             side = _fe_side(form, CHI1, test, "left")
-            ref = _series_pair(form, test, 1e-12, delta=True)
+            ref = _series_pair(form, test, delta=True)
             for got, want in zip(side, ref):
                 assert got.value == want.value, (name, test.label)
                 assert got.quad_err == want.quad_err, (name, test.label)
