@@ -17,6 +17,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -118,8 +119,10 @@ def cmd_lseries(args) -> int:
             raise SchemaError("--classical needs --s")
         try:
             s = complex(args.s)
-        except ValueError as exc:
-            raise SchemaError(f"bad --s {args.s!r}: not a complex number") from exc
+        except ValueError:
+            s = math.nan
+        if not cmath.isfinite(s):
+            raise SchemaError(f"bad --s {args.s!r}: not a finite complex number")
         lv = classical_value(f, s, tol=args.tol)
         records.append(
             {

@@ -670,6 +670,8 @@ def classical_value(f: FormData, s: complex, tol: float = 1e-10) -> LValue:
         raise DomainError("classical_value requires holomorphic cusp data (b empty, n0 = 0)")
     s = complex(s)
     sig = s.real
+    if not (math.isfinite(sig) and math.isfinite(s.imag)):
+        raise DomainError(f"s must be finite, got {s}")
     if isinstance(f.a, RuleCoeffs):
         lo, last = f.a.n_min, f.a.n_max
         if lo < 1:

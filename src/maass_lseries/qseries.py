@@ -10,11 +10,14 @@ functional-equation checks rely on.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from numbers import Rational
 
-from .errors import DomainError
+from .errors import DomainError, RangeOverflowError
 from .form import FormData, _growth_fit
 from .specials import trivial_character
 
@@ -66,18 +69,49 @@ def qexp(lead: int, coeffs) -> QExpansion:
     return _normalized(lead, list(coeffs))
 
 
+def _integers(coeffs):
+    """(d, [d c for c in coeffs]) with d the common denominator: exact integers."""
+    if all(type(c) is int for c in coeffs):
+        return 1, coeffs
+    if not all(isinstance(c, Rational) for c in coeffs):
+        raise DomainError("q-expansion coefficients must be exact (int or Fraction)")
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, [int(c.numerator) * (d // c.denominator) for c in coeffs]
+
+
+def _product(x, y, prec: int) -> list:
+    """First `prec` coefficients of x(q) y(q), by Kronecker substitution.
+
+    Each list becomes one integer sum_i v_i 2^(8 nbytes i).  Half a slot,
+    2^(8 nbytes - 1), exceeds every product coefficient in size, so the
+    product plus half in each slot has nonnegative slots that carry into no
+    other: one big-integer multiplication gives every coefficient.
+    """
+    dx, x = _integers(x)
+    dy, y = _integers(y)
+    bound = max(map(abs, x), default=0) * max(map(abs, y), default=0) * min(len(x), len(y))
+    if not bound or not prec:
+        return [0] * prec
+    nbytes = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * nbytes - 1)
+    half_slot = half.to_bytes(nbytes, "little")
+
+    def pack(v):  # slots v_i + half, all in [0, 2^(8 nbytes)), less the bias
+        biased = b"".join((c + half).to_bytes(nbytes, "little") for c in v)
+        return int.from_bytes(biased, "little") - int.from_bytes(half_slot * len(v), "little")
+
+    z = pack(x) * pack(y) + int.from_bytes(half_slot * prec, "little")
+    raw = (z & ((1 << (8 * nbytes * prec)) - 1)).to_bytes(nbytes * prec, "little")
+    out = [int.from_bytes(raw[i : i + nbytes], "little") - half for i in range(0, len(raw), nbytes)]
+    if dx * dy == 1:
+        return out
+    return [c if c.denominator != 1 else c.numerator for c in (Fraction(c, dx * dy) for c in out)]
+
+
 def qexp_mul(a: QExpansion, b: QExpansion) -> QExpansion:
     """Product truncated to the minimum common precision."""
     prec = min(a.precision, b.precision)
-    out = [0] * prec
-    for i, ca in enumerate(a.coeffs[:prec]):
-        if ca == 0:
-            continue
-        jmax = prec - i
-        for j, cb in enumerate(b.coeffs[:jmax]):
-            if cb != 0:
-                out[i + j] += ca * cb
-    return _normalized(a.lead + b.lead, out)
+    return _normalized(a.lead + b.lead, _product(a.coeffs[:prec], b.coeffs[:prec], prec))
 
 
 def qexp_add(a: QExpansion, b: QExpansion) -> QExpansion:
@@ -100,36 +134,36 @@ def qexp_scale(a: QExpansion, c) -> QExpansion:
 def qexp_pow(a: QExpansion, e: int) -> QExpansion:
     if e < 0:
         return qexp_pow(qexp_invert(a), -e)
-    result = qexp(0, [1] + [0] * (a.precision - 1))
-    power = a
-    while e:
+    if e == 0:
+        return qexp(0, [1] + [0] * (a.precision - 1))
+    result, power = None, a
+    while True:
         if e & 1:
-            result = qexp_mul(result, power)
-        power = qexp_mul(power, power) if e > 1 else power
+            result = power if result is None else qexp_mul(result, power)
         e >>= 1
-    return result
+        if not e:
+            return result
+        power = qexp_mul(power, power)
 
 
 def qexp_invert(a: QExpansion) -> QExpansion:
-    """Multiplicative inverse: qexp_mul(a, invert(a)) = 1 + O(q^precision)."""
+    """Multiplicative inverse: qexp_mul(a, invert(a)) = 1 + O(q^precision).
+
+    Newton's iteration g <- g (2 - a g) doubles the number of correct terms
+    at each step; over exact coefficients every step is exact.
+    """
     if not a.coeffs or all(c == 0 for c in a.coeffs):
         raise DomainError("cannot invert the zero series")
-    prec = a.precision
-    a0 = a.coeffs[0]
-    inv0 = Fraction(1, a0) if isinstance(a0, int) else 1 / Fraction(a0)
-    if inv0.denominator == 1:
-        inv0 = int(inv0)
-    out = [inv0] + [0] * (prec - 1)
-    for m in range(1, prec):
-        acc = 0
-        for j in range(1, m + 1):
-            if j < len(a.coeffs) and a.coeffs[j] != 0:
-                acc += a.coeffs[j] * out[m - j]
-        term = -acc * inv0 if isinstance(inv0, int) else -Fraction(acc) * inv0
-        if isinstance(term, Fraction) and term.denominator == 1:
-            term = int(term)
-        out[m] = term
-    return QExpansion(-a.lead, tuple(out))
+    d, (n,) = _integers([a.coeffs[0]])  # a_0 = n / d, exactly
+    inv0 = Fraction(d, n)
+    g = [inv0.numerator if inv0.denominator == 1 else inv0]
+    m = 1
+    while m < a.precision:
+        # g is the inverse mod q^h, so a g = 1 + q^h e and g (2 - a g) = g - q^h g e
+        h, m = m, min(2 * m, a.precision)
+        e = _product(a.coeffs[:m], g, m)[h:]
+        g += [-c for c in _product(g, e, m - h)]
+    return QExpansion(-a.lead, tuple(g))
 
 
 # ----------------------------------------------------------------------------
@@ -180,13 +214,10 @@ def fixture_qexp(name: str, precision: int = 64) -> QExpansion:
     if name == "e6":
         return _sigma_series(5, -504, 1, precision)
     if name == "j744":
-        # e4^3 / delta - 744; needs 2 extra working terms for the shift by q^{-1}
-        prec = precision + 2
-        e4 = fixture_qexp("e4", prec)
-        num = qexp_pow(e4, 3)
-        j = qexp_mul(num, qexp_invert(fixture_qexp("delta", prec)))
-        out = qexp_add(j, qexp(0, [-744] + [0] * (prec - 1)))
-        return QExpansion(out.lead, out.coeffs[:precision])
+        # e4^3 / delta - 744; the product's lead is 1/delta's, q^-1
+        e4_cubed = qexp_pow(fixture_qexp("e4", precision), 3)
+        j = qexp_mul(e4_cubed, fixture_qexp("inv_delta", precision))
+        return QExpansion(-1, (j.coeffs[0], j.coeffs[1] - 744) + j.coeffs[2:])
     if name == "inv_delta":
         return qexp_invert(fixture_qexp("delta", precision))
     if name == "theta":
@@ -220,7 +251,12 @@ def fixture(name: str, precision: int = 64) -> FormData:
     """
     qe = fixture_qexp(name, precision)
     weight2, level, n0 = _FIXTURE_META[name]
-    a = {n: complex(c) for n, c in qe.items() if c != 0}
+    try:
+        a = {n: complex(c) for n, c in qe.items() if c != 0}
+    except OverflowError:
+        n = next(n for n, c in qe.items() if abs(c) > sys.float_info.max)
+        raise RangeOverflowError(f"fixture {name!r}: the coefficient of q^{n} exceeds the double "
+                                 f"range; use precision <= {n - qe.lead}") from None
     return FormData(
         weight2=weight2,
         level=level,

@@ -32,6 +32,14 @@ def test_fixtures_export_unknown_name(capsys):
     assert run(["fixtures", "export", "--name", "nope"]) == 2
 
 
+def test_fixtures_export_past_the_double_range_exits_4(capsys):
+    # j744's coefficient of q^3249 exceeds the double range
+    assert run(["fixtures", "export", "--name", "j744", "--precision", "3400"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("numerical error: ") and "precision <= 3250" in out.err
+
+
 def test_lseries_fixture_battery(tmp_path):
     out = tmp_path / "lseries.json"
     code = run([
@@ -168,15 +176,16 @@ def test_domain_error_exit_code(tmp_path):
 
 
 def test_unusable_requests_are_input_errors(capsys):
-    # a value of s that is not a number is an input error, not a failed check
-    assert run(["lseries", "--fixture", "delta", "--precision", "64",
-                "--classical", "--s", "abc"]) == 2
+    # a value of s that is not a finite number is an input error, not a failed check
+    for s in ("abc", "nan"):
+        assert run(["lseries", "--fixture", "delta", "--precision", "64",
+                    "--classical", "--s", s]) == 2
     # unknown term names, and requests that yield no record, print nothing
     assert run(["summation-check", "--terms", "foo"]) == 2
     assert run(["summation-check", "--terms", "gf,foo", "--nmax", "1"]) == 2
     assert run(["summation-check", "--terms", "gf", "--nmax", "0"]) == 2
     out = capsys.readouterr()
-    assert out.out == "" and out.err.count("input error: ") == 4
+    assert out.out == "" and out.err.count("input error: ") == 5
 
 
 def test_config_invariants_are_input_errors():

@@ -501,6 +501,13 @@ def test_classical_divergence_error():
         classical_value(th, 12.0)  # n0 != 0
 
 
+@pytest.mark.parametrize("s", [math.nan, complex(12.0, math.nan), math.inf, complex(12.0, -math.inf)])
+def test_classical_rejects_non_finite_s(s):
+    # NaN compares false with the abscissa, so it would pass that check
+    with pytest.raises(DomainError, match="finite"):
+        classical_value(fixture("delta", 64), s)
+
+
 def test_harmonic_series_route_past_gamma_underflow():
     """Weight -10 form with shadow Delta on bump 9: 4 pi n y reaches 1700,
     where Gamma(11, 4 pi n y) underflows and e^{2 pi n y} overflows; the

@@ -1,20 +1,46 @@
 """Exact q-expansion arithmetic and the fixture forms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from maass_lseries.errors import DomainError
+from maass_lseries.errors import DomainError, RangeOverflowError
 from maass_lseries.form import validate_growth
 from maass_lseries.qseries import (
     fixture,
     fixture_pair,
     fixture_qexp,
     qexp,
+    qexp_add,
     qexp_invert,
     qexp_mul,
     qexp_pow,
+    qexp_scale,
 )
+
+
+def _exact(c):
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _schoolbook_mul(x, y):
+    """First min(len) coefficients of x(q) y(q), summed as Fractions."""
+    return [_exact(sum((Fraction(x[i]) * y[m - i] for i in range(m + 1)), Fraction(0)))
+            for m in range(min(len(x), len(y)))]
+
+
+def _schoolbook_invert(x):
+    """1/x(q) term by term: inv[m] = -(sum_{j >= 1} x[j] inv[m - j]) / x[0]."""
+    inv = [1 / Fraction(x[0])]
+    for m in range(1, len(x)):
+        inv.append(-sum(Fraction(x[j]) * inv[m - j] for j in range(1, m + 1)) / x[0])
+    return [_exact(c) for c in inv]
+
+
+def _typed(coeffs):
+    return [(type(c), c) for c in coeffs]
 
 
 def test_mul_basic():
@@ -142,3 +168,78 @@ def test_fixture_growth_bound_under_30():
 def test_fixture_pair_self_dual():
     f, g = fixture_pair("delta", 32)
     assert f is g
+
+
+def _series_strategy():
+    from hypothesis import strategies as st
+
+    big = st.integers(-(2**200), 2**200)
+    rational = st.one_of(big, st.fractions(max_denominator=10**12))
+    zeros = st.integers(1, 12).map(lambda k: [0] * k)
+
+    def series(coeff):
+        runs = st.lists(st.one_of(st.lists(coeff, min_size=1, max_size=6), zeros), max_size=6)
+        return st.tuples(st.integers(-3, 3), coeff.filter(bool), runs).map(
+            lambda t: (t[0], [t[1]] + [c for run in t[2] for c in run]))
+
+    # integer-only series take the products' common-denominator-free path
+    return st.sampled_from([big, rational]).flatmap(series)
+
+
+def test_mul_and_invert_against_schoolbook_oracle():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=150, deadline=None)
+    @given(_series_strategy(), _series_strategy())
+    def check(a, b):
+        (la, x), (lb, y) = a, b
+        p = qexp_mul(qexp(la, x), qexp(lb, y))
+        assert p.lead == la + lb
+        assert _typed(p.coeffs) == _typed(_schoolbook_mul(x, y))
+        inv = qexp_invert(qexp(la, x))
+        assert inv.lead == -la
+        assert _typed(inv.coeffs) == _typed(_schoolbook_invert(x))
+
+    check()
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, 1 + 0j])
+def test_inexact_coefficients_rejected(bad):
+    a = qexp(0, [1, bad, 3])
+    with pytest.raises(DomainError, match="exact"):
+        qexp_mul(a, qexp(0, [1, 1, 1]))
+    with pytest.raises(DomainError, match="exact"):
+        qexp_invert(a)
+    with pytest.raises(DomainError, match="exact"):
+        qexp_invert(qexp(0, [bad]))
+
+
+def test_fixture_identities_at_768():
+    p = 768
+    e4, e6, d = (fixture_qexp(name, p) for name in ("e4", "e6", "delta"))
+    # E4^3 - E6^2 = 1728 Delta (the constant terms cancel, so the lead is q^1)
+    diff = qexp_add(qexp_pow(e4, 3), qexp_scale(qexp_pow(e6, 2), -1))
+    assert diff.lead == 1 and diff.coeffs == qexp_scale(d, 1728).coeffs[: p - 1]
+    j = fixture_qexp("j744", p)
+    num = qexp_pow(e4, 3)
+    prod = qexp_mul(num, fixture_qexp("inv_delta", p))
+    assert j.lead == -1 and j.coeffs == (prod.coeffs[0], prod.coeffs[1] - 744) + prod.coeffs[2:]
+    # (j744 + 744) Delta = E4^3 by an integer convolution, without an inverse
+    jd = [sum(j.coeffs[i] * d.coeffs[m - i] for i in range(m + 1)) for m in range(p)]
+    jd = [c + 744 * dc for c, dc in zip(jd, (0,) + d.coeffs)]
+    assert jd == list(num.coeffs)
+    tau = d.coefficient
+    for m in range(2, 28):
+        for n in range(m + 1, p // m + 1):
+            if gcd(m, n) == 1:
+                assert tau(m * n) == tau(m) * tau(n)
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        assert tau(q * q) == tau(q) ** 2 - q**11
+
+
+def test_fixture_past_the_double_range_names_the_usable_precision():
+    # 1/Delta's coefficient of q^3713 is the first beyond the largest double
+    with pytest.raises(RangeOverflowError, match=r"'inv_delta'.*q\^3713.*precision <= 3714"):
+        fixture("inv_delta", 3715)
+    assert all(abs(complex(c)) < float("inf") for c in fixture_qexp("inv_delta", 3715).coeffs[:3714])
