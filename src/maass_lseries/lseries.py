@@ -35,6 +35,7 @@ from .testfn import (
     TestFunction,
     _columns,
     _exp_normal,
+    _flush_tiny,
     _sampled_grid,
     _split,
     laplace_lattice,
@@ -180,6 +181,14 @@ def _series_pair(
     is not finite means the envelope cannot certify the series, and raises
     ``MembershipError`` before any transform is built (as does a phi
     without compact support, in ``_phi_mass``).
+
+    Within the stored range each series sums only what its budget can see.
+    A term n > 0 has the bound b_n = (|a(n)| + coeff_err_n) K e^{-alpha n}
+    (n times that, with K2, in the delta_k series), and is summed when b_n
+    exceeds rho sum b, rho = 1e-3 eps_ld / len(ns); the bounds of the terms
+    left out join that value's ``trunc_err``.  They add up to about 1e-3 of
+    the smallest rounding budget the long-double escalation can report.
+    n = 0, the negative indices and the b-part are always summed.
     """
     c1, _, K, K2 = _phi_mass(phi)
     alpha = _TWO_PI * c1 / f.period
@@ -194,15 +203,12 @@ def _series_pair(
     phi2 = shift_s(phi, 2.0)
     ns, avals = f._arrays("a")
     neg = ns < 0
-    # skip only positive-index terms whose certified bound is below the
-    # representable range; anything larger may still matter after cancellation
-    decay = np.where(ns > 0, alpha * ns.astype(float), 0.0)
-    mags = np.abs(avals)
-    plain = (ns == 0) | (
-        (ns > 0) & (np.log(mags + 1e-300) + math.log(max(K, 1e-300)) - decay > -650.0)
-    )
-    deriv = (ns > 0) & (np.log(mags * (ns + 1) + 1e-300) - decay > -650.0)
-    deriv &= delta
+    # each series sums its terms n > 0 that its budget can see, and charges
+    # the others' bounds to its truncation
+    mags = np.abs(avals) if coeff_err is None else np.abs(avals) + coeff_err
+    plain, skipped = _mass_cut(ns, mags, alpha)
+    plain |= ns == 0
+    deriv, skipped_d = _mass_cut(ns, ns * mags, alpha) if delta else (np.zeros_like(plain), 0.0)
     table = plain | deriv
     if np.any(table):
         lv, le = laplace_lattice((phi, phi2) if delta else (phi,), ns[table], step)
@@ -224,7 +230,7 @@ def _series_pair(
         quad += float(np.sum(np.abs(avals[neg]) * ne[0]))
         if coeff_err is not None:
             quad += float(np.sum(coeff_err[neg] * np.abs(nv[0])))
-    trunc = tails[0]
+    trunc = tails[0] + K * skipped
     n_terms = int(np.count_nonzero(plain | neg))
     if len(f.b):
         part = _nonhol_part(f, phi, delta)
@@ -260,7 +266,7 @@ def _series_pair(
         quad += step * float(np.sum(np.abs(weights) * ne[1]))
         if coeff_err is not None:
             quad += step * float(np.sum(coeff_err[neg] * np.abs(ns[neg] * nv[1])))
-    trunc += step * tails[2]
+    trunc += step * (tails[2] + K2 * skipped_d)
     if len(f.b):
         value += part.delta_t
         quad += part.delta_t_err
@@ -268,8 +274,26 @@ def _series_pair(
     return base, LValue(value, trunc, quad, len(f.a) + len(f.b), "series")
 
 
+def _mass_cut(ns: np.ndarray, mags: np.ndarray, alpha: float):
+    """The terms n > 0 of a series with bounds b_n = mags_n e^{-alpha n}
+    (times a constant) that exceed rho sum b, rho = 1e-3 eps_ld / len(ns),
+    as a mask over ns, and the sum of the other terms' b_n.  The rule is
+    relative, so it does not change when every mags_n is scaled; it works
+    in logarithms, so no b_n underflows on the way."""
+    pos = (ns > 0) & (mags > 0)
+    if not np.any(pos):
+        return np.zeros(len(ns), dtype=bool), 0.0
+    log_b = np.full(len(ns), -np.inf)
+    log_b[pos] = np.log(mags[pos]) - alpha * ns[pos]
+    top = float(np.max(log_b))
+    rel = np.exp(log_b - top)
+    keep = rel > (1e-3 * _EPS_LD / len(ns)) * float(np.sum(rel))
+    return keep, math.exp(top) * float(np.sum(rel[~keep]))
+
+
 _CANCEL_ESCALATE = 3e3
 _PI_LD = 4 * np.arctan(np.longdouble(1.0))
+_EPS_LD = float(np.finfo(np.longdouble).eps)
 
 
 def _weighted_transform_sum(
@@ -310,10 +334,9 @@ def _weighted_transform_sum(
         storage_noise += float(np.sum(coeff_err * np.abs(lv)))
     cancel = mass / max(abs(ssum), 1e-300)
     if cancel > _CANCEL_ESCALATE and _longdouble_capable(phi):
-        eps_ld = float(np.finfo(np.longdouble).eps)
-        redo = errs > eps_ld * mass / len(ns)
+        redo = errs > _EPS_LD * mass / len(ns)
         terms2 = terms.astype(np.clongdouble)
-        quad = float(np.sum(errs[~redo])) + eps_ld * mass * 10.0
+        quad = float(np.sum(errs[~redo])) + _EPS_LD * mass * 10.0
         if np.any(redo):
             us_ld = ns[redo].astype(np.longdouble) * (2 * _PI_LD / np.longdouble(period))
             lv2, le2 = laplace_many(phi, us_ld, dtype=np.longdouble)
@@ -482,15 +505,19 @@ def _tau_route(x, samples, lam, c1: float, p: float, rule):
     """
     tau, wk, wg, T = rule
     tiny = np.finfo(np.float64).tiny
-    ncol = samples.shape[1] * len(lam)
-    cols = _exp_normal(np.multiply.outer(x, -lam))[:, None, :] * samples[:, :, None]
-    cols = cols.reshape(len(x), ncol)
-    cols[np.abs(cols) < tiny] = 0.0  # no subnormal enters the products
-    table = _columns(x, cols)
+    nlam = len(lam)
+    ncol = samples.shape[1] * nlam
+    # the distinct sample columns times e^{-lambda x}; logical column (c, lambda)
+    # of the product is its column (idx[c], lambda)
+    dist, idx = _columns(x, samples)
+    table = _exp_normal(np.multiply.outer(x, -lam))[:, None, :] * dist[:, :, None]
+    table = table.reshape(len(x), -1)
+    _flush_tiny(table, dist.shape[1] == len(idx))
+    idx = (idx[:, None] * nlam + np.arange(nlam)).ravel()
     lam_c = np.tile(lam, samples.shape[1])
     s_c = 2.0 * c1 * lam_c
-    lost = np.repeat(samples, len(lam), axis=1)  # bounds what fell below tiny
-    acc = np.zeros(ncol, dtype=cols.dtype)
+    lost = np.repeat(samples, nlam, axis=1)  # bounds what fell below tiny
+    acc = np.zeros(ncol, dtype=table.dtype)
     err = np.zeros(ncol)
     kg = np.zeros(ncol)
     wd = wk - wg
@@ -499,13 +526,13 @@ def _tau_route(x, samples, lam, c1: float, p: float, rule):
     for i in range(0, len(tau), rows):
         tc = tau[i:i + rows]
         B = _exp_normal(np.multiply.outer(tc, -x / c1, out=buf[:len(tc)]))
-        vals, errs = _split(B @ table, lam_c[:, None] + tc / c1, x, lost, tiny, False)
+        vals, errs = _split(B @ table, idx, lam_c[:, None] + tc / c1, x, lost, tiny, False)
         power = (1.0 + tc / s_c[:, None]) ** p
         vals *= power
         acc += vals @ wk[i:i + rows]
         err += (errs * power) @ wk[i:i + rows]
         kg += np.sum(np.abs((vals * wd[i:i + rows]).reshape(ncol, -1, 15).sum(axis=2)), axis=1)
-    mass = np.sum(np.abs(cols), axis=0) + tiny * np.sum(np.abs(lost), axis=0)
+    mass = np.sum(np.abs(table), axis=0)[idx[:ncol]] + tiny * np.sum(np.abs(lost), axis=0)
     return acc / s_c, (kg + err + mass * _tau_tail(T, s_c, p)) / s_c
 
 

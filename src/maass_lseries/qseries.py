@@ -69,13 +69,18 @@ def qexp(lead: int, coeffs) -> QExpansion:
     return _normalized(lead, list(coeffs))
 
 
+def _exact(coeffs: list) -> list:
+    """``coeffs``, once each is checked to be exact (int or Fraction)."""
+    if not all(isinstance(c, Rational) for c in coeffs):
+        raise DomainError("q-expansion coefficients must be exact (int or Fraction)")
+    return coeffs
+
+
 def _integers(coeffs):
     """(d, [d c for c in coeffs]) with d the common denominator: exact integers."""
     if all(type(c) is int for c in coeffs):
         return 1, coeffs
-    if not all(isinstance(c, Rational) for c in coeffs):
-        raise DomainError("q-expansion coefficients must be exact (int or Fraction)")
-    d = lcm(*(c.denominator for c in coeffs))
+    d = lcm(*(c.denominator for c in _exact(coeffs)))
     return d, [int(c.numerator) * (d // c.denominator) for c in coeffs]
 
 
@@ -124,11 +129,11 @@ def qexp_add(a: QExpansion, b: QExpansion) -> QExpansion:
     for n, c in b.items():
         if n < end:
             out[n - lead] += c
-    return _normalized(lead, out)
+    return _normalized(lead, _exact(out))
 
 
 def qexp_scale(a: QExpansion, c) -> QExpansion:
-    return _normalized(a.lead, [c * x for x in a.coeffs])
+    return _normalized(a.lead, _exact([c * x for x in a.coeffs]))
 
 
 def qexp_pow(a: QExpansion, e: int) -> QExpansion:

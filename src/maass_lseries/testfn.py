@@ -711,7 +711,9 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
     panel in float64 and 40 in long double.  A bump
     underflows to exactly 0 on the nodes graded into its endpoints; the
     nodes where every test function is 0 add nothing to any transform and
-    are dropped.
+    are dropped.  A member that differs from the one before it only by its
+    trailing shift is sampled as those samples times x^(s - s_prev): phi x
+    after phi is exactly x times phi's column, which ``_columns`` reuses.
     """
     lo, hi = phis[0].support()
     knots = phis[0].knots()
@@ -736,9 +738,24 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
     h = 0.5 * (b - a)
     x = (0.5 * (a + b) + h * xg).ravel()
     w = (h * wg).ravel()
-    wf = np.stack([w * p.eval_many(x) for p in phis], axis=1)
+    cols = [w * phis[0].eval_many(x)]
+    for prev, p in zip(phis, phis[1:]):
+        (pre, s), (pre_p, s_p) = _trailing_shift(prev), _trailing_shift(p)
+        if p.base is prev.base and pre_p == pre:
+            cols.append(cols[-1] * x ** (s_p - s))  # p = prev x^(s_p - s)
+        else:
+            cols.append(w * p.eval_many(x))
+    wf = np.stack(cols, axis=1)
     live = np.any(wf != 0, axis=1)
     return x[live], wf[live]
+
+
+def _trailing_shift(phi: TestFunction):
+    """phi's modifiers before a trailing shift, and that shift's s (1 when
+    there is none): phi(x) is x^(s-1) times what the others give."""
+    if phi.ops and phi.ops[-1][0] == "shift":
+        return phi.ops[:-1], phi.ops[-1][1]
+    return phi.ops, 1.0
 
 
 def _grid_integrals(phi: TestFunction, kernel, us, rel_tol: float):
@@ -765,16 +782,42 @@ def _grid_integrals(phi: TestFunction, kernel, us, rel_tol: float):
     return vals, diff + eps * (50.0 * mass + 4.0 * np.abs(us) * xmass)
 
 
-def _columns(x: np.ndarray, wf: np.ndarray) -> np.ndarray:
-    """The right-hand side of the transform product: w phi(x), its modulus
-    (the terms' mass) and x times it (their exponents' scale)."""
-    mag = np.abs(wf)
-    return np.concatenate([wf, mag, x[:, None] * mag], axis=1)
+def _columns(x: np.ndarray, wf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The right-hand side of the transform product, each column once.
+
+    Its 3 m logical columns are w phi(x), its modulus (the terms' mass) and
+    x times that (their exponents' scale).  Returns the distinct columns
+    and, for each logical column, its index among them.  Real nonnegative
+    samples are their own modulus, and x |w phi| is the next column when
+    ``_sampled_grid`` sampled that as x times this one: (phi, phi x) takes
+    3 columns, not 6.  Signed or complex samples keep all 3 m, so fewer
+    columns than logical ones means nonnegative samples.
+    """
+    m = wf.shape[1]
+    if np.iscomplexobj(wf) or np.any(wf < 0):
+        mag = np.abs(wf)
+        return np.concatenate([wf, mag, x[:, None] * mag], axis=1), np.arange(3 * m)
+    xw = x[:, None] * wf
+    idx, extra = [*range(m), *range(m)], []
+    for j in range(m):
+        if j + 1 < m and np.array_equal(xw[:, j], wf[:, j + 1]):
+            idx.append(j + 1)
+        else:
+            idx.append(m + len(extra))
+            extra.append(j)
+    return np.concatenate([wf, xw[:, extra]], axis=1), np.array(idx)
 
 
-def _split(out, us, x, wf, unit, single: bool):
+def _flush_tiny(a: np.ndarray, signed: bool) -> None:
+    """Set the entries of ``a`` below the smallest normal number in modulus
+    to 0, so that no subnormal enters a product with it."""
+    a[(np.abs(a) if signed else a) < np.finfo(np.float64).tiny] = 0.0
+
+
+def _split(out, idx, us, x, wf, unit, single: bool):
     """Values and error bounds, one row per test function, from the product
-    of an exponential table with ``_columns(x, wf)``.
+    ``out`` of an exponential table with the distinct columns of
+    ``_columns(x, wf)``, read back through their index map ``idx``.
 
     The error bound is 50 eps sum |w phi e^{-u x}| for the exponentials and
     the summation, plus 4 eps |u| sum x |w phi e^{-u x}| for the rounding of
@@ -786,9 +829,9 @@ def _split(out, us, x, wf, unit, single: bool):
     m = wf.shape[1]
     eps = float(np.finfo(out.real.dtype).eps)
     floor = unit * (2 * np.count_nonzero(wf, axis=0) + np.sum(np.abs(wf), axis=0))
-    vals = out[:, :m].T
-    errs = (50.0 * eps) * np.abs(out[:, m:2 * m]).T
-    errs = errs + (4.0 * eps) * np.abs(us) * np.abs(out[:, 2 * m:]).T + floor[:, None]
+    vals = out[:, idx[:m]].T
+    errs = (50.0 * eps) * np.abs(out[:, idx[m:2 * m]]).T
+    errs = errs + (4.0 * eps) * np.abs(us) * np.abs(out[:, idx[2 * m:]]).T + floor[:, None]
     return (vals[0], errs[0]) if single else (vals, errs)
 
 
@@ -823,7 +866,8 @@ def laplace_many(
     else:
         np.exp(E, out=E)
         unit = np.finfo(dtype).smallest_subnormal  # underflow is the only loss
-    return _split(E @ _columns(x, wf), us, x, wf, unit, single)
+    cols, idx = _columns(x, wf)
+    return _split(E @ cols, idx, us, x, wf, unit, single)
 
 
 def laplace_lattice(
@@ -835,16 +879,17 @@ def laplace_lattice(
     exponential e^{-n step x} is the product of a "baby" table
     e^{-r step x} (B rows) and a "giant" table e^{-(n0 + q B) step x}
     (Q = ceil(span / B) rows), so B + Q exponentials per node replace
-    len(ns).  The giant table is folded into the columns W of
+    len(ns).  The giant table is folded into the distinct columns W of
     ``_columns``, and one matrix product gives every value and error
     column at every lattice point:
 
         T[r, (q, c)] = sum_j baby[r, j] giant[q, j] W[j, c].
 
     Entries of baby, giant and giant * W below the smallest normal number
-    tiny are set to 0, so the product never meets a subnormal; what that
-    drops is at most tiny sum (2 + |w phi|) per transform and joins its
-    error bound.  When B + Q >= len(ns) (sparse indices, squares say) the
+    tiny are set to 0, so no subnormal enters the product, though products
+    of two normal entries below tiny are still formed inside it; what the
+    flush drops is at most tiny sum (2 + |w phi|) per transform and joins
+    its error bound.  When B + Q >= len(ns) (sparse indices, squares say) the
     factorization saves nothing, and the direct path runs instead; so it
     does for negative indices, whose exponentials grow.
     """
@@ -857,16 +902,15 @@ def laplace_lattice(
     single, phis = _as_tuple(phi)
     us = ns * step
     x, wf = _sampled_grid(phis, us, np.float64)
-    tiny = np.finfo(np.float64).tiny
     baby = _exp_normal(np.multiply.outer(np.arange(B) * -step, x))
     giant = _exp_normal(np.multiply.outer(x, (n0 + B * np.arange(Q)) * -step))
-    cols = _columns(x, wf)
+    cols, idx = _columns(x, wf)
     folded = np.einsum("jq,jc->jqc", giant, cols).reshape(len(x), -1)
     parts = folded.view(np.float64)  # real and imaginary parts side by side
-    parts[np.abs(parts) < tiny] = 0.0
+    _flush_tiny(parts, cols.shape[1] == len(idx))
     table = (baby @ parts).view(folded.dtype).reshape(B, Q, -1)
     out = table[(ns - n0) % B, (ns - n0) // B]
-    return _split(out, us, x, wf, tiny, single)
+    return _split(out, idx, us, x, wf, np.finfo(np.float64).tiny, single)
 
 
 # ----------------------------------------------------------------------------

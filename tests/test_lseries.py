@@ -3,13 +3,14 @@ the regularized series of weakly holomorphic forms, classical values."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from maass_lseries import lseries as lseries_module
 from maass_lseries.errors import AccuracyError, DomainError, MembershipError
-from maass_lseries.form import FormData, RuleCoeffs, eval_iy, twist
+from maass_lseries.form import ArrayCoeffs, FormData, RuleCoeffs, eval_iy, twist
 from maass_lseries.lseries import (
     _nonhol_part,
     regularized_lseries,
@@ -33,6 +34,7 @@ from maass_lseries.specials import (
 from maass_lseries.testfn import (
     TestFunction,
     laplace,
+    laplace_many,
     quadrature,
     shift_s,
     slash_W,
@@ -324,7 +326,14 @@ def test_twisted_delegation_two_code_paths():
         complex(f.a[n]) * gauss_sum(chib, n) * laplace(phi, 2 * math.pi * n / 3)
         for n in sorted(f.a) if n <= 40
     )
-    assert abs(v1 - lseries_series(ft, phi).value) == 0.0  # same path by construction
+    # the same path by construction: the series of the twist, with the rounding
+    # of its coefficients charged (2 D eps |a(n)|, which also enters the bounds
+    # that decide which terms are summed)
+    rounding = 2 * 3 * np.finfo(float).eps * np.abs(f._arrays("a")[1])
+    assert abs(v1 - lseries_module._series_pair(ft, phi, False, rounding)[0].value) == 0.0
+    # without that charge only terms at the cut, below the budget, differ
+    plain = lseries_series(ft, phi)
+    assert abs(v1 - plain.value) <= plain.quad_err
     assert abs(v1 - direct) < 1e-12 * max(abs(v1), 1e-12)
 
 
@@ -540,3 +549,92 @@ def test_harmonic_series_route_past_gamma_underflow():
     assert abs(sv.value - ref) <= 1e-10 * ref + sv.quad_err
     assert abs(lseries_integral(g, phi).value - ref) <= 1e-10 * ref
 
+
+
+# ---------------------------------------------------------------------------
+# the cut of the series at its certified mass
+
+
+def _cut_instances():
+    """(f, chi, phi) for Delta twisted mod D <= 5, theta twisted mod every odd
+    D < 16 where the tails certify, and j744, on the battery."""
+    delta, theta, j744 = (fixture(name, 768) for name in ("delta", "theta", "j744"))
+    for f, moduli in ((delta, range(1, 6)), (theta, range(1, 16, 2)), (j744, (1,))):
+        for D in moduli:
+            for chi in characters_mod(D):
+                for phi in BAT:
+                    yield f, chi, phi
+
+
+def _added_bounds(f, chi, phi):
+    """The bounds that the cut charges to the plain and the delta_k value."""
+    ft = twist(f, chi)
+    ns, avals = ft._arrays("a")
+    mags = np.abs(avals)
+    if chi.modulus > 1:
+        mags = mags + 2 * chi.modulus * np.finfo(float).eps * np.abs(f._arrays("a")[1])
+    c1, _, K, K2 = lseries_module._phi_mass(phi)
+    alpha = 2 * math.pi * c1 / ft.period
+    plain = K * lseries_module._mass_cut(ns, mags, alpha)[1]
+    deriv = K2 * lseries_module._mass_cut(ns, ns * mags, alpha)[1]
+    return plain, 2 * math.pi / ft.period * deriv
+
+
+def test_cut_series_within_the_added_bound_of_the_full_range_sum():
+    # the full-range sums take every stored n, on one laplace_many grid;
+    # their rounding budget is that of the transforms plus 1e-16 of the mass
+    checked = 0
+    for f, chi, phi in _cut_instances():
+        try:
+            plain, delta = lseries_module._twisted_pair(f, chi, phi)
+        except MembershipError:
+            continue
+        ft = twist(f, chi)
+        ns, c = ft._arrays("a")
+        step = 2 * math.pi / ft.period
+        lv, le = laplace_many((phi, shift_s(phi, 2.0)), ns * step)
+        full = np.sum(c * lv[0])
+        budget = np.sum(np.abs(c) * le[0]) + 1e-16 * np.sum(np.abs(c * lv[0]))
+        full_d = 0.5 * f.k * full - step * np.sum(ns * c * lv[1])
+        budget_d = 0.5 * f.k * budget + step * (
+            np.sum(np.abs(ns * c) * le[1]) + 1e-16 * np.sum(np.abs(ns * c * lv[1])))
+        added, added_d = _added_bounds(f, chi, phi)
+        for lv_cut, ref, add, bud in ((plain, full, added, budget), (delta, full_d, added_d, budget_d)):
+            assert abs(lv_cut.value - ref) <= add + bud + lv_cut.quad_err, (ft.label, phi.label)
+            assert add <= 1e-3 * lv_cut.quad_err, (ft.label, phi.label)
+            assert add <= lv_cut.trunc_err
+        checked += 1
+    assert checked == 600, checked
+
+
+def test_cut_does_not_depend_on_the_scale_of_the_coefficients():
+    # the rule is relative to the series' own mass, so scaling every
+    # coefficient by 10^e leaves the summed indices as they are (an absolute
+    # cut at e^-650 sums more of them at 10^150 and fewer at 10^-150)
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    f = fixture("delta", 768)
+    ns, avals = f._arrays("a")
+
+    def summed(form, phi):
+        seen = []
+        real = lseries_module.laplace_lattice
+
+        def spy(p, ns_, step):
+            seen.append(np.asarray(ns_))
+            return real(p, ns_, step)
+
+        with mock.patch.object(lseries_module, "laplace_lattice", spy):
+            lseries_module._series_pair(form, phi, True)
+        return seen[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-150, 150), st.integers(0, 9), st.integers(1, 5))
+    def check(e, j, D):
+        chi = characters_mod(D)[-1]
+        base = twist(f, chi)
+        scaled = replace(base, a=ArrayCoeffs(ns, base._arrays("a")[1] * 10.0 ** e))
+        assert np.array_equal(summed(scaled, BAT[j]), summed(base, BAT[j]))
+
+    check()

@@ -215,6 +215,24 @@ def test_inexact_coefficients_rejected(bad):
         qexp_invert(qexp(0, [bad]))
 
 
+@pytest.mark.parametrize("bad", [0.5, 1 + 0j])
+def test_scale_and_add_reject_inexact_coefficients_at_the_call(bad):
+    d = fixture_qexp("delta", 4)
+    with pytest.raises(DomainError, match="exact"):
+        qexp_scale(d, bad)
+    with pytest.raises(DomainError, match="exact"):
+        qexp_add(d, qexp(1, [bad, 0, 0, 0]))
+    with pytest.raises(DomainError, match="exact"):
+        qexp_add(qexp(1, [bad, 0, 0, 0]), d)
+
+
+def test_scale_by_a_fraction_stays_exact():
+    d = fixture_qexp("delta", 4)
+    half = qexp_scale(d, Fraction(1, 2))
+    assert half.coeffs == (Fraction(1, 2), -12, 126, -736)
+    assert qexp_add(half, half).coeffs == d.coeffs
+
+
 def test_fixture_identities_at_768():
     p = 768
     e4, e6, d = (fixture_qexp(name, p) for name in ("e4", "e6", "delta"))

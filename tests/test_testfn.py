@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from maass_lseries.errors import AccuracyError, DomainError
+from maass_lseries.lseries import _tau_route, _tau_rule, _tau_tail
 from maass_lseries.testfn import (
     _LOG_TINY,
     TestFunction,
+    _columns,
     _exp_normal,
+    _sampled_grid,
     derivative,
     eval_at,
     laplace,
@@ -456,6 +459,145 @@ def test_error_column_bounds_the_rounding_of_the_exponent(D):
             ref, _ = laplace_many(p, _ld_frequencies(ns, D), dtype=np.longdouble)
             for vals, errs in (laplace_many(p, ns * step), laplace_lattice(p, ns, step)):
                 assert np.all(np.abs(vals - ref) <= errs), p.label
+
+
+# ---------------------------------------------------------------------------
+# the distinct columns of the transform product
+
+
+_TINY = np.finfo(np.float64).tiny
+_EPS = np.finfo(np.float64).eps
+
+
+def _full_columns(x, wf):
+    """All 3 m columns, each written out: w phi, |w phi| and x |w phi|."""
+    mag = np.abs(wf)
+    return np.concatenate([wf, mag, x[:, None] * mag], axis=1)
+
+
+def _full_split(out, us, wf, unit):
+    m = wf.shape[1]
+    floor = unit * (2 * np.count_nonzero(wf, axis=0) + np.sum(np.abs(wf), axis=0))
+    errs = 50 * _EPS * np.abs(out[:, m:2 * m]).T
+    errs = errs + 4 * _EPS * np.abs(us) * np.abs(out[:, 2 * m:]).T + floor[:, None]
+    return out[:, :m].T, errs
+
+
+def _mass(phis, us):
+    """The terms' mass sum |w phi e^{-u x}|, one row per test function."""
+    x, wf = _sampled_grid(phis, us, np.float64)
+    return (np.exp(np.multiply.outer(-us, x)) @ np.abs(wf)).T
+
+
+def _many_3m(phis, us):
+    x, wf = _sampled_grid(phis, us, np.float64)
+    E = _exp_normal(np.multiply.outer(-us, x))
+    return _full_split(E @ _full_columns(x, wf), us, wf, _TINY)
+
+
+def _lattice_3m(phis, ns, step):
+    x, wf = _sampled_grid(phis, ns * step, np.float64)
+    n0, n1 = int(ns.min()), int(ns.max())
+    B = math.isqrt(n1 - n0) + 1
+    Q = (n1 - n0) // B + 1
+    baby = _exp_normal(np.multiply.outer(np.arange(B) * -step, x))
+    giant = _exp_normal(np.multiply.outer(x, (n0 + B * np.arange(Q)) * -step))
+    folded = np.einsum("jq,jc->jqc", giant, _full_columns(x, wf)).reshape(len(x), -1)
+    parts = folded.view(np.float64)
+    parts[np.abs(parts) < _TINY] = 0.0
+    table = (baby @ parts).view(folded.dtype).reshape(B, Q, -1)
+    return _full_split(table[(ns - n0) % B, (ns - n0) // B], ns * step, wf, _TINY)
+
+
+def _tau_route_3m(x, samples, lam, c1, p, rule):
+    """``lseries._tau_route`` with every column of the product written out."""
+    tau, wk, wg, T = rule
+    ncol = samples.shape[1] * len(lam)
+    cols = _exp_normal(np.multiply.outer(x, -lam))[:, None, :] * samples[:, :, None]
+    cols = cols.reshape(len(x), ncol)
+    cols[np.abs(cols) < _TINY] = 0.0
+    table = _full_columns(x, cols)
+    lam_c = np.tile(lam, samples.shape[1])
+    s_c = 2.0 * c1 * lam_c
+    lost = np.repeat(samples, len(lam), axis=1)
+    acc, err, kg = np.zeros(ncol, dtype=cols.dtype), np.zeros(ncol), np.zeros(ncol)
+    for i in range(0, len(tau), 15):
+        tc = tau[i:i + 15]
+        B = _exp_normal(np.multiply.outer(tc, -x / c1))
+        vals, errs = _full_split(B @ table, lam_c[:, None] + tc / c1, lost, _TINY)
+        power = (1.0 + tc / s_c[:, None]) ** p
+        vals = vals * power
+        acc += vals @ wk[i:i + 15]
+        err += (errs * power) @ wk[i:i + 15]
+        kg += np.abs(vals @ (wk - wg)[i:i + 15])
+    mass = np.sum(np.abs(cols), axis=0) + _TINY * np.sum(np.abs(lost), axis=0)
+    return acc / s_c, (kg + err + mass * _tau_tail(T, s_c, p)) / s_c
+
+
+def _column_cases():
+    bat = standard_battery()
+    signed = derivative(TestFunction.bspline(3, 1.0, 2.0), 1)  # negative pieces
+    for phi in (bat[0], bat[5], slash_W(bat[7], -10.0, 1), shift_s(bat[3], 0.5), signed):
+        yield (phi,)
+        yield (phi, shift_s(phi, 2.0))
+    yield (shift_s(bat[4], 1.5 + 2.0j),)  # complex samples
+
+
+def _assert_same(got, want, value_tol, slack=0.0):
+    """Values within ``value_tol`` and errors within 1e-12 of theirs, plus
+    ``slack`` of the values."""
+    (v, e), (v3, e3) = got, want
+    assert np.all(np.abs(v - v3) <= value_tol)
+    assert np.all(np.abs(e - e3) <= 1e-12 * e3 + slack * np.abs(v3))
+
+
+def test_columns_keep_one_copy_of_each_column():
+    bat = standard_battery()
+    phi = bat[6]
+    x, wf = _sampled_grid((phi, shift_s(phi, 2.0)), np.array([100.0]), np.float64)
+    assert np.array_equal(wf[:, 1], x * wf[:, 0])  # phi x is sampled as x times phi
+    cols, idx = _columns(x, wf)
+    assert cols.shape[1] == 3 and list(idx) == [0, 1, 0, 1, 1, 2]
+    full = _full_columns(x, wf)
+    assert np.array_equal(cols[:, idx], full)
+    for signed in (-wf, wf * (1 + 1j)):
+        cols, idx = _columns(x, signed)
+        assert np.array_equal(cols, _full_columns(x, signed)) and list(idx) == list(range(6))
+
+
+@pytest.mark.parametrize("D", [1, 3, 5])
+def test_transforms_on_distinct_columns_match_the_full_product(D):
+    step = 2 * math.pi / D
+    ns = np.arange(0, 769)
+    for phis in _column_cases():
+        # BLAS may sum a product over the nodes in another order when it has
+        # fewer columns; that moved values by up to 1.7e-15 of the terms' mass
+        tol = 4e-15 * _mass(phis, ns * step)
+        want = _many_3m(phis, ns * step)
+        _assert_same(laplace_many(phis, ns * step), want, tol)
+        _assert_same(laplace_lattice(phis, ns, step), _lattice_3m(phis, ns, step), tol)
+        if len(phis) == 1:
+            got = laplace_many(phis[0], ns * step)
+            _assert_same((got[0][None], got[1][None]), want, tol)
+
+
+@pytest.mark.parametrize("k", [12.0, 0.5])
+def test_tau_route_on_distinct_columns_matches_the_full_product(k):
+    lam = 2 * math.pi * np.arange(1, 6) / 4
+    bat = standard_battery()
+    signed = derivative(TestFunction.bspline(3, 1.0, 2.0), 1)
+    for phi in (bat[2], slash_W(bat[8], -10.0, 1), signed):
+        lo, hi = phi.support()
+        rule = _tau_rule(2.0 * lam * lo, -k, hi / lo)
+        phis = (phi, shift_s(phi, 2.0 - k), shift_s(phi, 3.0 - k))
+        x, wf = _sampled_grid(phis, np.array([np.max(lam) + rule[-1] / lo]), np.float64)
+        for samples in (wf[:, 1:], wf[:, 1:2]):
+            want = _tau_route_3m(x, samples, lam, lo, -k, rule)
+            # the estimate's |Kronrod - Gauss| part is a difference of two
+            # near-equal sums, so it moves with the values' last bits (by up
+            # to 1e-16 of the value here)
+            _assert_same(_tau_route(x, samples, lam, lo, -k, rule), want,
+                         1e-15 * np.abs(want[0]), slack=1e-15)
 
 
 # ---------------------------------------------------------------------------
