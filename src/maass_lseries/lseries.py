@@ -35,7 +35,6 @@ from .testfn import (
     TestFunction,
     _columns,
     _exp_normal,
-    _flush_tiny,
     _sampled_grid,
     _split,
     laplace_lattice,
@@ -183,12 +182,15 @@ def _series_pair(
     without compact support, in ``_phi_mass``).
 
     Within the stored range each series sums only what its budget can see.
-    A term n > 0 has the bound b_n = (|a(n)| + coeff_err_n) K e^{-alpha n}
-    (n times that, with K2, in the delta_k series), and is summed when b_n
-    exceeds rho sum b, rho = 1e-3 eps_ld / len(ns); the bounds of the terms
-    left out join that value's ``trunc_err``.  They add up to about 1e-3 of
+    A term n > 0 has the bound b_n = |a(n)| K e^{-alpha n} (n times that,
+    with K2, in the delta_k series), and is summed when b_n exceeds
+    rho sum b, rho = 1e-3 eps_ld / len(ns).  The bounds of the terms left
+    out join that value's ``trunc_err``; they add up to about 1e-3 of
     the smallest rounding budget the long-double escalation can report.
-    n = 0, the negative indices and the b-part are always summed.
+    Their coefficients' errors, coeff_err K e^{-alpha n}, join its
+    quadrature budget like those of the terms summed.  The choice does not
+    read ``coeff_err``, so a twist sums the terms its series sums.  n = 0,
+    the negative indices and the b-part are always summed.
     """
     c1, _, K, K2 = _phi_mass(phi)
     alpha = _TWO_PI * c1 / f.period
@@ -205,10 +207,9 @@ def _series_pair(
     neg = ns < 0
     # each series sums its terms n > 0 that its budget can see, and charges
     # the others' bounds to its truncation
-    mags = np.abs(avals) if coeff_err is None else np.abs(avals) + coeff_err
-    plain, skipped = _mass_cut(ns, mags, alpha)
-    plain |= ns == 0
-    deriv, skipped_d = _mass_cut(ns, ns * mags, alpha) if delta else (np.zeros_like(plain), 0.0)
+    keep, skipped, skipped_err = _mass_cut(ns, np.abs(avals), alpha, coeff_err)
+    plain = keep[0] | (ns == 0)
+    deriv = keep[1] if delta else np.zeros_like(plain)
     table = plain | deriv
     if np.any(table):
         lv, le = laplace_lattice((phi, phi2) if delta else (phi,), ns[table], step)
@@ -230,7 +231,8 @@ def _series_pair(
         quad += float(np.sum(np.abs(avals[neg]) * ne[0]))
         if coeff_err is not None:
             quad += float(np.sum(coeff_err[neg] * np.abs(nv[0])))
-    trunc = tails[0] + K * skipped
+    quad += K * skipped_err[0]
+    trunc = tails[0] + K * skipped[0]
     n_terms = int(np.count_nonzero(plain | neg))
     if len(f.b):
         part = _nonhol_part(f, phi, delta)
@@ -266,29 +268,45 @@ def _series_pair(
         quad += step * float(np.sum(np.abs(weights) * ne[1]))
         if coeff_err is not None:
             quad += step * float(np.sum(coeff_err[neg] * np.abs(ns[neg] * nv[1])))
-    trunc += step * (tails[2] + K2 * skipped_d)
+    quad += step * K2 * skipped_err[1]
+    trunc += step * (tails[2] + K2 * skipped[1])
     if len(f.b):
         value += part.delta_t
         quad += part.delta_t_err
         trunc += tails[3]
-    return base, LValue(value, trunc, quad, len(f.a) + len(f.b), "series")
+    n_terms = int(np.count_nonzero(deriv | neg)) + len(f.b)
+    return base, LValue(value, trunc, quad, n_terms, "series")
 
 
-def _mass_cut(ns: np.ndarray, mags: np.ndarray, alpha: float):
-    """The terms n > 0 of a series with bounds b_n = mags_n e^{-alpha n}
-    (times a constant) that exceed rho sum b, rho = 1e-3 eps_ld / len(ns),
-    as a mask over ns, and the sum of the other terms' b_n.  The rule is
+_ROW_N = np.array([[0.0], [1.0]])  # log n times this weights row 1 by n
+
+
+def _mass_cut(ns: np.ndarray, mags: np.ndarray, alpha: float, errs: np.ndarray | None):
+    """The cut of the plain series (row 0, bounds b_n = mags_n e^{-alpha n}
+    times a constant) and of the delta_k series (row 1, bounds n b_n): the
+    terms n > 0 whose bound exceeds rho sum b, rho = 1e-3 eps_ld / len(ns),
+    as a mask over ns; the sum of the other terms' bounds; and the sum of
+    errs_n e^{-alpha n} (n times that in row 1) over those.  The rule is
     relative, so it does not change when every mags_n is scaled; it works
     in logarithms, so no b_n underflows on the way."""
-    pos = (ns > 0) & (mags > 0)
-    if not np.any(pos):
-        return np.zeros(len(ns), dtype=bool), 0.0
-    log_b = np.full(len(ns), -np.inf)
-    log_b[pos] = np.log(mags[pos]) - alpha * ns[pos]
-    top = float(np.max(log_b))
-    rel = np.exp(log_b - top)
-    keep = rel > (1e-3 * _EPS_LD / len(ns)) * float(np.sum(rel))
-    return keep, math.exp(top) * float(np.sum(rel[~keep]))
+    keep = np.zeros((2, len(ns)), dtype=bool)
+    skipped = np.zeros(2)
+    pos = ns > 0
+    live = pos & (mags > 0)
+    if live.any():
+        n = ns[live]
+        log_b = (np.log(mags[live]) - alpha * n) + _ROW_N * np.log(n)
+        top = log_b.max(axis=1, keepdims=True)
+        rel = np.exp(log_b - top)
+        summed = rel > (1e-3 * _EPS_LD / len(ns)) * rel.sum(axis=1, keepdims=True)
+        keep[:, live] = summed
+        skipped = np.exp(top[:, 0]) * (rel * ~summed).sum(axis=1)
+    if errs is None:
+        return keep, skipped.tolist(), [0.0, 0.0]
+    out = pos & (errs > 0)
+    n = ns[out]
+    charge = np.exp((np.log(errs[out]) - alpha * n) + _ROW_N * np.log(n))
+    return keep, skipped.tolist(), (charge * ~keep[:, out]).sum(axis=1).tolist()
 
 
 _CANCEL_ESCALATE = 3e3
@@ -512,7 +530,7 @@ def _tau_route(x, samples, lam, c1: float, p: float, rule):
     dist, idx = _columns(x, samples)
     table = _exp_normal(np.multiply.outer(x, -lam))[:, None, :] * dist[:, :, None]
     table = table.reshape(len(x), -1)
-    _flush_tiny(table, dist.shape[1] == len(idx))
+    table[np.abs(table) < tiny] = 0.0  # no subnormal enters the products
     idx = (idx[:, None] * nlam + np.arange(nlam)).ravel()
     lam_c = np.tile(lam, samples.shape[1])
     s_c = 2.0 * c1 * lam_c

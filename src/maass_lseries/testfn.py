@@ -790,28 +790,21 @@ def _columns(x: np.ndarray, wf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and, for each logical column, its index among them.  Real nonnegative
     samples are their own modulus, and x |w phi| is the next column when
     ``_sampled_grid`` sampled that as x times this one: (phi, phi x) takes
-    3 columns, not 6.  Signed or complex samples keep all 3 m, so fewer
-    columns than logical ones means nonnegative samples.
+    3 columns, not 6.  Signed or complex samples keep all 3 m.
     """
     m = wf.shape[1]
-    if np.iscomplexobj(wf) or np.any(wf < 0):
+    if np.iscomplexobj(wf) or (wf < 0).any():
         mag = np.abs(wf)
         return np.concatenate([wf, mag, x[:, None] * mag], axis=1), np.arange(3 * m)
     xw = x[:, None] * wf
     idx, extra = [*range(m), *range(m)], []
     for j in range(m):
-        if j + 1 < m and np.array_equal(xw[:, j], wf[:, j + 1]):
+        if j + 1 < m and (xw[:, j] == wf[:, j + 1]).all():
             idx.append(j + 1)
         else:
             idx.append(m + len(extra))
             extra.append(j)
     return np.concatenate([wf, xw[:, extra]], axis=1), np.array(idx)
-
-
-def _flush_tiny(a: np.ndarray, signed: bool) -> None:
-    """Set the entries of ``a`` below the smallest normal number in modulus
-    to 0, so that no subnormal enters a product with it."""
-    a[(np.abs(a) if signed else a) < np.finfo(np.float64).tiny] = 0.0
 
 
 def _split(out, idx, us, x, wf, unit, single: bool):
@@ -902,15 +895,16 @@ def laplace_lattice(
     single, phis = _as_tuple(phi)
     us = ns * step
     x, wf = _sampled_grid(phis, us, np.float64)
+    tiny = np.finfo(np.float64).tiny
     baby = _exp_normal(np.multiply.outer(np.arange(B) * -step, x))
     giant = _exp_normal(np.multiply.outer(x, (n0 + B * np.arange(Q)) * -step))
     cols, idx = _columns(x, wf)
     folded = np.einsum("jq,jc->jqc", giant, cols).reshape(len(x), -1)
     parts = folded.view(np.float64)  # real and imaginary parts side by side
-    _flush_tiny(parts, cols.shape[1] == len(idx))
+    parts[np.abs(parts) < tiny] = 0.0
     table = (baby @ parts).view(folded.dtype).reshape(B, Q, -1)
     out = table[(ns - n0) % B, (ns - n0) // B]
-    return _split(out, idx, us, x, wf, np.finfo(np.float64).tiny, single)
+    return _split(out, idx, us, x, wf, tiny, single)
 
 
 # ----------------------------------------------------------------------------

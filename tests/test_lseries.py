@@ -326,14 +326,7 @@ def test_twisted_delegation_two_code_paths():
         complex(f.a[n]) * gauss_sum(chib, n) * laplace(phi, 2 * math.pi * n / 3)
         for n in sorted(f.a) if n <= 40
     )
-    # the same path by construction: the series of the twist, with the rounding
-    # of its coefficients charged (2 D eps |a(n)|, which also enters the bounds
-    # that decide which terms are summed)
-    rounding = 2 * 3 * np.finfo(float).eps * np.abs(f._arrays("a")[1])
-    assert abs(v1 - lseries_module._series_pair(ft, phi, False, rounding)[0].value) == 0.0
-    # without that charge only terms at the cut, below the budget, differ
-    plain = lseries_series(ft, phi)
-    assert abs(v1 - plain.value) <= plain.quad_err
+    assert abs(v1 - lseries_series(ft, phi).value) == 0.0  # same path by construction
     assert abs(v1 - direct) < 1e-12 * max(abs(v1), 1e-12)
 
 
@@ -550,7 +543,6 @@ def test_harmonic_series_route_past_gamma_underflow():
     assert abs(lseries_integral(g, phi).value - ref) <= 1e-10 * ref
 
 
-
 # ---------------------------------------------------------------------------
 # the cut of the series at its certified mass
 
@@ -570,14 +562,10 @@ def _added_bounds(f, chi, phi):
     """The bounds that the cut charges to the plain and the delta_k value."""
     ft = twist(f, chi)
     ns, avals = ft._arrays("a")
-    mags = np.abs(avals)
-    if chi.modulus > 1:
-        mags = mags + 2 * chi.modulus * np.finfo(float).eps * np.abs(f._arrays("a")[1])
     c1, _, K, K2 = lseries_module._phi_mass(phi)
     alpha = 2 * math.pi * c1 / ft.period
-    plain = K * lseries_module._mass_cut(ns, mags, alpha)[1]
-    deriv = K2 * lseries_module._mass_cut(ns, ns * mags, alpha)[1]
-    return plain, 2 * math.pi / ft.period * deriv
+    skipped = lseries_module._mass_cut(ns, np.abs(avals), alpha, None)[1]
+    return K * skipped[0], 2 * math.pi / ft.period * (K2 * skipped[1])
 
 
 def test_cut_series_within_the_added_bound_of_the_full_range_sum():
@@ -638,3 +626,13 @@ def test_cut_does_not_depend_on_the_scale_of_the_coefficients():
         assert np.array_equal(summed(scaled, BAT[j]), summed(base, BAT[j]))
 
     check()
+
+
+def test_n_terms_counts_the_terms_summed():
+    # both values count the terms each series sums, not the stored range
+    f = fixture("delta", 768)
+    plain, delta = lseries_series(f, BAT[0]), lseries_delta(f, BAT[0])
+    ns, avals = f._arrays("a")
+    alpha = 2 * math.pi * lseries_module._phi_mass(BAT[0])[0]
+    kept = lseries_module._mass_cut(ns, np.abs(avals), alpha, None)[0][1]
+    assert plain.n_terms < len(f.a) and delta.n_terms == np.count_nonzero(kept) < len(f.a)
