@@ -32,9 +32,11 @@ from .testfn import (
     _G_W,
     _GK_NODES,
     _GK_W,
+    _SEED_LEVELS,
     TestFunction,
     _columns,
     _exp_normal,
+    _graded_edges,
     _sampled_grid,
     _split,
     laplace_lattice,
@@ -570,7 +572,10 @@ def _integral_route(evaluate, f: FormData, phi: TestFunction, tol: float, lo_min
 
     Deliberately not on phi's transform grid: there it would be the series
     route summed in another order, and the agreement of the two routes
-    would test nothing.
+    would test nothing.  It shares that grid's panel edges
+    (``_graded_edges``, which seed its first pass) but none of its nodes or
+    weights: GK15 nodes here, Gauss-Legendre there, and its own error
+    estimate decides where to refine.
     """
     lo, hi = phi.support()
     lo = max(lo, lo_min)
@@ -582,7 +587,7 @@ def _integral_route(evaluate, f: FormData, phi: TestFunction, tol: float, lo_min
         return evaluate(f, ys, eval_tol) * phi.eval_many(ys)
 
     value, qerr = quadrature(
-        integrand, lo, hi, rel_tol=1e-13, knots=phi.knots(), vectorized=True
+        integrand, lo, hi, rel_tol=1e-13, knots=_graded_edges(phi, _SEED_LEVELS), vectorized=True
     )
     return LValue(value, tol, qerr, len(f.a) + len(f.b), "integral")
 

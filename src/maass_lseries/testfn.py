@@ -57,6 +57,9 @@ _G_W = np.zeros(15)
 _G_W[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 _GRID_RULES = (32, 20)  # Gauss points a panel of _grid_integrals: its value's and its check's
 _CHUNK = 1 << 15  # entries of an exponential table built at once (256 kB in float64)
+# dyadic levels of _graded_edges that seed an adaptive quadrature over a test
+# function's support: 8 settle the widest battery bump in at most 3 passes
+_SEED_LEVELS = 8
 
 
 # exp(_LOG_TINY) is normal and exp of the next double below it is subnormal
@@ -111,8 +114,14 @@ def quadrature(
 ):
     """Adaptive 15-point Gauss-Kronrod integration of ``f`` over (a, b).
 
-    ``knots`` seed the initial subdivision (support endpoints, spline
-    joints).  For b = +inf an exponential ``decay_rate`` hint is required;
+    ``knots`` seed the initial subdivision: the first pass has one panel
+    between each two neighbours among a, b and the knots inside (a, b).
+    For an integrand that carries a test function phi, pass
+    ``_graded_edges(phi, _SEED_LEVELS)``: phi's knots and endpoints and
+    panels graded into both ends of its support, where a bump's layers
+    need them, so that the refinement starts where it would end.
+    For b < a the value is minus the integral over (b, a); a must be
+    finite.  For b = +inf an exponential ``decay_rate`` hint is required;
     the range is truncated where the implied bound drops below the target.
     Returns ``(value, err_est)``; raises :class:`AccuracyError` with the
     best estimate if the target is unreachable within ``max_subdiv``
@@ -126,6 +135,11 @@ def quadrature(
     all their children with one call of ``f``, so a vectorized integrand
     sees a few large node arrays rather than one small array a panel.
     """
+    if not (math.isfinite(a) and (math.isfinite(b) or b == math.inf)):
+        raise DomainError("quadrature needs a finite a and a finite or +inf b")
+    sign = 1.0
+    if b < a:
+        a, b, sign = b, a, -1.0
     fv = _as_vectorized(f, vectorized)
     tail_bound = 0.0
     if b == a:
@@ -144,11 +158,11 @@ def quadrature(
         # matters for genuinely vanishing integrals of oscillating f
         target = max(rel_tol * abs(total), 300.0 * np.finfo(float).eps * float(np.sum(masses)))
         if total_err <= target:
-            return total, total_err + tail_bound
+            return sign * total, total_err + tail_bound
         if budget == 0:
             raise AccuracyError(
                 f"quadrature did not converge: err={total_err:.3e}",
-                best=total,
+                best=sign * total,
                 err_est=total_err + tail_bound,
             )
         order = np.argsort(-errs)
@@ -669,7 +683,7 @@ def laplace(phi: TestFunction, s: complex):
 
     Closed form for (shifted) truncated powers, including the analytic
     continuation for Re(s_arg) <= 0; adaptive quadrature for compact
-    variants, with knots at support endpoints and spline joints.
+    variants, seeded with phi's graded edges (``_graded_edges``).
     """
     base = phi.base
     if isinstance(base, _TruncPower):
@@ -696,7 +710,7 @@ def laplace(phi: TestFunction, s: complex):
         lo,
         hi,
         rel_tol=1e-13,
-        knots=phi.knots(),
+        knots=_graded_edges(phi, _SEED_LEVELS),
         vectorized=True,
     )
     return val
@@ -724,16 +738,11 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
     width = hi - lo
     u_scale = float(np.max(np.abs(us.astype(float)), initial=1.0))
     levels = min(48, max(13, int(math.ceil(math.log2(max(u_scale * width / 20.0, 2.0)))) + 2))
-    edges = set(knots) | {lo, hi}
-    for j in range(1, levels + 1):
-        d = width / 2.0 ** j
-        edges.add(lo + d)
-        edges.add(hi - d)
     if np.dtype(dtype) == np.dtype(np.longdouble):
         xg, wg = _leggauss_longdouble(40)
     else:
         xg, wg = _leggauss(order)
-    edges = np.array(sorted(edges), dtype=dtype)
+    edges = np.array(_graded_edges(phis[0], levels), dtype=dtype)
     a, b = edges[:-1, None], edges[1:, None]
     h = 0.5 * (b - a)
     x = (0.5 * (a + b) + h * xg).ravel()
@@ -748,6 +757,21 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
     wf = np.stack(cols, axis=1)
     live = np.any(wf != 0, axis=1)
     return x[live], wf[live]
+
+
+def _graded_edges(phi: TestFunction, levels: int) -> tuple[float, ...]:
+    """Panel edges graded dyadically into both ends of phi's compact support
+    (lo, hi), sorted: phi's knots (lo and hi among them), and lo + w / 2^j
+    and hi - w / 2^j for j = 1..levels, w = hi - lo.  A bump's essential
+    singularities sit at the two ends; these panels resolve them."""
+    lo, hi = phi.support()
+    width = hi - lo
+    edges = set(phi.knots())
+    for j in range(1, levels + 1):
+        d = width / 2.0 ** j
+        edges.add(lo + d)
+        edges.add(hi - d)
+    return tuple(sorted(edges))
 
 
 def _trailing_shift(phi: TestFunction):

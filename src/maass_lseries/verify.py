@@ -44,12 +44,14 @@ from .specials import (
 )
 from .testfn import (
     _CHUNK,
+    _SEED_LEVELS,
     ExpRationalPiece,
     TestFunction,
     _Bump,
     _ExpRatPieces,
     _Spline,
     _exp_normal,
+    _graded_edges,
     _grid_integrals,
     _padd,
     _pmul,
@@ -491,7 +493,8 @@ def _gamma_moment(phi: TestFunction, k: int, cs, weights) -> complex:
         return (_gamma_half_exp(k - 1, np.outer(ys, cs)) @ weights) * phi.eval_many(ys)
 
     lo, hi = phi.support()
-    return quadrature(integrand, lo, hi, rel_tol=1e-13, knots=phi.knots(), vectorized=True)[0]
+    knots = _graded_edges(phi, _SEED_LEVELS)
+    return quadrature(integrand, lo, hi, rel_tol=1e-13, knots=knots, vectorized=True)[0]
 
 
 def _gf_moments(phi: TestFunction, k: int, ns) -> tuple[np.ndarray, np.ndarray]:
@@ -554,7 +557,8 @@ def mf_term_check(
             inner[i:i + rows] = _exp_normal(-np.outer(1.0 / ys[i:i + rows], us ** 2)) @ kern
         return phi.eval_many(ys) * ((inner * np.power.outer(ys, k - 2.0 - ls)) @ coef)
 
-    ov, _ = quadrature(outer, lo, hi, rel_tol=1e-11, knots=phi.knots(), vectorized=True)
+    knots = _graded_edges(phi, _SEED_LEVELS)
+    ov, _ = quadrature(outer, lo, hi, rel_tol=1e-11, knots=knots, vectorized=True)
     lhs = float(np.real(ov)) * (8.0 * math.pi * n) ** (0.5 * (1 - k)) / N
     rhs = float(np.real(_whittaker_side(phi, k, n)[0])) / N
     return IdentityReport.build(lhs, rhs, tol, f"mf term n={n} k={k} N={N}")

@@ -9,9 +9,12 @@ from maass_lseries.errors import AccuracyError, DomainError
 from maass_lseries.lseries import _tau_route, _tau_rule, _tau_tail
 from maass_lseries.testfn import (
     _LOG_TINY,
+    _SEED_LEVELS,
     TestFunction,
     _columns,
     _exp_normal,
+    _graded_edges,
+    _leggauss_longdouble,
     _sampled_grid,
     derivative,
     eval_at,
@@ -92,6 +95,30 @@ def test_quadrature_passes_keep_pointwise_values(f, lo, hi, ref):
     v, e = quadrature(f, lo, hi)
     assert abs(v - ref) <= 1e-15 * abs(ref)
     assert e <= 1e-12 * abs(v)
+
+
+def test_quadrature_reversed_limits_negate_the_integral():
+    v, e = quadrature(lambda x: x, 1.0, 0.0)
+    assert abs(v + 0.5) < 1e-14 and e < 1e-12
+    f = lambda xs: np.exp(-xs)
+    forward = quadrature(f, 0.5, 2.0, vectorized=True)
+    assert quadrature(f, 2.0, 0.5, vectorized=True) == (-forward[0], forward[1])
+    # an unconverged integral carries the negated best estimate too
+    spike = lambda x: 1.0 / (1e-14 + (x - 0.3141) ** 2)
+    bests = []
+    for a, b in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(AccuracyError) as exc:
+            quadrature(spike, a, b, rel_tol=1e-13, max_subdiv=3)
+        bests.append(exc.value.best)
+    assert bests[1] == -bests[0]
+
+
+@pytest.mark.parametrize("a, b", [
+    (math.inf, 0.0), (-math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0), (0.0, math.nan),
+])
+def test_quadrature_needs_a_finite_lower_limit(a, b):
+    with pytest.raises(DomainError):
+        quadrature(lambda x: math.exp(-abs(x)), a, b, decay_rate=1.0)
 
 
 def test_exp_normal_is_exp_with_subnormals_flushed():
@@ -600,6 +627,93 @@ def test_tau_route_on_distinct_columns_matches_the_full_product(k):
             # to 1e-16 of the value here)
             _assert_same(_tau_route(x, samples, lam, lo, -k, rule), want,
                          1e-15 * np.abs(want[0]), slack=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# graded panels
+
+
+GRADED_PHIS = (
+    standard_battery()[9],
+    slash_W(standard_battery()[7], -4.0, 4),
+    TestFunction.spline([1.0, 1.25, 2.0, 3.0], [[1.0], [1.0, 2.0], [0.5, 0.0, 1.0]]),
+)
+
+
+@pytest.mark.parametrize("phi", GRADED_PHIS, ids=lambda p: p.label)
+def test_graded_edges_are_the_knots_and_the_dyadic_points(phi):
+    lo, hi = phi.support()
+    w = hi - lo
+    for levels in (1, _SEED_LEVELS, 20):
+        edges = _graded_edges(phi, levels)
+        dyadic = {lo + w / 2.0 ** j for j in range(1, levels + 1)}
+        dyadic |= {hi - w / 2.0 ** j for j in range(1, levels + 1)}
+        assert edges == tuple(sorted(set(phi.knots()) | {lo, hi} | dyadic))
+        assert edges[0] == lo and edges[-1] == hi
+        assert all(p < q for p, q in zip(edges, edges[1:]))
+
+
+def _sampled_grid_inline(phi, us, dtype, order):
+    """``_sampled_grid`` on one test function with its edges built inline, as
+    before ``_graded_edges``: the reference for that refactor."""
+    lo, hi = phi.support()
+    knots = phi.knots()
+    width = hi - lo
+    u_scale = float(np.max(np.abs(us.astype(float)), initial=1.0))
+    levels = min(48, max(13, int(math.ceil(math.log2(max(u_scale * width / 20.0, 2.0)))) + 2))
+    edges = set(knots) | {lo, hi}
+    for j in range(1, levels + 1):
+        d = width / 2.0 ** j
+        edges.add(lo + d)
+        edges.add(hi - d)
+    if np.dtype(dtype) == np.dtype(np.longdouble):
+        xg, wg = _leggauss_longdouble(40)
+    else:
+        xg, wg = np.polynomial.legendre.leggauss(order)
+    edges = np.array(sorted(edges), dtype=dtype)
+    a, b = edges[:-1, None], edges[1:, None]
+    h = 0.5 * (b - a)
+    x = (0.5 * (a + b) + h * xg).ravel()
+    wf = (h * wg).ravel() * phi.eval_many(x)
+    live = wf != 0
+    return x[live], wf[live]
+
+
+@pytest.mark.parametrize("phi", GRADED_PHIS, ids=lambda p: p.label)
+@pytest.mark.parametrize("dtype, order", [(np.float64, 32), (np.float64, 20), (np.longdouble, 32)])
+def test_sampled_grid_is_unchanged_by_graded_edges(phi, dtype, order):
+    # from the fewest levels (13) to many (a frequency of 2e5)
+    for us in ([1.0], np.arange(768) * (2 * math.pi / 5), [2e5]):
+        us = np.asarray(us, dtype=dtype)
+        x, wf = _sampled_grid((phi,), us, dtype, order)
+        x_ref, wf_ref = _sampled_grid_inline(phi, us, dtype, order)
+        assert np.array_equal(x, x_ref) and np.array_equal(wf[:, 0], wf_ref)
+
+
+@pytest.mark.parametrize("j", range(10))
+def test_graded_seed_quadrature_against_mpmath(j):
+    # int phi_j(y) e^{-u y} dy at u = 2 pi, 20 pi (bump 9: about 3e-159 at
+    # 20 pi) and int phi_j(y) y^{5/2} dy, to 30 digits
+    mp = pytest.importorskip("mpmath")
+    phi = standard_battery()[j]
+    c1, c2 = phi.support()
+    knots = _graded_edges(phi, _SEED_LEVELS)
+    with mp.workdps(30):
+        a, b = mp.mpf(c1), mp.mpf(c2)
+        bump = lambda y: mp.exp(4 / (b - a) ** 2 - 1 / ((y - a) * (b - y)))
+        cuts = [a, a + (b - a) / 16, a + (b - a) / 4, (a + b) / 2, b - (b - a) / 4,
+                b - (b - a) / 16, b]
+        cases = [(lambda ys: ys ** 2.5, mp.quad(lambda y: bump(y) * y ** mp.mpf(2.5), cuts))]
+        for u in (2 * math.pi, 20 * math.pi):
+            # mpmath stops on an absolute error: integrate e^{-u (y - c1)}, of
+            # order 1, and scale back by e^{-u c1} exactly
+            scaled = mp.quad(lambda y: bump(y) * mp.exp(-u * (y - a)), cuts)
+            cases.append((lambda ys, u=u: np.exp(-u * ys), mp.exp(-u * a) * scaled))
+        for g, ref in cases:
+            v, err = quadrature(lambda ys: phi.eval_many(ys) * g(ys), c1, c2,
+                                rel_tol=1e-13, knots=knots, vectorized=True)
+            ref = float(ref)
+            assert abs(v - ref) <= 1e-13 * abs(ref) + err, (j, ref)
 
 
 # ---------------------------------------------------------------------------

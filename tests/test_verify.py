@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from maass_lseries import testfn
+from maass_lseries import verify as verify_module
 from maass_lseries.errors import AccuracyError, DomainError, MembershipError
 from maass_lseries.form import FormData, twist
 from maass_lseries.lseries import _series_pair, lseries_delta, lseries_series, series_membership
@@ -354,6 +355,47 @@ def test_mf_term_identity():
             rep = mf_term_check(n, k, 1, phi, tol=1e-6)
             assert rep.passed, (n, k, rep.rel_residual)
             assert rep.rel_residual < 1e-6
+
+
+# the (n, k) pairs of the benchmark's harmonic_kernels workload
+KERNEL_PAIRS = [(n, k) for k in (2, 4, 12) for n in range(1, 6)]
+
+
+def test_term_residuals_stay_far_below_their_tolerances():
+    # measured worst residuals: gf 7.4e-16, mf 7.2e-14 (tolerances 1e-10 and 1e-6)
+    phi = TestFunction.bump(1, 2)
+    for n, k in KERNEL_PAIRS:
+        assert gf_term_check(n, k, phi).rel_residual <= 1e-13, (n, k)
+        assert mf_term_check(n, k, 1, phi).rel_residual <= 1e-11, (n, k)
+
+
+def test_adaptive_sides_settle_in_few_passes(monkeypatch):
+    # one integrand call per pass of the adaptive quadrature; seeded with
+    # phi's graded edges each side takes 1 to 3, from one panel 6 or 7
+    calls = []
+    quadrature = verify_module.quadrature
+
+    def counted(f, *args, **kwargs):
+        return quadrature(lambda ys: calls.append(1) or f(ys), *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "quadrature", counted)
+    phi = TestFunction.bump(1, 2)
+    checks = [lambda n=n, k=k: gf_term_check(n, k, phi) for n, k in KERNEL_PAIRS]
+    checks += [lambda n=n, k=k: mf_term_check(n, k, 1, phi) for n, k in KERNEL_PAIRS]
+    tau = fixture("delta", 13).a
+    a_f = {n: tau[n] for n in range(1, 13)}
+    k = 12
+    g = FormData(
+        weight2=2 * (2 - k), level=1, psi=CHI1, n0=1,
+        a={-1: 1.0, 0: 2.0, 1: 5.0, 2: -1.0},
+        b={-n: -np.conj(v) * (4 * math.pi * n) ** (1 - k) for n, v in a_f.items()},
+        growth_C=8.0, exhaustive=True,
+    )
+    checks.append(lambda: decomp_identity_check(g, a_f, phi))
+    for check in checks:
+        calls.clear()
+        assert check().passed
+        assert 1 <= len(calls) <= 3
 
 
 def test_mf_term_normalization_pinned():
