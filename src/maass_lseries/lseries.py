@@ -50,7 +50,7 @@ _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LValue:
     """An L-series value with its error budget."""
 

@@ -12,24 +12,29 @@ the series of DLMF 8.4.15 and Gamma(s) minus a series of one-signed terms.
 
 Four kernels take whole arrays of points, for quadrature integrands:
 ``whittaker_M`` and ``_whittaker_kernel`` (the summation formula's k - 1
-M-kernels as one series), ``bessel_J_grid`` (the ascending series to
-x = 12, one Miller sweep past it) and ``_gamma_half_exp``, which runs
-integer orders m >= 1 through the finite-sum recurrence of
-``_upper_gamma_int`` on the whole array.  ``upper_gamma``,
-``upper_gamma_scaled`` and ``bessel_J`` stay scalar.
+M-kernels as one series; one table of terms per block of sorted points),
+``bessel_J_grid`` (the ascending series to x = 12, one single-order Miller
+sweep past it) and ``_gamma_half_exp``, which runs integer orders m >= 1
+through the finite-sum recurrence of ``_upper_gamma_int`` on the whole
+array.  Each gives a point the value of its scalar call, bit for bit.
+``upper_gamma``, ``upper_gamma_scaled`` and ``bessel_J`` stay scalar.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError, RangeOverflowError
 
+_CHUNK = 1 << 15  # entries of a table built at once (256 kB in float64)
 _EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # Lanczos approximation, g = 7, 9 terms.  Relative error ~ 1e-14 on the
@@ -282,7 +287,7 @@ def _gamma_half_exp(s: complex, xs: np.ndarray) -> np.ndarray:
         return np.where(half > 0.0, scaled * half, 0.0).astype(complex)
 
 
-_WHITTAKER_BLOCK = 64  # series terms per block of the array evaluation
+_WHITTAKER_BLOCK = 64  # kernel ratios per cached block; rows of a continuation table
 
 
 def whittaker_M(kappa: float, mu: float, z):
@@ -300,10 +305,12 @@ def whittaker_M(kappa: float, mu: float, z):
     if b <= 0 and abs(b - round(b)) < 1e-12:
         raise DomainError("whittaker_M undefined: 1 + 2*mu is a nonpositive integer")
     a = mu - kappa + 0.5
-    out = _seeded_series(
-        zs, mu, lambda ks, z: (a + ks) * z[:, None] / ((b + ks) * (ks + 1.0)),
-        f"whittaker_M({kappa}, {mu}, z)",
-    )
+
+    def factors(j0, n, z, out):
+        js = np.arange(j0, j0 + n)
+        np.divide(np.multiply.outer(a + js, z, out=out), ((b + js) * (js + 1.0))[:, None], out=out)
+
+    out = _seeded_series(zs, mu, factors, f"whittaker_M({kappa}, {mu}, z)")
     return out.reshape(zs.shape) if zs.ndim else float(out[0])
 
 
@@ -316,33 +323,51 @@ def _whittaker_kernel(k: int, z) -> np.ndarray:
     sum is (2^k - 2) seed sum_j C_j z^j with C_0 = 1.  Since
     (a)_j / (k)_j = prod_{i=a}^{k-1} i / (i + j) for integer a,
     C_j j! is proportional to e_j = sum_{a=1}^{k-1} prod_{i=a}^{k-1} 2i / (i + j).
-    The ratios C_{j+1} / C_j are formed from it in long double, a block at
-    a time (cached per k and block), and rounded once, as the factors of ``whittaker_M``.
+    The ratios C_{j+1} / C_j are formed from it in exact rationals, a block
+    at a time (cached per k and block), and rounded once, as the factors of
+    ``whittaker_M``.
     """
+    def factors(j0, n, z, out):
+        first, last = j0 // _WHITTAKER_BLOCK, (j0 + n - 1) // _WHITTAKER_BLOCK
+        ratios = np.concatenate([_kernel_ratios(k, i) for i in range(first, last + 1)])
+        np.multiply.outer(ratios[j0 - first * _WHITTAKER_BLOCK:][:n], z, out=out)
+
     return (2.0 ** k - 2.0) * _seeded_series(
-        np.asarray(z, dtype=float), 0.5 * (k - 1),
-        lambda ks, z: np.multiply.outer(z, _kernel_ratios(k, int(ks[0]))),
-        f"the M-kernel sum at k={k}",
+        np.asarray(z, dtype=float), 0.5 * (k - 1), factors, f"the M-kernel sum at k={k}"
     )
 
 
 @lru_cache(maxsize=256)
-def _kernel_ratios(k: int, j0: int) -> tuple[float, ...]:
-    js = np.arange(j0, j0 + _WHITTAKER_BLOCK + 1, dtype=np.longdouble)
-    e = np.cumprod([(2 * i) / (i + js) for i in range(k - 1, 0, -1)], axis=0).sum(axis=0)
-    return tuple((e[1:] / (e[:-1] * (js[:-1] + 1))).astype(float))  # immutable, as it is shared
+def _kernel_ratios(k: int, block: int) -> np.ndarray:
+    """C_{j+1} / C_j of ``_whittaker_kernel`` for one block of j, each an
+    exact rational rounded once (read-only, as it is shared)."""
+    j0 = block * _WHITTAKER_BLOCK
+    e = [sum(accumulate((Fraction(2 * i, i + j) for i in range(k - 1, 0, -1)), operator.mul))
+         for j in range(j0, j0 + _WHITTAKER_BLOCK + 1)]
+    out = np.array([float(e[i + 1] / (e[i] * (j0 + i + 1))) for i in range(_WHITTAKER_BLOCK)])
+    out.flags.writeable = False
+    return out
+
+
+def _series_terms(z: np.ndarray) -> np.ndarray:
+    """Rows of a point's first table in ``_seeded_series``.  The kernels of
+    k = 2, 4, 12 and each of their M-series settle by z + 8 sqrt(z) + 22."""
+    return (z + 8.0 * np.sqrt(z) + 30.0).astype(np.int64)
 
 
 def _seeded_series(zs: np.ndarray, mu: float, factors, name: str) -> np.ndarray:
     """sum_j t_j(z) on the flattened array of z > 0, with
     t_0 = e^{-z/2} z^{mu+1/2} (as e^{-z/4} z^{mu+1/2} e^{-z/4}) and t_{j+1} / t_j
-    column j of ``factors(js, z)`` for a block of indices js.
+    in row j - j0 of what ``factors(j0, n, z, out)`` writes into ``out``
+    (rows j = j0..j0+n-1, one column per point).
 
-    Each point is summed until ten consecutive terms fall below 1e-16 of
-    its partial sum, at most 256 points at a time and in blocks of terms:
-    a (points, block) table of factors, a running product seeded with each
-    point's last term and a running sum seeded with its partial sum;
-    points drop out as they settle.
+    Each point takes its partial sum at the tenth of ten consecutive terms
+    below 1e-16 of it.  The points are sorted by z, in blocks of at most
+    ``_CHUNK`` table entries: the seeds in row 0, ``_series_terms`` rows of
+    the block's largest z below.  One cumprod and one cumsum down the
+    columns run the scalar recurrence, so a value depends on its z alone.
+    A point not settled continues from nine rows before the end (a quiet
+    run across the edge is seen whole) with ``_WHITTAKER_BLOCK`` more rows.
     ``RangeOverflowError`` where the seed or a partial sum leaves the
     double range; a seed that underflows at z <= 1 gives 0.
     """
@@ -356,32 +381,45 @@ def _seeded_series(zs: np.ndarray, mu: float, factors, name: str) -> np.ndarray:
     if np.any(((seed == 0.0) & (flat > 1.0)) | ~np.isfinite(seed)):
         raise RangeOverflowError(f"{name} overflows double precision")
     out = np.zeros(flat.size)
-    cols = np.arange(_WHITTAKER_BLOCK)
-    for live in np.array_split(np.flatnonzero(seed), 1 + np.count_nonzero(seed) // 256):
-        live_z, term = flat[live], seed[live]
-        acc = term.copy()
-        quiet = np.zeros(live.size, dtype=np.int64)
-        for k0 in range(0, 100000, _WHITTAKER_BLOCK):
-            ks = k0 + cols
+    live = np.flatnonzero(seed)
+    live = live[np.argsort(flat[live], kind="stable")]
+    terms = _series_terms(flat[live])
+    rows = np.maximum(terms, _WHITTAKER_BLOCK) + 1  # a continuation table fits too
+    fits = np.arange(live.size) - _CHUNK // rows  # points [i, e) fit one table when fits[e - 1] < i
+    bufs, quiet_buf = np.empty((3, _CHUNK)), np.empty(_CHUNK, dtype=bool)
+    i = 0
+    while i < live.size:
+        e = max(i + 1, int(np.searchsorted(fits, i)))
+        pts, z = live[i:e], flat[live[i:e]]
+        j0, term, acc = 0, seed[pts], seed[pts]
+        n = int(terms[e - 1])
+        while pts.size:
+            if j0 > 100000:
+                raise AccuracyError(f"{name}: series did not settle")
+            t, s, bound = bufs[:, :(n + 1) * pts.size].reshape(3, n + 1, pts.size)
+            quiet = quiet_buf[:n * pts.size].reshape(n, pts.size)
+            factors(j0, n, z, t[1:])
+            t[0] = term
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = np.cumprod(np.column_stack((term, factors(ks, live_z))), axis=1)[:, 1:]
-                sums = np.cumsum(np.column_stack((acc, terms)), axis=1)[:, 1:]
-            if not np.all(np.isfinite(sums[:, -1])):
-                raise RangeOverflowError(f"{name} overflows double precision")
-            # length of the run of quiet terms ending at each column
-            loud = np.where(np.abs(terms) < 1e-16 * np.abs(sums), -1 - quiet[:, None], cols)
-            run = cols - np.maximum.accumulate(loud, axis=1)
-            settled = run >= 10
-            done = settled.any(axis=1)
-            stop = settled.argmax(axis=1)[done]
-            out[live[done]] = sums[done, stop]
-            keep = ~done
-            live, live_z = live[keep], live_z[keep]
-            term, acc, quiet = terms[keep, -1], sums[keep, -1], run[keep, -1]
-            if not live.size:
-                break
-        else:
-            raise AccuracyError(f"{name}: series did not settle")
+                np.cumprod(t, axis=0, out=t)
+                t[0] = acc
+                np.cumsum(t, axis=0, out=s)
+                if not np.all(np.isfinite(s[-1])):
+                    raise RangeOverflowError(f"{name} overflows double precision")
+                r0 = max(0, n - 9)
+                term = t[r0].copy() if r0 else term
+                np.multiply(np.abs(s[1:], out=bound[1:]), 1e-16, out=bound[1:])
+                np.less(np.abs(t[1:], out=t[1:]), bound[1:], out=quiet)
+            settled = quiet[:max(0, n - 9)].copy()  # row r: terms r+1..r+10 all quiet
+            for d in range(1, 10):
+                settled &= quiet[d:d + len(settled)]
+            keep = ~settled.any(axis=0)
+            if not keep.all():
+                done = np.flatnonzero(~keep)
+                out[pts[done]] = s[settled.argmax(axis=0)[done] + 10, done]
+            pts, z, term, acc = pts[keep], z[keep], term[keep], s[r0, keep]
+            j0, n = j0 + r0, _WHITTAKER_BLOCK
+        i = e
     return out
 
 
@@ -399,52 +437,52 @@ def _bessel_j_series(nu: float, x) -> np.ndarray:
     raise AccuracyError("bessel series did not settle")
 
 
-def _bessel_j_miller_all(nmax: int, x) -> np.ndarray:
-    """J_0..J_nmax at x > 0 by one backward (Miller) sweep, integer orders.
+def _bessel_j_miller(n: int, x: np.ndarray) -> np.ndarray:
+    """J_n on a 1-D array of x > 12 by one backward (Miller) sweep, integer n >= 0.
 
     Normalized with J_0 + 2 J_2 + 2 J_4 + ... = 1; immune to the
-    cancellation that kills the ascending series at moderate x.  ``x`` may
-    be an array: row n of the result is J_n on it.  Each point starts at
-    its own depth m(x) = x + 1.3 sqrt(x) + 30 + nmax (rounded up to even)
-    and is rescaled by itself, so every point follows the scalar sweep.
+    cancellation that kills the ascending series at moderate x.  Each
+    point starts at its own depth m(x) = x + 1.3 sqrt(x) + 30 + n (rounded
+    up to even) and is rescaled by itself, so every point follows the
+    scalar sweep; only J_n is kept.  The points are sorted by depth, so
+    the points that start at a step are one slice.  A step multiplies the
+    larger of |J_k|, |J_{k+1}| by at most 2k/x + 1 < 9 + n/6 (x > 12, k <= m),
+    so eight steps from 1e250 stay finite for n < 10^8: the 1e250 rescale
+    test runs every eighth step.
     """
-    shape = np.shape(x)
-    xs = np.asarray(x, dtype=float).ravel()
-    depth = (xs + 1.3 * xs ** 0.5 + 30 + nmax).astype(np.int64)
+    depth = (x + 1.3 * x ** 0.5 + 30 + n).astype(np.int64)
     depth += depth % 2
-    out = np.zeros((nmax + 1, xs.size))
-    jp = np.zeros(xs.size)
-    jc = np.zeros(xs.size)  # 0 until a point's sweep starts
-    norm = np.zeros(xs.size)
-    for k in range(int(depth.max(initial=0)), 0, -1):
-        jc[depth == k] = 1e-300
-        jm = 2.0 * k / xs * jc - jp
-        jp = jc
-        jc = jm
-        big = np.abs(jc) > 1e250
-        if big.any():
-            jc[big] *= 1e-250
-            jp[big] *= 1e-250
-            out[:, big] *= 1e-250
-            norm[big] *= 1e-250
-        kk = k - 1  # jc now approximates J_{kk}
-        if kk > 0 and kk % 2 == 0:
+    order = np.argsort(-depth, kind="stable")
+    xs, depth = x[order], depth[order]
+    kmax = int(depth[0]) if depth.size else 0
+    # the points with depth >= k are xs[:active[k]]
+    active = np.searchsorted(-depth, -np.arange(kmax + 2), side="right").tolist()
+    jp, jc, norm, jn = np.zeros((4, xs.size))  # jc is 0 until a point's sweep starts
+    for k in range(kmax, 0, -1):
+        jc[active[k + 1]:active[k]] = 1e-300
+        jp, jc = jc, np.subtract(2.0 * k / xs * jc, jp, out=jp)  # jc now approximates J_{k-1}
+        if k % 8 == 0:
+            big = np.flatnonzero(np.maximum(np.abs(jc), np.abs(jp)) > 1e250)
+            if big.size:
+                for a in (jc, jp, norm, jn):
+                    a[big] *= 1e-250
+        if k % 2 == 1 and k > 1:
             norm += 2.0 * jc
-        if kk <= nmax:
-            out[kk] = jc
+        if k == n + 1:
+            jn[:] = jc
     norm += jc  # jc = unnormalized J_0
-    return (out / norm).reshape((nmax + 1,) + shape)
+    return (jn / norm)[np.argsort(order)]
 
 
 def bessel_J(nu: float, x: float) -> float:
-    """Bessel function of the first kind, nu >= 0, x >= 0.
+    """Bessel function of the first kind, nu >= 0, finite x >= 0.
 
     Integer orders are ``bessel_J_grid`` at one point; other orders take
     the ascending series for x <= 12 and Hankel asymptotics beyond.
     Absolute error <= ~1e-12 for x <= 100.
     """
-    if nu < 0 or x < 0:
-        raise DomainError("bessel_J requires nu >= 0 and x >= 0")
+    if nu < 0 or not 0 <= x < math.inf:
+        raise DomainError("bessel_J requires nu >= 0 and finite x >= 0")
     if abs(nu - round(nu)) < 1e-12:
         return float(bessel_J_grid(int(round(nu)), x))
     if x <= 12.0:
@@ -477,17 +515,17 @@ def _bessel_j_hankel(nu: float, x: float) -> float:
 
 
 def bessel_J_grid(n: int, xs: np.ndarray) -> np.ndarray:
-    """J_n on an array of nonnegative points (integer order n).
+    """J_n on an array of finite nonnegative points (integer order n).
 
     Points x > 12 share one backward Miller sweep; the others share the
     ascending series of ``bessel_J``.
     """
     xs = np.asarray(xs, dtype=float)
-    if n < 0 or not np.all(xs >= 0):
-        raise DomainError("bessel_J requires nu >= 0 and x >= 0")
+    if n < 0 or not np.all((xs >= 0) & (xs < np.inf)):
+        raise DomainError("bessel_J requires nu >= 0 and finite x >= 0")
     out = np.empty(xs.shape)
     far = xs > 12.0
-    out[far] = _bessel_j_miller_all(n, xs[far])[n]
+    out[far] = _bessel_j_miller(n, xs[far])
     out[~far] = _bessel_j_series(n, xs[~far])
     return out
 

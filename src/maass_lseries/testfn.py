@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .specials import _principal_pow, upper_gamma
+from .specials import _CHUNK, _principal_pow, upper_gamma
 
 # ----------------------------------------------------------------------------
 # Gauss-Kronrod 15/7 pair (QUADPACK dqk15 constants)
@@ -56,7 +56,6 @@ _GK_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _G_W = np.zeros(15)
 _G_W[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 _GRID_RULES = (32, 20)  # Gauss points a panel of _grid_integrals: its value's and its check's
-_CHUNK = 1 << 15  # entries of an exponential table built at once (256 kB in float64)
 # dyadic levels of _graded_edges that seed an adaptive quadrature over a test
 # function's support: 8 settle the widest battery bump in at most 3 passes
 _SEED_LEVELS = 8
@@ -716,13 +715,13 @@ def laplace(phi: TestFunction, s: complex):
     return val
 
 
-def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: int = 32):
+def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: int | None = None):
     """Nodes x and weighted samples w phi(x), one column per test function.
 
     A composite Gauss-Legendre grid on the common support, dyadically
     graded into both endpoints (resolving bump-type essential singularities
     and keeping |u| h small on the panels that matter), ``order`` nodes a
-    panel in float64 and 40 in long double.  A bump
+    panel (by default 32 in float64 and 40 in long double).  A bump
     underflows to exactly 0 on the nodes graded into its endpoints; the
     nodes where every test function is 0 add nothing to any transform and
     are dropped.  A member that differs from the one before it only by its
@@ -738,10 +737,10 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
     width = hi - lo
     u_scale = float(np.max(np.abs(us.astype(float)), initial=1.0))
     levels = min(48, max(13, int(math.ceil(math.log2(max(u_scale * width / 20.0, 2.0)))) + 2))
-    if np.dtype(dtype) == np.dtype(np.longdouble):
-        xg, wg = _leggauss_longdouble(40)
-    else:
-        xg, wg = _leggauss(order)
+    longdouble = np.dtype(dtype) == np.dtype(np.longdouble)
+    if order is None:
+        order = 40 if longdouble else 32
+    xg, wg = (_leggauss_longdouble if longdouble else _leggauss)(order)
     edges = np.array(_graded_edges(phis[0], levels), dtype=dtype)
     a, b = edges[:-1, None], edges[1:, None]
     h = 0.5 * (b - a)

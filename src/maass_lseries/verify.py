@@ -53,6 +53,7 @@ from .testfn import (
     _exp_normal,
     _graded_edges,
     _grid_integrals,
+    _leggauss,
     _padd,
     _pmul,
     _pscale,
@@ -358,7 +359,7 @@ def derivative_lift(f: FormData) -> FormData:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityReport:
     lhs: complex
     rhs: complex
@@ -541,7 +542,7 @@ def mf_term_check(
     u_max = math.sqrt(80.0 * hi) + 2.0 / beta
     panel = min(math.pi / beta, u_max / 8.0)
     edges = np.minimum(np.arange(int(math.ceil(u_max / panel)) + 1) * panel, u_max)
-    xg, wg = np.polynomial.legendre.leggauss(16)
+    xg, wg = _leggauss(16)
     h = 0.5 * np.diff(edges)[:, None]
     us = (0.5 * (edges[:-1, None] + edges[1:, None]) + h * xg).ravel()
     ws = (h * wg).ravel()
@@ -604,7 +605,7 @@ def decomp_identity_check(
     return IdentityReport.build(lhs, rhs, tol, "decomposition")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummationReport(IdentityReport):
     """The summation formula's residual, with the two parts of its left side
     and the number of right-side terms."""

@@ -2,9 +2,12 @@
 Whittaker M, Bessel J, Kronecker symbol, characters and Gauss sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from maass_lseries import specials, verify
 
 from maass_lseries.errors import AccuracyError, DomainError, RangeOverflowError
 from maass_lseries.specials import (
@@ -25,7 +28,7 @@ from maass_lseries.specials import (
     _principal_pow,
     _whittaker_kernel,
 )
-from maass_lseries.testfn import quadrature
+from maass_lseries.testfn import TestFunction, quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +192,12 @@ def test_bessel_ascending_series_oracle():
 def test_bessel_series_vs_miller_crossover():
     # the two evaluation regimes must agree near the switch point (the
     # ascending series loses ~3 digits to cancellation by x ~ 12.5)
-    from maass_lseries.specials import _bessel_j_series, _bessel_j_miller_all
+    from maass_lseries.specials import _bessel_j_series, _bessel_j_miller
 
     for n in (0, 1, 5, 11):
         for x in (11.5, 12.0, 12.5):
             a = _bessel_j_series(n, x)
-            b = float(_bessel_j_miller_all(n, x)[n])
+            b = float(_bessel_j_miller(n, np.array([x]))[0])
             assert abs(a - b) < 3e-12
 
 
@@ -683,3 +686,154 @@ def test_bessel_grid_matches_scalar_calls():
         assert np.all(np.abs(got - one) <= 4 * np.finfo(float).eps * np.maximum(np.abs(one), 1e-300)), n
     with pytest.raises(DomainError):
         bessel_J_grid(1, np.array([1.0, -1.0]))
+
+
+def test_bessel_at_infinity_is_a_domain_error():
+    # once nan with two RuntimeWarnings, nan, and a bare "math domain error"
+    with pytest.raises(DomainError):
+        bessel_J_grid(1, np.array([1.0, np.inf]))
+    with pytest.raises(DomainError):
+        bessel_J(1, math.inf)
+    with pytest.raises(DomainError):
+        bessel_J(2.5, math.inf)
+    with pytest.raises(DomainError):
+        bessel_J(2.5, math.nan)
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against the loops they replaced, value for value
+
+
+def _miller_all_orders(nmax, x):
+    """The all-orders Miller sweep that ``_bessel_j_miller`` replaced: one
+    depth mask a step, every order kept, the rescale test at every step."""
+    xs = np.asarray(x, dtype=float).ravel()
+    depth = (xs + 1.3 * xs ** 0.5 + 30 + nmax).astype(np.int64)
+    depth += depth % 2
+    out = np.zeros((nmax + 1, xs.size))
+    jp = np.zeros(xs.size)
+    jc = np.zeros(xs.size)
+    norm = np.zeros(xs.size)
+    for k in range(int(depth.max(initial=0)), 0, -1):
+        jc[depth == k] = 1e-300
+        jm = 2.0 * k / xs * jc - jp
+        jp = jc
+        jc = jm
+        big = np.abs(jc) > 1e250
+        if big.any():
+            jc[big] *= 1e-250
+            jp[big] *= 1e-250
+            out[:, big] *= 1e-250
+            norm[big] *= 1e-250
+        kk = k - 1
+        if kk > 0 and kk % 2 == 0:
+            norm += 2.0 * jc
+        if kk <= nmax:
+            out[kk] = jc
+    norm += jc
+    return out / norm
+
+
+def _blocked_series(zs, mu, factors):
+    """The blocked loop that ``_seeded_series`` replaced: 256 points at a
+    time, 64 terms a block, ``factors(ks, z)`` a (points, terms) table."""
+    flat = zs.ravel()
+    quarter = np.exp(-0.25 * flat)
+    seed = quarter * flat ** (mu + 0.5) * quarter
+    out = np.zeros(flat.size)
+    cols = np.arange(64)
+    for live in np.array_split(np.flatnonzero(seed), 1 + np.count_nonzero(seed) // 256):
+        live_z, term = flat[live], seed[live]
+        acc = term.copy()
+        quiet = np.zeros(live.size, dtype=np.int64)
+        for k0 in range(0, 100000, 64):
+            ks = k0 + cols
+            terms = np.cumprod(np.column_stack((term, factors(ks, live_z))), axis=1)[:, 1:]
+            sums = np.cumsum(np.column_stack((acc, terms)), axis=1)[:, 1:]
+            loud = np.where(np.abs(terms) < 1e-16 * np.abs(sums), -1 - quiet[:, None], cols)
+            run = cols - np.maximum.accumulate(loud, axis=1)
+            settled = run >= 10
+            done = settled.any(axis=1)
+            out[live[done]] = sums[done, settled.argmax(axis=1)[done]]
+            keep = ~done
+            live, live_z = live[keep], live_z[keep]
+            term, acc, quiet = terms[keep, -1], sums[keep, -1], run[keep, -1]
+            if not live.size:
+                break
+    return out
+
+
+def test_single_order_miller_sweep_equals_the_all_orders_sweep(monkeypatch):
+    # on (12, 700] and on the Bessel points of mf_term_check at the
+    # benchmark's 15 (n, k) pairs: one u-grid per n, whatever k
+    grids = [np.linspace(12.0, 700.0, 2001)[1:]]
+
+    def record(n, xs):
+        grids.append(xs[xs > 12.0])
+        return bessel_J_grid(n, xs)
+
+    monkeypatch.setattr(verify, "bessel_J_grid", record)
+    for n in range(1, 6):
+        verify.mf_term_check(n, 2, 1, TestFunction.bump(1, 2))
+    assert len(grids) == 6
+    for n in (0, 1, 3, 11, 23):
+        for xs in grids:
+            assert np.array_equal(specials._bessel_j_miller(n, xs), _miller_all_orders(n, xs)[n]), n
+
+
+_GEOMETRIC = np.geomspace(1e-3, 1300.0, 4001)
+
+
+def test_whittaker_kernel_equals_the_blocked_loop():
+    for k in (2, 4, 12):
+        ratios = lambda ks, z: np.multiply.outer(z, specials._kernel_ratios(k, int(ks[0]) // 64))
+        ref = (2.0 ** k - 2.0) * _blocked_series(_GEOMETRIC, 0.5 * (k - 1), ratios)
+        assert np.array_equal(_whittaker_kernel(k, _GEOMETRIC), ref), k
+
+
+def test_whittaker_M_equals_the_blocked_loop():
+    zs = np.geomspace(1e-3, 700.0, 801)
+    for kappa, mu in list(_whittaker_parameters())[::3] + [(0.7, 0.3), (3.2, 0.1), (7.5, 1.0)]:
+        a, b = mu - kappa + 0.5, 1.0 + 2.0 * mu
+        factors = lambda ks, z: (a + ks) * z[:, None] / ((b + ks) * (ks + 1.0))
+        assert np.array_equal(whittaker_M(kappa, mu, zs), _blocked_series(zs, mu, factors)), (kappa, mu)
+
+
+def test_array_kernels_equal_their_scalar_calls_exactly():
+    zs = np.concatenate([np.geomspace(1e-3, 1300.0, 41), [6.3, 62.8, 62.8]])
+    for k in (2, 4, 12):
+        got = _whittaker_kernel(k, zs)
+        one = np.array([_whittaker_kernel(k, np.array([z]))[0] for z in zs])
+        assert np.array_equal(got, one), k
+        got = whittaker_M(1.0 - 0.5 * k, 0.5 * (k - 1), zs)
+        one = np.array([whittaker_M(1.0 - 0.5 * k, 0.5 * (k - 1), float(z)) for z in zs])
+        assert np.array_equal(got, one), k
+
+
+def test_series_continuation_gives_the_same_values(monkeypatch):
+    # every point runs out of rows in its first table and continues
+    zs = np.geomspace(1e-3, 1300.0, 301)
+    want = {k: _whittaker_kernel(k, zs) for k in (2, 4, 12)}
+    want_m = whittaker_M(-5.0, 5.5, zs)
+    monkeypatch.setattr(specials, "_series_terms", lambda z: np.full(z.shape, 8))
+    for k in (2, 4, 12):
+        assert np.array_equal(_whittaker_kernel(k, zs), want[k]), k
+    assert np.array_equal(whittaker_M(-5.0, 5.5, zs), want_m)
+
+
+def test_kernel_ratios_are_correctly_rounded():
+    # C_j = sum_l 2^{l+1} (k-1-l)_j / ((k)_j j!), the k - 1 Kummer series
+    # of the kernel's M-functions, in exact rationals
+    def poch(a, j):
+        out = 1
+        for i in range(j):
+            out *= a + i
+        return out
+
+    for k in (2, 4, 12):
+        for block in (0, 1, 2, 5, 15, 18):
+            j0 = block * 64
+            c = [sum(Fraction(2 ** (l + 1) * poch(k - 1 - l, j), poch(k, j) * math.factorial(j))
+                     for l in range(k - 1)) for j in range(j0, j0 + 65)]
+            want = [float(c[i + 1] / c[i]) for i in range(64)]
+            assert specials._kernel_ratios(k, block).tolist() == want, (k, block)

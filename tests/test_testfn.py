@@ -667,7 +667,7 @@ def _sampled_grid_inline(phi, us, dtype, order):
         edges.add(lo + d)
         edges.add(hi - d)
     if np.dtype(dtype) == np.dtype(np.longdouble):
-        xg, wg = _leggauss_longdouble(40)
+        xg, wg = _leggauss_longdouble(order)
     else:
         xg, wg = np.polynomial.legendre.leggauss(order)
     edges = np.array(sorted(edges), dtype=dtype)
@@ -688,6 +688,17 @@ def test_sampled_grid_is_unchanged_by_graded_edges(phi, dtype, order):
         x, wf = _sampled_grid((phi,), us, dtype, order)
         x_ref, wf_ref = _sampled_grid_inline(phi, us, dtype, order)
         assert np.array_equal(x, x_ref) and np.array_equal(wf[:, 0], wf_ref)
+
+
+def test_sampled_grid_honours_an_explicit_order():
+    # long double used to take 40 points a panel whatever order was asked,
+    # so where it is plain double both rules of _grid_integrals were one
+    phi = GRADED_PHIS[2]  # a spline: no node underflows to 0 and drops out
+    edges = np.array(_graded_edges(phi, 13))  # the levels at u = 1
+    for dtype, order, per_panel in ((np.longdouble, 20, 20), (np.longdouble, None, 40), (np.float64, 20, 20)):
+        x, wf = _sampled_grid((phi,), np.array([1.0], dtype=dtype), dtype, order)
+        assert x.dtype == np.dtype(dtype) and len(wf) == len(x)
+        assert np.all(np.histogram(x.astype(float), bins=edges)[0] == per_panel), (dtype, order)
 
 
 @pytest.mark.parametrize("j", range(10))

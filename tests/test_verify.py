@@ -10,12 +10,14 @@ from maass_lseries import testfn
 from maass_lseries import verify as verify_module
 from maass_lseries.errors import AccuracyError, DomainError, MembershipError
 from maass_lseries.form import FormData, twist
-from maass_lseries.lseries import _series_pair, lseries_delta, lseries_series, series_membership
+from maass_lseries.lseries import LValue, _series_pair, lseries_delta, lseries_series, series_membership
 from maass_lseries.qseries import fixture, fixture_pair
 from maass_lseries.specials import characters_mod, kronecker_character, trivial_character
 from maass_lseries.testfn import TestFunction, slash_W, standard_battery
 from maass_lseries.verify import (
     FEReport,
+    IdentityReport,
+    SummationReport,
     _fe_side,
     _gf_moments,
     _whittaker_side,
@@ -732,3 +734,16 @@ def test_fe_report_derives_its_residuals():
     assert rep.passed and rep.verdict_reliable
     assert not hasattr(rep, "__dict__")
 
+
+def test_result_types_have_slots():
+    lv = LValue(1 + 2j, 1e-20, 1e-16, 12, "series")
+    rep = IdentityReport.build(1.0, 1.0 + 1e-12, 1e-9, "x")
+    srep = SummationReport.build(1.0, 2.0, 1e-9, "s", lhs_parts=(1j, 0j), rhs_n_terms=3)
+    for x in (lv, rep, srep):
+        assert not hasattr(x, "__dict__")
+        assert x == replace(x) and x is not replace(x)
+    assert replace(lv, method="integral") == LValue(1 + 2j, 1e-20, 1e-16, 12, "integral")
+    assert replace(rep, detail="y") == IdentityReport(rep.lhs, rep.rhs, rep.abs_residual, rep.rel_residual, True, "y")
+    moved = replace(srep, rhs_n_terms=4)
+    assert (moved.rhs_n_terms, moved.lhs_parts, moved.passed) == (4, (1j, 0j), False)
+    assert moved != srep
