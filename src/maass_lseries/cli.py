@@ -11,7 +11,8 @@ Exit codes: 0 pass, 1 check failed, 2 input error, 3 domain/membership
 error, 4 numerical error (accuracy not reached, or a value outside the
 double-precision range), 5 inconclusive converse sweep (every failing
 report is unreliable).  Reports are deterministic for a fixed
-configuration.
+configuration, at any BLAS thread count: no matrix product is large
+enough to start BLAS's threads (``specials._matmul``).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, SchemaError, ShadowVanishesError
-from .specials import Character, _gamma_half_exp, characters_mod, gauss_sum
+from .specials import Character, _gamma_half_exp, _matmul, characters_mod, gauss_sum
 from .testfn import _CHUNK, _LOG_TINY, _exp_normal
 
 _TWO_PI = 2.0 * math.pi
@@ -279,7 +279,7 @@ def _evaluate(f: FormData, zs, delta: bool, tol: float) -> np.ndarray:
                 weight = weight + 1j * theta
             if delta:
                 terms *= weight
-            acc += terms @ vals
+            acc += _matmul(terms, vals)
         out[block] = acc
         i += len(block)
     return out

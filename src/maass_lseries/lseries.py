@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, MembershipError
 from .form import FormData, RuleCoeffs, _hol_tail, delta_k_iy, eval_iy, geom_tail, twist
-from .specials import Character, _gamma_half_exp, _principal_pow, i_pow, upper_gamma
+from .specials import Character, _gamma_half_exp, _matmul, _principal_pow, i_pow, upper_gamma
 from .testfn import (
     _CHUNK,
     _G_W,
@@ -186,9 +186,11 @@ def _series_pair(
     Within the stored range each series sums only what its budget can see.
     A term n > 0 has the bound b_n = |a(n)| K e^{-alpha n} (n times that,
     with K2, in the delta_k series), and is summed when b_n exceeds
-    rho sum b, rho = 1e-3 eps_ld / len(ns).  The bounds of the terms left
+    rho sum b, rho = 1e-3 2^-63 / len(ns).  The bounds of the terms left
     out join that value's ``trunc_err``; they add up to about 1e-3 of
-    the smallest rounding budget the long-double escalation can report.
+    the smallest rounding budget the long-double escalation can report
+    with x87's 2^-63 for eps.  rho is that constant on every platform, so
+    which terms are summed does not depend on the platform's long double.
     Their coefficients' errors, coeff_err K e^{-alpha n}, join its
     quadrature budget like those of the terms summed.  The choice does not
     read ``coeff_err``, so a twist sums the terms its series sums.  n = 0,
@@ -281,12 +283,13 @@ def _series_pair(
 
 
 _ROW_N = np.array([[0.0], [1.0]])  # log n times this weights row 1 by n
+_CUT_EPS = 2.0 ** -63  # x87 long double's eps, the same on every platform
 
 
 def _mass_cut(ns: np.ndarray, mags: np.ndarray, alpha: float, errs: np.ndarray | None):
     """The cut of the plain series (row 0, bounds b_n = mags_n e^{-alpha n}
     times a constant) and of the delta_k series (row 1, bounds n b_n): the
-    terms n > 0 whose bound exceeds rho sum b, rho = 1e-3 eps_ld / len(ns),
+    terms n > 0 whose bound exceeds rho sum b, rho = 1e-3 2^-63 / len(ns),
     as a mask over ns; the sum of the other terms' bounds; and the sum of
     errs_n e^{-alpha n} (n times that in row 1) over those.  The rule is
     relative, so it does not change when every mags_n is scaled; it works
@@ -300,7 +303,7 @@ def _mass_cut(ns: np.ndarray, mags: np.ndarray, alpha: float, errs: np.ndarray |
         log_b = (np.log(mags[live]) - alpha * n) + _ROW_N * np.log(n)
         top = log_b.max(axis=1, keepdims=True)
         rel = np.exp(log_b - top)
-        summed = rel > (1e-3 * _EPS_LD / len(ns)) * rel.sum(axis=1, keepdims=True)
+        summed = rel > (1e-3 * _CUT_EPS / len(ns)) * rel.sum(axis=1, keepdims=True)
         keep[:, live] = summed
         skipped = np.exp(top[:, 0]) * (rel * ~summed).sum(axis=1)
     if errs is None:
@@ -505,8 +508,8 @@ def _gamma_route(lam: np.ndarray, k: float, x: np.ndarray, w_phi: np.ndarray):
     gam = _gamma_half_exp(1.0 - k, np.multiply.outer(2.0 * lam, x))
     mag = np.abs(gam)
     aw = np.abs(w_phi)
-    mass = mag @ aw
-    return gam @ w_phi, mass, _EPS * (50.0 * mass + 4.0 * lam * (mag @ (x * aw)))
+    mass = _matmul(mag, aw)
+    return _matmul(gam, w_phi), mass, _EPS * (50.0 * mass + 4.0 * lam * _matmul(mag, x * aw))
 
 
 def _tau_route(x, samples, lam, c1: float, p: float, rule):
@@ -546,11 +549,11 @@ def _tau_route(x, samples, lam, c1: float, p: float, rule):
     for i in range(0, len(tau), rows):
         tc = tau[i:i + rows]
         B = _exp_normal(np.multiply.outer(tc, -x / c1, out=buf[:len(tc)]))
-        vals, errs = _split(B @ table, idx, lam_c[:, None] + tc / c1, x, lost, tiny, False)
+        vals, errs = _split(_matmul(B, table), idx, lam_c[:, None] + tc / c1, x, lost, tiny, False)
         power = (1.0 + tc / s_c[:, None]) ** p
         vals *= power
-        acc += vals @ wk[i:i + rows]
-        err += (errs * power) @ wk[i:i + rows]
+        acc += _matmul(vals, wk[i:i + rows])
+        err += _matmul(errs * power, wk[i:i + rows])
         kg += np.sum(np.abs((vals * wd[i:i + rows]).reshape(ncol, -1, 15).sum(axis=2)), axis=1)
     mass = np.sum(np.abs(table), axis=0)[idx[:ncol]] + tiny * np.sum(np.abs(lost), axis=0)
     return acc / s_c, (kg + err + mass * _tau_tail(T, s_c, p)) / s_c

@@ -35,6 +35,17 @@ import numpy as np
 from .errors import AccuracyError, DomainError, RangeOverflowError
 
 _CHUNK = 1 << 15  # entries of a table built at once (256 kB in float64)
+# Largest m k n of one BLAS call, keyed by the operands' dtype codes and by
+# whether numpy makes it a matrix-vector call (m or n is 1); see _matmul
+_BLAS_CAPS = {
+    ("d", "d", False): 1 << 18,
+    ("D", "D", False): 1 << 15,
+    ("d", "d", True): 1 << 17,
+    ("D", "D", True): 1 << 11,
+}
+# m k n within every cap, and within every cap of two float64 operands
+_SMALL_PRODUCT = min(_BLAS_CAPS.values())
+_SMALL_REAL_PRODUCT = min(_BLAS_CAPS["d", "d", False], _BLAS_CAPS["d", "d", True])
 _EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # Lanczos approximation, g = 7, 9 terms.  Relative error ~ 1e-14 on the
@@ -51,6 +62,93 @@ _LANCZOS_C = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+
+
+def _matmul(a, b):
+    """a @ b for 1-D and 2-D operands, in BLAS calls too small to start
+    BLAS's thread pool: a product runs on one core, and its value does not
+    depend on the thread count.
+
+    numpy hands an (m x k) @ (k x n) product of float64 or complex128
+    operands to one BLAS call: a dot product when m = n = 1, a
+    matrix-vector call when m or n is 1, a matrix-matrix call otherwise.
+    A product within every cap that can apply to it goes to ``np.matmul``
+    as it is.  A call whose m k n exceeds its cap in ``_BLAS_CAPS`` is
+    split into row tiles of ``a``, or column tiles of ``b`` when ``a`` has
+    one row or two of its rows alone exceed the cap; a tile takes a
+    multiple of 4 rows or columns where 4 fit.  The inner dimension k is
+    never split, so each entry is still one BLAS dot product, and a dot
+    product is never split.  Past ``_SMALL_PRODUCT``, a real operand
+    against a complex one is one real product of the complex one's
+    (re, im) pairs, with no complex copy of the real one: a real ``a``
+    times ``b``'s pairs, or ``a``'s pairs times a real matrix that holds
+    each entry of ``b`` at the real and at the imaginary place.  Other
+    dtypes go to ``np.matmul`` untiled: long double and integers do not
+    reach BLAS, and the library forms no single-precision product.
+
+    The caps keep a margin of at least 2 below the sizes at which numpy
+    2.4.6's bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH; SkylakeX kernels, and
+    Haswell kernels forced by OpenBLAS's core-type variable) starts its
+    second thread on a 2-core x86-64 machine, each shape timed in a fresh
+    process after the spin that follows ``import numpy`` had ended:
+
+        call                one thread at        two threads at       cap
+        dgemm (SkylakeX)    16x800x78 = 998400   20x800x78 = 1248000  2^18
+        dgemm (Haswell)     8x800x81 = 518400    8x800x82 = 524800    2^18
+        zgemm               2x256x127 = 65024    2x256x128 = 65536    2^15
+        dgemv               600x700 = 420000     700x700 = 490000     2^17
+        zgemv               16x255 = 4080        16x256 = 4096        2^11
+        ddot, zdotu         10000                10001                none
+
+    Other BLAS builds were not measured.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    n = b.shape[1] if b.ndim == 2 else 1
+    pair = a.dtype.char + b.dtype.char
+    mkn = a.size * n
+    if mkn <= _SMALL_PRODUCT or (mkn <= _SMALL_REAL_PRODUCT and pair == "dd"):
+        return np.matmul(a, b)
+    if pair == "dD":
+        pairs = np.ascontiguousarray(b).view(np.float64)
+        out = _tiled(a, pairs.reshape(-1, 2) if b.ndim == 1 else pairs)
+    elif pair == "Dd":
+        # a's pairs against b twice over: b2[2i, 2j] = b2[2i + 1, 2j + 1] = b[i, j]
+        b2 = np.zeros((2 * len(b), 2 * n))
+        b2[0::2, 0::2] = b2[1::2, 1::2] = b.reshape(len(b), n)
+        out = _tiled(np.ascontiguousarray(a).view(np.float64), b2)
+    else:
+        return _tiled(a, b)
+    # [()] makes the product of two vectors a scalar, as a @ b does
+    return out.view(np.complex128).reshape(a.shape[:-1] + b.shape[1:])[()]
+
+
+def _tiled(a: np.ndarray, b: np.ndarray, out=None):
+    """``np.matmul(a, b, out=out)`` in BLAS calls within ``_BLAS_CAPS``."""
+    m = a.shape[0] if a.ndim == 2 else 1
+    k = b.shape[0]
+    n = b.shape[1] if b.ndim == 2 else 1
+    cap = _BLAS_CAPS.get((a.dtype.char, b.dtype.char, m == 1 or n == 1))
+    if cap is None or m * k * n <= cap or m == n == 1:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(a.shape[:-1] + b.shape[1:], dtype=a.dtype)
+    # tiles of a multiple of 4 rows or columns fill BLAS's vector lanes: the
+    # (30 x 792) @ (792 x 24) product of the tau route took 18 us in 12-row
+    # tiles and 24 us in 13-row tiles (SkylakeX kernels, warm caches)
+    if m > 1 and (n == 1 or 2 * k * n <= cap):
+        step = _tile_width(cap // (k * n))
+        for i in range(0, m, step):
+            _tiled(a[i:i + step], b, out[i:i + step])
+    else:
+        step = _tile_width(cap // (k * min(m, 2)))
+        for j in range(0, n, step):
+            _tiled(a, b[:, j:j + step], out[..., j:j + step])
+    return out
+
+
+def _tile_width(fits: int) -> int:
+    """The rows or columns of a tile when ``fits`` of them fit the cap."""
+    return fits - fits % 4 if fits >= 4 else max(1, fits)
 
 
 def complete_gamma(s: complex) -> complex:

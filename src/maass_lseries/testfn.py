@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .specials import _CHUNK, _principal_pow, upper_gamma
+from .specials import _CHUNK, _matmul, _principal_pow, upper_gamma
 
 # ----------------------------------------------------------------------------
 # Gauss-Kronrod 15/7 pair (QUADPACK dqk15 constants)
@@ -83,11 +83,11 @@ def _gk15(fv, a: np.ndarray, b: np.ndarray):
     h = 0.5 * (b - a)
     xs = (0.5 * (a + b))[:, None] + h[:, None] * _GK_NODES
     ys = np.asarray(fv(xs.ravel())).reshape(xs.shape)
-    vk = h * (ys @ _GK_W)
-    diff = np.abs(vk - h * (ys @ _G_W))
-    mass = h * (np.abs(ys) @ _GK_W)
+    vk = h * _matmul(ys, _GK_W)
+    diff = np.abs(vk - h * _matmul(ys, _G_W))
+    mass = h * _matmul(np.abs(ys), _GK_W)
     # QUADPACK-style damped error estimate
-    asc = h * (np.abs(ys - (vk / (b - a))[:, None]) @ _GK_W)
+    asc = h * _matmul(np.abs(ys - (vk / (b - a))[:, None]), _GK_W)
     damped = (asc > 0) & (diff > 0)
     err = diff.copy()
     err[damped] = asc[damped] * np.minimum(1.0, (200.0 * diff[damped] / asc[damped]) ** 1.5)
@@ -796,10 +796,10 @@ def _grid_integrals(phi: TestFunction, kernel, us, rel_tol: float):
     x, wf = _sampled_grid((phi,), us, np.float64, _GRID_RULES[0])
     xc, wc = _sampled_grid((phi,), us, np.float64, _GRID_RULES[1])
     table = kernel(np.concatenate([x, xc]))
-    vals = wf[:, 0] @ table[:len(x)]
-    diff = np.abs(vals - wc[:, 0] @ table[len(x):])
+    vals = _matmul(wf[:, 0], table[:len(x)])
+    diff = np.abs(vals - _matmul(wc[:, 0], table[len(x):]))
     eps = np.finfo(float).eps
-    mass, xmass = np.abs(np.stack([wf[:, 0], x * wf[:, 0]])) @ np.abs(table[:len(x)])
+    mass, xmass = _matmul(np.abs(np.stack([wf[:, 0], x * wf[:, 0]])), np.abs(table[:len(x)]))
     if np.any(diff > rel_tol * np.abs(vals) + 300.0 * eps * mass):
         raise AccuracyError(f"grid rules differ by {np.max(diff):.3e}", best=vals, err_est=diff)
     return vals, diff + eps * (50.0 * mass + 4.0 * np.abs(us) * xmass)
@@ -883,7 +883,7 @@ def laplace_many(
         np.exp(E, out=E)
         unit = np.finfo(dtype).smallest_subnormal  # underflow is the only loss
     cols, idx = _columns(x, wf)
-    return _split(E @ cols, idx, us, x, wf, unit, single)
+    return _split(_matmul(E, cols), idx, us, x, wf, unit, single)
 
 
 def laplace_lattice(
@@ -925,7 +925,7 @@ def laplace_lattice(
     folded = np.einsum("jq,jc->jqc", giant, cols).reshape(len(x), -1)
     parts = folded.view(np.float64)  # real and imaginary parts side by side
     parts[np.abs(parts) < tiny] = 0.0
-    table = (baby @ parts).view(folded.dtype).reshape(B, Q, -1)
+    table = _matmul(baby, folded).reshape(B, Q, -1)
     out = table[(ns - n0) % B, (ns - n0) // B]
     return _split(out, idx, us, x, wf, tiny, single)
 

@@ -33,6 +33,7 @@ from .lseries import _twisted_pair, _weighted_transform_sum, lseries_series
 from .specials import (
     Character,
     _gamma_half_exp,
+    _matmul,
     _whittaker_kernel,
     bessel_J_grid,
     characters_mod,
@@ -491,7 +492,7 @@ def _gamma_moment(phi: TestFunction, k: int, cs, weights) -> complex:
     quadrature over a (nodes x c) table."""
 
     def integrand(ys):
-        return (_gamma_half_exp(k - 1, np.outer(ys, cs)) @ weights) * phi.eval_many(ys)
+        return _matmul(_gamma_half_exp(k - 1, np.outer(ys, cs)), weights) * phi.eval_many(ys)
 
     lo, hi = phi.support()
     knots = _graded_edges(phi, _SEED_LEVELS)
@@ -508,7 +509,7 @@ def _gf_moments(phi: TestFunction, k: int, ns) -> tuple[np.ndarray, np.ndarray]:
     coef = inv_fact[:, None] * np.power.outer(4.0 * math.pi * ns, 1.0 - k + ls).T
 
     def kernel(ys):
-        return _exp_normal(-_TWO_PI * np.outer(ys, ns)) * (np.power.outer(ys, ls) @ coef)
+        return _exp_normal(-_TWO_PI * np.outer(ys, ns)) * _matmul(np.power.outer(ys, ls), coef)
 
     return _grid_integrals(phi, kernel, _TWO_PI * ns, 1e-13)
 
@@ -555,8 +556,8 @@ def mf_term_check(
         inner = np.empty((len(ys), len(ls)))
         rows = max(1, _CHUNK // len(us))  # bounds the table e^{-u^2/y}
         for i in range(0, len(ys), rows):
-            inner[i:i + rows] = _exp_normal(-np.outer(1.0 / ys[i:i + rows], us ** 2)) @ kern
-        return phi.eval_many(ys) * ((inner * np.power.outer(ys, k - 2.0 - ls)) @ coef)
+            inner[i:i + rows] = _matmul(_exp_normal(-np.outer(1.0 / ys[i:i + rows], us ** 2)), kern)
+        return phi.eval_many(ys) * _matmul(inner * np.power.outer(ys, k - 2.0 - ls), coef)
 
     knots = _graded_edges(phi, _SEED_LEVELS)
     ov, _ = quadrature(outer, lo, hi, rel_tol=1e-11, knots=knots, vectorized=True)

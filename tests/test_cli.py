@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, output schemas."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -92,6 +95,22 @@ def test_fe_check_fixture_delta(tmp_path):
     records = json.loads(out.read_text())
     assert len(records) == 12  # 6 members x 2 equations
     assert all(r["pass"] for r in records)
+
+
+def test_fe_check_report_does_not_depend_on_the_blas_thread_count():
+    # every product stays below the sizes at which BLAS starts threads, so
+    # one thread and two sum every entry alike
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def report(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "maass_lseries.cli", "fe-check", "--fixture", "delta", "--dmax", "5"]
+        return subprocess.run(argv, env=env, capture_output=True, check=True, timeout=300).stdout
+
+    one = report("1")
+    assert len(json.loads(one)) == 200
+    assert report("2") == one
 
 
 def test_fe_check_fixture_theta(tmp_path):

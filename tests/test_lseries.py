@@ -640,3 +640,22 @@ def test_n_terms_counts_the_terms_summed():
     alpha = 2 * math.pi * lseries_module._phi_mass(BAT[0])[0]
     kept = lseries_module._mass_cut(ns, np.abs(avals), alpha, None)[0][1]
     assert plain.n_terms < len(f.a) and delta.n_terms == np.count_nonzero(kept) < len(f.a)
+
+
+def test_cut_does_not_depend_on_the_platforms_long_double(monkeypatch):
+    # where long double is double its eps is 2^-52, not x87's 2^-63; the cut
+    # keeps x87's constant, so its mask and skipped masses stay as they are
+    f = fixture("delta", 768)
+    cases = []
+    for D in range(1, 6):
+        for chi in characters_mod(D):
+            ft = twist(f, chi)
+            ns, avals = ft._arrays("a")
+            for phi in BAT:
+                alpha = 2 * math.pi * lseries_module._phi_mass(phi)[0] / ft.period
+                cases.append((ns, np.abs(avals), alpha, 1e-16 * np.abs(avals)))
+    x87 = [lseries_module._mass_cut(*case) for case in cases]
+    monkeypatch.setattr(lseries_module, "_EPS_LD", 2.0 ** -52)
+    for case, (keep, skipped, skipped_err) in zip(cases, x87):
+        keep2, skipped2, skipped_err2 = lseries_module._mass_cut(*case)
+        assert np.array_equal(keep2, keep) and skipped2 == skipped and skipped_err2 == skipped_err

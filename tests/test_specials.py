@@ -837,3 +837,116 @@ def test_kernel_ratios_are_correctly_rounded():
                      for l in range(k - 1)) for j in range(j0, j0 + 65)]
             want = [float(c[i + 1] / c[i]) for i in range(64)]
             assert specials._kernel_ratios(k, block).tolist() == want, (k, block)
+
+
+# ---------------------------------------------------------------------------
+# matrix products below BLAS's threading sizes
+
+
+def _operand(rng, shape, kind):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if kind == "D" else x
+
+
+# (a shape, b shape): small, one-row, empty, and above every cap, so tiled
+_PRODUCT_SHAPES = [
+    ((5, 7), (7, 3)), ((7,), (7, 3)), ((5, 7), (7,)), ((7,), (7,)),
+    ((1, 7), (7, 4)), ((5, 7), (7, 1)), ((0, 7), (7, 3)), ((5, 0), (0, 3)),
+    ((5, 7), (7, 0)), ((0,), (0,)), ((27, 802), (802, 78)), ((3, 256), (256, 128)),
+    ((256,), (256, 1024)), ((128, 256), (256,)), ((700, 700), (700,)), ((1, 800), (800, 700)),
+]
+
+
+@pytest.mark.parametrize("kinds", ["dd", "dD", "Dd", "DD"])
+@pytest.mark.parametrize("shapes", _PRODUCT_SHAPES, ids=str)
+def test_matmul_matches_the_plain_product(shapes, kinds):
+    rng = np.random.default_rng(sum(map(sum, shapes)))
+    a, b = (_operand(rng, s, k) for s, k in zip(shapes, kinds))
+    got, want = specials._matmul(a, b), a @ b
+    assert np.shape(got) == np.shape(want) and np.result_type(got) == np.result_type(want)
+    assert np.all(np.abs(got - want) <= 1e-15 * (np.abs(a) @ np.abs(b)))
+
+
+def test_matmul_passes_long_double_through():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((40, 900)).astype(np.longdouble)
+    b = rng.standard_normal((900, 50)).astype(np.longdouble)
+    for x, y in ((a, b), (a.astype(np.clongdouble) * (1 + 1j), b), (a[0], b[:, 0])):
+        got = specials._matmul(x, y)
+        assert got.dtype == (x @ y).dtype and np.array_equal(got, x @ y)
+
+
+def _blas_calls(monkeypatch):
+    """Record (a dtype code, b dtype code, m, k, n) of every np.matmul call."""
+    calls, real = [], np.matmul
+
+    def spy(a, b, out=None):
+        calls.append((a.dtype.char, b.dtype.char, a.shape[0] if a.ndim == 2 else 1,
+                      b.shape[0], b.shape[1] if b.ndim == 2 else 1))
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls
+
+
+def _within_the_caps(calls):
+    for ca, cb, m, k, n in calls:
+        cap = specials._BLAS_CAPS.get((ca, cb, m == 1 or n == 1))
+        assert cap is None or m == n == 1 or m * k * n <= cap, (ca, cb, m, k, n)
+
+
+def test_matmul_calls_stay_within_the_caps(monkeypatch):
+    rng = np.random.default_rng(5)
+    calls = _blas_calls(monkeypatch)
+    for shapes in _PRODUCT_SHAPES:
+        for kinds in ("dd", "dD", "Dd", "DD"):
+            specials._matmul(*(_operand(rng, s, k) for s, k in zip(shapes, kinds)))
+    _within_the_caps(calls)
+
+
+def test_library_products_stay_within_the_caps(monkeypatch):
+    from maass_lseries.form import _evaluate, eval_iy
+    from maass_lseries.qseries import fixture
+    from maass_lseries.testfn import laplace_lattice, shift_s, slash_W, standard_battery
+
+    calls = _blas_calls(monkeypatch)
+    # fe_delta_twists' largest transform table (Delta twisted mod 5): 27
+    # lattice rows, 802 nodes, 26 giant rows times 3 columns
+    phi = slash_W(standard_battery()[9], -10.0, 1)
+    laplace_lattice((phi, shift_s(phi, 2.0)), np.arange(1, 686), 2 * math.pi / 5)
+    assert max(m * k * n for _, _, m, k, n in calls) <= specials._BLAS_CAPS["d", "d", False]
+    assert sum(m * n for _, _, m, k, n in calls if k == 802) == 27 * 78
+    # a 128 x 256 block of eval_iy (a real table against complex coefficients)
+    # and the same block off the axis (complex against complex)
+    f = fixture("delta", 768)
+    ys = np.linspace(0.44, 0.45, 128)
+    calls.clear()
+    eval_iy(f, ys)
+    assert [(m, k) for _, _, m, k, _ in calls] == [(128, 256)]
+    calls.clear()
+    _evaluate(f, 0.1 + 1j * ys, False, 1e-12)
+    assert sum(m for _, _, m, k, _ in calls if k == 256) == 128
+    _within_the_caps(calls)
+
+
+def test_no_product_outside_matmul():
+    import ast
+    import pathlib
+
+    banned = {"dot", "matmul", "inner", "vdot", "tensordot"}
+    src = pathlib.Path(specials.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and fn.name in ("_matmul", "_tiled")
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            product = (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)) or (
+                isinstance(node, ast.Attribute) and node.attr in banned
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+            if product:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -7,6 +7,7 @@ import pytest
 
 from maass_lseries.errors import AccuracyError, DomainError
 from maass_lseries.lseries import _tau_route, _tau_rule, _tau_tail
+from maass_lseries.specials import _matmul
 from maass_lseries.testfn import (
     _LOG_TINY,
     _SEED_LEVELS,
@@ -523,7 +524,7 @@ def _value_tol(phis, us, values):
 def _many_3m(phis, us):
     x, wf = _sampled_grid(phis, us, np.float64)
     E = _exp_normal(np.multiply.outer(-us, x))
-    return _full_split(E @ _full_columns(x, wf), us, wf, _TINY)
+    return _full_split(_matmul(E, _full_columns(x, wf)), us, wf, _TINY)
 
 
 def _lattice_3m(phis, ns, step):
@@ -536,7 +537,7 @@ def _lattice_3m(phis, ns, step):
     folded = np.einsum("jq,jc->jqc", giant, _full_columns(x, wf)).reshape(len(x), -1)
     parts = folded.view(np.float64)
     parts[np.abs(parts) < _TINY] = 0.0
-    table = (baby @ parts).view(folded.dtype).reshape(B, Q, -1)
+    table = _matmul(baby, folded).reshape(B, Q, -1)
     return _full_split(table[(ns - n0) % B, (ns - n0) // B], ns * step, wf, _TINY)
 
 
@@ -555,12 +556,12 @@ def _tau_route_3m(x, samples, lam, c1, p, rule):
     for i in range(0, len(tau), 15):
         tc = tau[i:i + 15]
         B = _exp_normal(np.multiply.outer(tc, -x / c1))
-        vals, errs = _full_split(B @ table, lam_c[:, None] + tc / c1, lost, _TINY)
+        vals, errs = _full_split(_matmul(B, table), lam_c[:, None] + tc / c1, lost, _TINY)
         power = (1.0 + tc / s_c[:, None]) ** p
         vals = vals * power
-        acc += vals @ wk[i:i + 15]
-        err += (errs * power) @ wk[i:i + 15]
-        kg += np.abs(vals @ (wk - wg)[i:i + 15])
+        acc += _matmul(vals, wk[i:i + 15])
+        err += _matmul(errs * power, wk[i:i + 15])
+        kg += np.abs(_matmul(vals, (wk - wg)[i:i + 15]))
     mass = np.sum(np.abs(cols), axis=0) + _TINY * np.sum(np.abs(lost), axis=0)
     return acc / s_c, (kg + err + mass * _tau_tail(T, s_c, p)) / s_c
 
