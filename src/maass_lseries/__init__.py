@@ -90,6 +90,7 @@ from .verify import (
     fe_pair,
     fe_residual_half,
     fe_residual_int,
+    fe_sweep,
     gf_term_check,
     mf_term_check,
     summation_residual,

@@ -10,9 +10,13 @@ Subcommands:
 Exit codes: 0 pass, 1 check failed, 2 input error, 3 domain/membership
 error, 4 numerical error (accuracy not reached, or a value outside the
 double-precision range), 5 inconclusive converse sweep (every failing
-report is unreliable).  Reports are deterministic for a fixed
-configuration, at any BLAS thread count: no matrix product is large
-enough to start BLAS's threads (``specials._matmul``).
+report is unreliable).  fe-check goes on past an instance that fails its
+membership check: that instance is written as an error record (D, chi,
+phi, side, error) among the reports, and the exit code is 3 if any
+instance raised, else 1 if any report failed, else 0.  Reports are
+deterministic for a fixed configuration, at any BLAS thread count: no
+matrix product is large enough to start BLAS's threads
+(``specials._matmul``).
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ from .qseries import FIXTURE_NAMES, fixture, fixture_pair
 from .specials import trivial_character
 from .testfn import standard_battery
 from .verify import (
+    _chi_id,
     converse_sweep,
     decomp_identity_check,
-    fe_pair,
+    fe_sweep,
     gf_term_check,
     mf_term_check,
-    sweep_instances,
 )
 
 EXIT_OK = 0
@@ -158,8 +162,12 @@ def cmd_fe_check(args) -> int:
     f, g = _load_form(args)
     battery = _battery_from_args(args)
     records = []
-    for D, chi, phi in sweep_instances(f, battery, range(1, args.dmax + 1)):
-        for r in fe_pair(f, g, chi, phi, args.tol):
+    for D, chi, phi, result in fe_sweep(f, g, battery, range(1, args.dmax + 1), args.tol):
+        if isinstance(result, MembershipError):
+            records.append({"D": D, "chi": _chi_id(chi), "phi": phi.label,
+                            "side": result.side, "error": str(result)})
+            continue
+        for r in result:
             records.append(
                 {
                     "D": D,
@@ -176,6 +184,8 @@ def cmd_fe_check(args) -> int:
                 }
             )
     _emit(records, args)
+    if any("error" in r for r in records):
+        return EXIT_DOMAIN_ERROR
     return EXIT_OK if all(r["pass"] for r in records) else EXIT_CHECK_FAILED
 
 

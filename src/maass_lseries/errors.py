@@ -31,7 +31,15 @@ class InsufficientDataError(DomainError):
 
 
 class MembershipError(DomainError):
-    """Test function fails the convergence (membership) check for a form."""
+    """Test function fails the convergence (membership) check for a form.
+
+    ``side`` is "left" or "right" when the failure is one side of a
+    functional equation, else None.
+    """
+
+    def __init__(self, message, side=None):
+        super().__init__(message)
+        self.side = side
 
 
 class ShadowVanishesError(DomainError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, SchemaError, ShadowVanishesError
-from .specials import Character, _gamma_half_exp, _matmul, characters_mod, gauss_sum
+from .specials import Character, _gamma_half_exp, _matmul, characters_mod, gauss_sums
 from .testfn import _CHUNK, _LOG_TINY, _exp_normal
 
 _TWO_PI = 2.0 * math.pi
@@ -312,16 +312,20 @@ def delta_k_iy(f: FormData, ys, tol: float = 1e-12) -> np.ndarray:
 def twist(f: FormData, chi: Character) -> FormData:
     """f_chi: coefficients multiplied by the conjugate-character Gauss sums.
 
-    The twisted form has period D; iterated twists are rejected (the
-    transformation theory is stated for period-1 input only).
+    a(n) becomes a(n) tau_chibar(n mod D), and so does b(n), from one table
+    of the D Gauss sums (``gauss_sums``, equal bit for bit to D calls of
+    ``gauss_sum``; exactly 1 at D = 1).  The twisted form has period D;
+    iterated twists are rejected (the transformation theory is stated for
+    period-1 input only).  Each call builds its own table and form: a sweep
+    (``verify.fe_sweep``) twists each (f, chi) once and reuses the result
+    for every test function.
     """
     D = chi.modulus
     if f.period != 1:
         raise DomainError("twist requires an untwisted form (period 1)")
     if math.gcd(D, f.level) != 1:
         raise DomainError("twist requires gcd(D, N) = 1")
-    chibar = chi.conjugate()
-    taus = np.array([gauss_sum(chibar, r) for r in range(D)])
+    taus = gauss_sums(chi.conjugate())
 
     def twisted(part: str) -> ArrayCoeffs:
         ns, vals = f._arrays(part)

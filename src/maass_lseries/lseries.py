@@ -608,7 +608,15 @@ def lseries_twisted(
 def _twisted_pair(
     f: FormData, chi: Character, phi: TestFunction, delta: bool = True
 ) -> tuple[LValue, LValue | None]:
-    """``_series_pair`` of f_chi, with the rounding of its coefficients charged.
+    """``_series_pair`` of f_chi, with the rounding of its coefficients charged."""
+    ft, rounding = _twisted(f, chi)
+    return _series_pair(ft, phi, delta, rounding)
+
+
+def _twisted(f: FormData, chi: Character) -> tuple[FormData, np.ndarray | None]:
+    """f_chi and the bound on the rounding of its a-coefficients, the
+    arguments ``_series_pair`` takes for every test function: a sweep builds
+    them once per (f, chi).
 
     Each Gauss sum tau(n) adds D terms of modulus at most 1, so the stored
     a(n) tau(n) is off by at most 2 D eps |a(n)|.  That is the budget that
@@ -619,7 +627,7 @@ def _twisted_pair(
     rounding = None
     if chi.modulus > 1:
         rounding = (2.0 * chi.modulus * _EPS) * np.abs(f._arrays("a")[1])
-    return _series_pair(twist(f, chi), phi, delta, rounding)
+    return twist(f, chi), rounding
 
 
 # ----------------------------------------------------------------------------

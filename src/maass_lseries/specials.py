@@ -895,8 +895,11 @@ def trivial_character(d: int) -> Character:
     return characters_mod(d)[0]
 
 
+@lru_cache(maxsize=None)
 def kronecker_character(d: int) -> Character:
-    """The real character u -> (u|d) as a Character mod d (d odd)."""
+    """The real character u -> (u|d) as a Character mod d (d odd); cached
+    like the characters themselves, so the search over the characters mod d
+    runs once per d."""
     if d % 2 == 0:
         raise DomainError("kronecker_character requires odd d")
     if d == 1:
@@ -919,3 +922,19 @@ def gauss_sum(chi: Character, n: int) -> complex:
     u = np.arange(d)
     phases = np.exp(2j * math.pi * (n % d) * u / d)
     return complex(np.sum(chi.values * phases))
+
+
+def gauss_sums(chi: Character) -> np.ndarray:
+    """``gauss_sum(chi, r)`` for every r mod D, bit for bit: the same products
+    in the same order, one row of phases per r, in blocks of at most
+    ``_CHUNK`` phases (a single block for D < 182)."""
+    d = chi.modulus
+    if d == 1:
+        return np.ones(1, dtype=complex)
+    u = np.arange(d)
+    out = np.empty(d, dtype=complex)
+    rows = max(1, _CHUNK // d)
+    for r in range(0, d, rows):
+        phases = np.exp((2j * math.pi * u[r:r + rows])[:, None] * u / d)
+        out[r:r + rows] = np.sum(chi.values * phases, axis=1)
+    return out

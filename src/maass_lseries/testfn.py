@@ -11,6 +11,7 @@ form for truncated powers and adaptive Gauss-Kronrod quadrature otherwise.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -715,6 +716,12 @@ def laplace(phi: TestFunction, s: complex):
     return val
 
 
+# The grids of one sweep (``verify.fe_sweep`` sets a fresh table for its
+# duration): (phis, levels, dtype, order) -> (x, w phi).  None outside a sweep,
+# where every call samples its own grid.
+_GRIDS: ContextVar[dict | None] = ContextVar("_GRIDS", default=None)
+
+
 def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: int | None = None):
     """Nodes x and weighted samples w phi(x), one column per test function.
 
@@ -727,6 +734,10 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
     are dropped.  A member that differs from the one before it only by its
     trailing shift is sampled as those samples times x^(s - s_prev): phi x
     after phi is exactly x times phi's column, which ``_columns`` reuses.
+
+    Within a sweep the grid is looked up in, or added to, the sweep's table
+    ``_GRIDS``; it depends on ``us`` only through the grading depth.  The
+    arrays are shared there, and read-only.
     """
     lo, hi = phis[0].support()
     knots = phis[0].knots()
@@ -740,6 +751,20 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
     longdouble = np.dtype(dtype) == np.dtype(np.longdouble)
     if order is None:
         order = 40 if longdouble else 32
+    grids = _GRIDS.get()
+    if grids is not None:
+        key = (phis, levels, np.dtype(dtype), order)
+        grid = grids.get(key)
+        if grid is None:
+            grid = grids[key] = _sample(phis, levels, dtype, longdouble, order)
+            for a in grid:
+                a.flags.writeable = False
+        return grid
+    return _sample(phis, levels, dtype, longdouble, order)
+
+
+def _sample(phis: tuple[TestFunction, ...], levels: int, dtype, longdouble: bool, order: int):
+    """``_sampled_grid``'s nodes and weighted samples, sampled afresh."""
     xg, wg = (_leggauss_longdouble if longdouble else _leggauss)(order)
     edges = np.array(_graded_edges(phis[0], levels), dtype=dtype)
     a, b = edges[:-1, None], edges[1:, None]

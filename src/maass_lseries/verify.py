@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, MembershipError
 from .form import FormData
-from .lseries import _twisted_pair, _weighted_transform_sum, lseries_series
+from .lseries import _series_pair, _twisted, _weighted_transform_sum, lseries_series
 from .specials import (
     Character,
     _gamma_half_exp,
@@ -45,6 +45,7 @@ from .specials import (
 )
 from .testfn import (
     _CHUNK,
+    _GRIDS,
     _SEED_LEVELS,
     ExpRationalPiece,
     TestFunction,
@@ -129,55 +130,56 @@ def _chi_id(chi: Character) -> str:
     return f"{chi.modulus}.{chi.index}"
 
 
-def _fe_side(f: FormData, chi: Character, phi: TestFunction, side: str):
-    """(plain, delta_k) series values of f_chi at phi; a membership failure
-    names the side.  It is raised outside the handler, so the failed
-    evaluation and its twisted form are released at once."""
+def _fe_side(twisted: tuple[FormData, np.ndarray | None], phi: TestFunction, side: str):
+    """(plain, delta_k) series values of a twisted form (``lseries._twisted``)
+    at phi; a membership failure names the side.  It is raised outside the
+    handler, so the failed evaluation is released at once."""
+    form, rounding = twisted
     try:
-        return _twisted_pair(f, chi, phi)
+        return _series_pair(form, phi, True, rounding)
     except MembershipError as exc:
         message = f"{side} side: {exc}"
-    raise MembershipError(message)
+    raise MembershipError(message, side)
 
 
-def _fe_residual(
-    f: FormData,
-    g: FormData,
-    chi: Character,
-    chi_right: Character,
-    phi: TestFunction,
-    prefactor: complex,
-    tol: float,
-) -> tuple[FEReport, FEReport]:
-    """L_{f_chi}(phi) = c L_{g_chi_right}(phi|_{2-k} W_N) and its delta_k
-    companion, which carries -c; each side is evaluated once for both."""
-    phi_w = slash_W(phi, 2.0 - f.weight2 / 2.0, f.level)
-    lhs, lhs_d = _fe_side(f, chi, phi, "left")
-    rhs, rhs_d = _fe_side(g, chi_right, phi_w, "right")
-    return tuple(
-        FEReport.build(
-            left.value, c * right.value, c, phi.label, _chi_id(chi), equation, tol,
-            left.trunc_err + left.quad_err, abs(prefactor) * (right.trunc_err + right.quad_err),
+@dataclass(frozen=True, eq=False)
+class _TwistedFE:
+    """What a twisted functional equation fixes before its test function:
+    f_chi and g_{chi_right} (each with its coefficients' rounding), the
+    prefactor c, and the slash phi -> phi|_{2-k} W_N of the right side."""
+
+    chi: Character
+    left: tuple[FormData, np.ndarray | None]
+    right: tuple[FormData, np.ndarray | None]
+    prefactor: complex
+    slash: tuple[float, int]
+
+    @classmethod
+    def build(cls, f: FormData, g: FormData, chi: Character, chi_right: Character, prefactor):
+        return cls(chi, _twisted(f, chi), _twisted(g, chi_right), prefactor,
+                   (2.0 - f.weight2 / 2.0, f.level))
+
+    def reports(self, phi: TestFunction, tol: float) -> tuple[FEReport, FEReport]:
+        """L_{f_chi}(phi) = c L_{g_chi_right}(phi|_{2-k} W_N) and its delta_k
+        companion, which carries -c; each side is evaluated once for both."""
+        phi_w = slash_W(phi, *self.slash)
+        lhs, lhs_d = _fe_side(self.left, phi, "left")
+        rhs, rhs_d = _fe_side(self.right, phi_w, "right")
+        prefactor = self.prefactor
+        return tuple(
+            FEReport.build(
+                left.value, c * right.value, c, phi.label, _chi_id(self.chi), equation, tol,
+                left.trunc_err + left.quad_err, abs(prefactor) * (right.trunc_err + right.quad_err),
+            )
+            for left, right, c, equation in (
+                (lhs, rhs, prefactor, "FE"),
+                (lhs_d, rhs_d, -prefactor, "FE-delta"),
+            )
         )
-        for left, right, c, equation in (
-            (lhs, rhs, prefactor, "FE"),
-            (lhs_d, rhs_d, -prefactor, "FE-delta"),
-        )
-    )
 
 
-def fe_residual_int(
-    f: FormData,
-    g: FormData,
-    chi: Character,
-    phi: TestFunction,
-    tol: float = 1e-8,
-) -> tuple[FEReport, FEReport]:
-    """Integral-weight functional equation and its delta_k companion.
-
-    Returns (plain report, delta_k report); membership failures identify
-    which side of the pairing broke.
-    """
+def _fe_int(f: FormData, g: FormData, chi: Character) -> _TwistedFE:
+    """The integral-weight equation at chi (see ``fe_residual_int``)."""
     if f.weight2 % 2 != 0 or g.weight2 % 2 != 0:
         raise DomainError("fe_residual_int requires integral weight")
     N = f.level
@@ -186,21 +188,11 @@ def fe_residual_int(
         raise DomainError("twisting modulus must be coprime to the level")
     k = f.weight2 // 2
     prefactor = i_pow(k) * chi(-N) * f.psi(D) * float(N) ** (1.0 - 0.5 * k)
-    return _fe_residual(f, g, chi, chi.conjugate(), phi, prefactor, tol)
+    return _TwistedFE.build(f, g, chi, chi.conjugate(), prefactor)
 
 
-def fe_residual_half(
-    f: FormData,
-    g: FormData,
-    chi: Character,
-    phi: TestFunction,
-    tol: float = 1e-6,
-) -> tuple[FEReport, FEReport]:
-    """Half-integral-weight functional equation and its delta_k companion.
-
-    The right side is twisted by chibar * (.|D) and carries the factor
-    (-1|D)^{k-1/2}-style parity sign, (N|D), and 1/epsilon_D.
-    """
+def _fe_half(f: FormData, g: FormData, chi: Character) -> _TwistedFE:
+    """The half-integral-weight equation at chi (see ``fe_residual_half``)."""
     if f.weight2 % 2 == 0:
         raise DomainError("fe_residual_half requires half-integral weight")
     N = f.level
@@ -222,15 +214,63 @@ def fe_residual_half(
         * float(N) ** (1.0 - 0.5 * k)
     )
     chi_right = chi.conjugate() * kronecker_character(D)
-    return _fe_residual(f, g, chi, chi_right, phi, prefactor, tol)
+    return _TwistedFE.build(f, g, chi, chi_right, prefactor)
+
+
+def fe_residual_int(
+    f: FormData,
+    g: FormData,
+    chi: Character,
+    phi: TestFunction,
+    tol: float = 1e-8,
+) -> tuple[FEReport, FEReport]:
+    """Integral-weight functional equation and its delta_k companion.
+
+    Returns (plain report, delta_k report); membership failures identify
+    which side of the pairing broke.
+    """
+    return _fe_reports(_fe_int, f, g, chi, phi, tol)
+
+
+def fe_residual_half(
+    f: FormData,
+    g: FormData,
+    chi: Character,
+    phi: TestFunction,
+    tol: float = 1e-6,
+) -> tuple[FEReport, FEReport]:
+    """Half-integral-weight functional equation and its delta_k companion.
+
+    The right side is twisted by chibar * (.|D) and carries the factor
+    (-1|D)^{k-1/2}-style parity sign, (N|D), and 1/epsilon_D.
+    """
+    return _fe_reports(_fe_half, f, g, chi, phi, tol)
+
+
+def _fe_reports(equation, f: FormData, g: FormData, chi: Character, phi: TestFunction, tol: float):
+    """``equation(f, g, chi).reports(phi, tol)``, one instance on its own.  A
+    membership failure is raised afresh from here, so its traceback keeps
+    none of the frames that held the twisted forms."""
+    try:
+        return equation(f, g, chi).reports(phi, tol)
+    except MembershipError as exc:
+        message, side = str(exc), exc.side
+    raise MembershipError(message, side)
+
+
+def _fe_equation(f: FormData, g: FormData, chi: Character) -> _TwistedFE:
+    return (_fe_int if f.weight2 % 2 == 0 else _fe_half)(f, g, chi)
+
+
+def _fe_tol(f: FormData, tol: float | None) -> float:
+    return (1e-8 if f.weight2 % 2 == 0 else 1e-6) if tol is None else tol
 
 
 def fe_pair(f: FormData, g: FormData, chi: Character, phi: TestFunction, tol=None):
     """Dispatch on weight parity; default tolerances 1e-8 / 1e-6, decided
-    here for every caller."""
-    if f.weight2 % 2 == 0:
-        return fe_residual_int(f, g, chi, phi, 1e-8 if tol is None else tol)
-    return fe_residual_half(f, g, chi, phi, 1e-6 if tol is None else tol)
+    here for every caller.  Twists f and g afresh on every call; a sweep
+    over many test functions goes through ``fe_sweep``."""
+    return _fe_reports(_fe_equation, f, g, chi, phi, _fe_tol(f, tol))
 
 
 # ----------------------------------------------------------------------------
@@ -280,6 +320,41 @@ def sweep_instances(
                     yield D, chi, phi
 
 
+def fe_sweep(
+    f: FormData,
+    g: FormData,
+    battery,
+    moduli,
+    tol: float | None = None,
+    primitive_only: bool = False,
+) -> list[tuple[int, Character, TestFunction, tuple[FEReport, FEReport] | MembershipError]]:
+    """``fe_pair`` at every instance of ``sweep_instances``, in its order, as
+    (D, chi, phi, result) with ``result`` the (plain, delta_k) reports, or the
+    ``MembershipError`` of an instance whose side its envelope cannot
+    certify.  Any other error ends the sweep.
+
+    Each (f, chi) is twisted once, both sides with the prefactor, and each
+    grid is sampled once per grading depth (``testfn._GRIDS``), so each
+    instance costs only its test function's transforms.  The twists and the
+    grids live only for the call; the reports equal ``fe_pair``'s bit for bit.
+    """
+    tol = _fe_tol(f, tol)
+    out, equation = [], None
+    token = _GRIDS.set({})
+    try:
+        for D, chi, phi in sweep_instances(f, battery, moduli, primitive_only):
+            if equation is None or equation.chi != chi:
+                equation = _fe_equation(f, g, chi)
+            try:
+                result = equation.reports(phi, tol)
+            except MembershipError as exc:
+                result = exc.with_traceback(None)  # its frames would hold the twists
+            out.append((D, chi, phi, result))
+    finally:
+        _GRIDS.reset(token)
+    return out
+
+
 def converse_sweep(
     f: FormData,
     g: FormData,
@@ -298,6 +373,8 @@ def converse_sweep(
     required.  The verdict is monotone in the battery: adding test
     functions can only break consistency, never restore it.  A sweep whose
     failures are all unreliable is "inconclusive"; it is not consistent.
+    An instance that fails its membership check aborts the verdict: the
+    first such ``MembershipError`` in sweep order is raised.
     """
     if battery is None:
         battery = standard_battery()
@@ -309,11 +386,11 @@ def converse_sweep(
         d_top = max(1, f.level ** 2 - 1)
         if dmax is not None:
             d_top = min(d_top, dmax)
-    reports = tuple(
-        r
-        for _, chi, phi in sweep_instances(f, battery, range(1, d_top + 1), primitive_only)
-        for r in fe_pair(f, g, chi, phi, tol)
-    )
+    results = [res for *_, res in fe_sweep(f, g, battery, range(1, d_top + 1), tol, primitive_only)]
+    for res in results:
+        if isinstance(res, MembershipError):
+            raise res
+    reports = tuple(r for res in results for r in res)
     failures = tuple(r for r in reports if not r.passed)
     worst = max(reports, key=lambda r: r.rel_residual) if reports else None
     if not failures:

@@ -121,6 +121,23 @@ def test_fe_check_fixture_theta(tmp_path):
     assert code == 0
 
 
+def test_fe_check_goes_on_past_a_membership_failure(tmp_path):
+    # theta's outer bumps cannot be certified at D = 7 and 9: those instances
+    # become error records, every other instance keeps its two reports
+    out = tmp_path / "fe.json"
+    code = run(["fe-check", "--fixture", "theta", "--dmax", "9", "-o", str(out)])
+    assert code == cli.EXIT_DOMAIN_ERROR == 3
+    records = json.loads(out.read_text())
+    errors = [r for r in records if "error" in r]
+    assert len(records) - len(errors) == 344 and len(errors) == 18
+    for r in errors:
+        assert set(r) == {"D", "chi", "phi", "side", "error"}
+        assert r["D"] in (7, 9) and r["side"] == "right"
+        assert r["error"].startswith("right side: membership series for")
+    # a membership error outranks a failed report: 3, not 1
+    assert any(not r["pass"] for r in records if "pass" in r)
+
+
 def test_fe_check_perturbed_input_fails(tmp_path):
     # export delta, nudge one coefficient, expect exit 1 with a witness row
     src = tmp_path / "delta.json"

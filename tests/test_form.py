@@ -26,7 +26,7 @@ from maass_lseries.form import (
     validate_growth,
 )
 from maass_lseries.qseries import fixture, fixture_qexp
-from maass_lseries.specials import characters_mod, trivial_character, upper_gamma
+from maass_lseries.specials import characters_mod, gauss_sum, trivial_character, upper_gamma
 
 
 def _single(n, val=1.0, weight2=24, level=1, **kw):
@@ -285,6 +285,22 @@ def test_twist_ramanujan_sums():
     assert abs(t.a[1] - (-1)) < 1e-12
     assert abs(t.a[2] - (-1)) < 1e-12
     assert abs(t.a[3] - 2) < 1e-12
+
+
+def test_twist_table_equals_gauss_sum_bit_for_bit():
+    # a(n) = 1 for n = 1..D, so the twisted a(n) is tau_chibar(n mod D) itself
+    for D in range(1, 80):
+        f = FormData(
+            weight2=24, level=1, psi=trivial_character(1), n0=0,
+            a={n: 1.0 for n in range(1, D + 1)}, b={}, growth_C=4.0, exhaustive=True,
+        )
+        for chi in characters_mod(D):
+            ns, taus = twist(f, chi)._arrays("a")
+            chibar = chi.conjugate()
+            table = [gauss_sum(chibar, r) for r in range(D)]
+            assert taus.tolist() == [table[n % D] for n in ns], (D, chi.index)
+    one = twist(replace(f, a={1: 1.0, 2: -3.5}), trivial_character(1))
+    assert one._arrays("a")[1].tolist() == [1.0, -3.5]  # D = 1 multiplies by exactly 1
 
 
 def test_twist_domain_errors():

@@ -433,6 +433,16 @@ def test_kronecker_character_matches_symbol():
             assert abs(chi(u) - kronecker(u, d)) < 1e-12
 
 
+def test_kronecker_character_is_cached_and_found_by_the_search():
+    for d in range(1, 200, 2):
+        chi = kronecker_character(d)
+        assert kronecker_character(d) is chi
+        # the linear search over the characters mod d, run afresh
+        target = np.array([kronecker(u, d) if math.gcd(u, d) == 1 else 0 for u in range(d)])
+        found = [c for c in characters_mod(d) if np.max(np.abs(c.values - target)) < 1e-9]
+        assert found == [chi], d
+
+
 # ---------------------------------------------------------------------------
 # exponentially scaled incomplete gamma
 

@@ -1,7 +1,11 @@
 """Functional-equation residuals, sweeps, lift identities, summation terms."""
 
+import gc
 import math
+import sys
+import weakref
 from dataclasses import replace
+from functools import _lru_cache_wrapper
 
 import numpy as np
 import pytest
@@ -10,7 +14,14 @@ from maass_lseries import testfn
 from maass_lseries import verify as verify_module
 from maass_lseries.errors import AccuracyError, DomainError, MembershipError
 from maass_lseries.form import FormData, twist
-from maass_lseries.lseries import LValue, _series_pair, lseries_delta, lseries_series, series_membership
+from maass_lseries.lseries import (
+    LValue,
+    _series_pair,
+    _twisted,
+    lseries_delta,
+    lseries_series,
+    series_membership,
+)
 from maass_lseries.qseries import fixture, fixture_pair
 from maass_lseries.specials import characters_mod, kronecker_character, trivial_character
 from maass_lseries.testfn import TestFunction, slash_W, standard_battery
@@ -28,6 +39,7 @@ from maass_lseries.verify import (
     fe_pair,
     fe_residual_half,
     fe_residual_int,
+    fe_sweep,
     gf_term_check,
     mf_term_check,
     summation_residual,
@@ -129,9 +141,9 @@ def test_fe_side_raises_where_membership_fails_on_theta():
         for chi in characters_mod(D):
             chi_right = chi.conjugate() * kronecker_character(D)
             for j, phi in enumerate(BAT):
-                assert failure(lambda: _fe_side(f, chi, phi, "left")) is None
+                assert failure(lambda: _fe_side(_twisted(f, chi), phi, "left")) is None
                 phi_w = slash_W(phi, 1.5, 4)
-                side = failure(lambda: _fe_side(g, chi_right, phi_w, "right"))
+                side = failure(lambda: _fe_side(_twisted(g, chi_right), phi_w, "right"))
                 bound = failure(lambda: series_membership(twist(g, chi_right), phi_w, True))
                 assert (side is None) == (bound is None), (D, chi.index, j)
                 if side is not None:
@@ -545,7 +557,7 @@ def _within_budgets(x, y):
 
 
 def _check_side_matches_routes(f, chi, phi):
-    plain, dval = _fe_side(f, chi, phi, "left")
+    plain, dval = _fe_side(_twisted(f, chi), phi, "left")
     fx = twist(f, chi)
     assert _within_budgets(plain, lseries_series(fx, phi)), (chi, phi.label)
     assert _within_budgets(dval, lseries_delta(fx, phi)), (chi, phi.label)
@@ -586,14 +598,14 @@ def test_trivial_twist_charges_no_coefficient_rounding():
         phi = BAT[j]
         phi_w = slash_W(phi, 2.0 - f.weight2 / 2.0, f.level)
         for form, test in ((f, phi), (g, phi_w)):
-            side = _fe_side(form, CHI1, test, "left")
+            side = _fe_side(_twisted(form, CHI1), test, "left")
             ref = _series_pair(form, test, delta=True)
             for got, want in zip(side, ref):
                 assert got.value == want.value, (name, test.label)
                 assert got.quad_err == want.quad_err, (name, test.label)
                 assert got.trunc_err == want.trunc_err, (name, test.label)
     f, g = fixture_pair("delta", 768)
-    plain, _ = _fe_side(g, CHI1, slash_W(BAT[9], -10.0, 1), "right")
+    plain, _ = _fe_side(_twisted(g, CHI1), slash_W(BAT[9], -10.0, 1), "right")
     assert plain.quad_err < 1e-7 * abs(plain.value)
 
 
@@ -612,7 +624,7 @@ def test_fe_side_escalates_the_right_side_of_delta(monkeypatch):
     for j in (8, 9):
         dtypes.clear()
         phi_w = slash_W(BAT[j], -10.0, 1)
-        _fe_side(g, CHI1, phi_w, "right")
+        _fe_side(_twisted(g, CHI1), phi_w, "right")
         assert np.dtype(np.longdouble) in dtypes, BAT[j].label
         _check_side_matches_routes(g, CHI1, phi_w)
 
@@ -706,6 +718,99 @@ def test_sweep_instances_enumerates_the_converse_sweep():
     assert [D for D, _, _ in prim] == [
         D for D in range(1, 8) for chi in characters_mod(D) if chi.is_primitive
     ]
+
+
+@pytest.mark.parametrize("name, moduli, n_reports", [
+    ("delta", range(1, 6), 200),
+    ("theta", range(1, 6, 2), 140),
+])
+def test_fe_sweep_equals_fe_pair_bit_for_bit(name, moduli, n_reports):
+    f, g = fixture_pair(name, 768)
+    swept = fe_sweep(f, g, BAT, moduli)
+    alone = [(D, chi, phi, fe_pair(f, g, chi, phi))
+             for D, chi, phi in sweep_instances(f, BAT, moduli)]
+    assert len(swept) == len(alone) and 2 * len(swept) == n_reports
+    assert repr(swept) == repr(alone)
+
+
+def test_fe_sweep_goes_on_past_a_membership_failure():
+    # theta's outer bumps cannot be certified from D = 7 on (see above); each
+    # such instance is its right side's error, and the sweep goes on
+    f, g = fixture_pair("theta", 768)
+    swept = fe_sweep(f, g, BAT, range(1, 10))
+    errors = [(D, phi.label, res) for D, _, phi, res in swept if isinstance(res, MembershipError)]
+    assert len(swept) - len(errors) == 172 and len(errors) == 18
+    assert {(D, label) for D, label, _ in errors} == {(7, "bump9"), (9, "bump8"), (9, "bump9")}
+    for _, _, exc in errors:
+        assert exc.side == "right" and str(exc).startswith("right side: ")
+        assert exc.__traceback__ is None  # its frames held the sweep's twists
+    with pytest.raises(MembershipError, match="bump9.W4") as first:
+        converse_sweep(f, g, BAT, dmax=9)
+    assert str(first.value) == str(errors[0][2])  # the first in sweep order
+
+
+def test_fe_sweep_grid_table_lives_only_for_the_sweep(monkeypatch):
+    f, g = fixture_pair("delta", 256)
+    sizes = []
+    reports = verify_module._TwistedFE.reports
+
+    def recording(self, phi, tol):
+        sizes.append(len(testfn._GRIDS.get()))
+        if len(sizes) == 5:
+            raise RuntimeError("stop")
+        return reports(self, phi, tol)
+
+    assert testfn._GRIDS.get() is None
+    fe_sweep(f, g, BAT[:3], range(1, 3))
+    assert testfn._GRIDS.get() is None
+    monkeypatch.setattr(verify_module._TwistedFE, "reports", recording)
+    with pytest.raises(RuntimeError, match="stop"):
+        fe_sweep(f, g, BAT[:3], range(1, 3))
+    assert testfn._GRIDS.get() is None  # unset when an error escapes, too
+    # the sweep's own table: empty at its start, then one grid per (phi, depth)
+    assert sizes[0] == 0 and 0 < sizes[1] <= sizes[4]
+
+
+def _module_caches():
+    """Every lru cache and container at the top level of the package's modules."""
+    out = {}
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("maass_lseries"):
+            for attr, value in vars(module).items():
+                if isinstance(value, _lru_cache_wrapper):
+                    out[f"{name}.{attr}"] = value.cache_info().currsize
+                elif isinstance(value, (dict, list, set)):
+                    out[f"{name}.{attr}"] = len(value)
+    return out
+
+
+def test_fe_sweep_keeps_no_twist_or_grid_in_a_module_cache(monkeypatch):
+    from maass_lseries import lseries
+
+    f, g = fixture_pair("delta", 256)
+    fe_sweep(f, g, BAT[:3], range(1, 4))  # warm the caches of characters and battery
+    before = _module_caches()
+    made = []
+    twist_, sample = lseries.twist, testfn._sample
+
+    def twist_recorded(*args):
+        out = twist_(*args)
+        made.append(weakref.ref(out))
+        return out
+
+    def sample_recorded(*args):
+        out = sample(*args)
+        made.extend(weakref.ref(a) for a in out)
+        return out
+
+    monkeypatch.setattr(lseries, "twist", twist_recorded)
+    monkeypatch.setattr(testfn, "_sample", sample_recorded)
+    # forms equal to f and g but not the same objects: a cache of twists would grow
+    swept = fe_sweep(replace(f, label="f2"), replace(g, label="g2"), BAT[:3], range(1, 4))
+    assert len(swept) == 12 and len(made) > 8
+    gc.collect()
+    assert [r for r in made if r() is not None] == []
+    assert _module_caches() == before
 
 
 def test_converse_sweep_with_only_unreliable_failures_is_inconclusive():
