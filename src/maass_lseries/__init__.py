@@ -56,7 +56,6 @@ from .qseries import (
 )
 from .specials import (
     Character,
-    bessel_J,
     characters_mod,
     epsilon_d,
     gauss_sum,
@@ -64,7 +63,6 @@ from .specials import (
     kronecker_character,
     trivial_character,
     upper_gamma,
-    whittaker_M,
 )
 from .testfn import (
     TestFunction,

@@ -114,10 +114,6 @@ class FormData:
     def k(self) -> float:
         return self.weight2 / 2.0
 
-    @property
-    def weakly_holomorphic(self) -> bool:
-        return len(self.b) == 0
-
     # -- cached coefficient arrays ---------------------------------------
 
     def _arrays(self, part: str):

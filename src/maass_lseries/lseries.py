@@ -601,16 +601,10 @@ def lseries_twisted(
     phi: TestFunction,
     delta: bool = False,
 ) -> LValue:
-    """L_{f_chi}(phi) (or the delta_k analogue), by delegation to the twist."""
-    return _twisted_pair(f, chi, phi, delta)[delta]
-
-
-def _twisted_pair(
-    f: FormData, chi: Character, phi: TestFunction, delta: bool = True
-) -> tuple[LValue, LValue | None]:
-    """``_series_pair`` of f_chi, with the rounding of its coefficients charged."""
+    """L_{f_chi}(phi) (or the delta_k analogue), by delegation to the twist,
+    with the rounding of its coefficients charged."""
     ft, rounding = _twisted(f, chi)
-    return _series_pair(ft, phi, delta, rounding)
+    return _series_pair(ft, phi, delta, rounding)[delta]
 
 
 def _twisted(f: FormData, chi: Character) -> tuple[FormData, np.ndarray | None]:

@@ -1,23 +1,24 @@
 """Special-function kernel, built from scratch on double precision.
 
 Provides the incomplete gamma function with its analytic continuation to
-negative real second argument, the Whittaker M function, the Bessel J
-function, the Kronecker symbol and its companion epsilon factor, and dense
-Dirichlet-character tables with generalized Gauss sums.  Everything here is
-a pure function of its arguments.
+negative real second argument, the Whittaker kernel of the summation
+formula, the Bessel J function of integer order, the Kronecker symbol and
+its companion epsilon factor, and dense Dirichlet-character tables with
+generalized Gauss sums.  Everything here is a pure function of its
+arguments.
 
 ``upper_gamma`` and ``upper_gamma_scaled`` share ``_upper_gamma``, which
 covers four regions of (s, x) with a finite sum, the continued fraction,
 the series of DLMF 8.4.15 and Gamma(s) minus a series of one-signed terms.
 
-Four kernels take whole arrays of points, for quadrature integrands:
-``whittaker_M`` and ``_whittaker_kernel`` (the summation formula's k - 1
-M-kernels as one series; one table of terms per block of sorted points),
-``bessel_J_grid`` (the ascending series to x = 12, one single-order Miller
-sweep past it) and ``_gamma_half_exp``, which runs integer orders m >= 1
-through the finite-sum recurrence of ``_upper_gamma_int`` on the whole
-array.  Each gives a point the value of its scalar call, bit for bit.
-``upper_gamma``, ``upper_gamma_scaled`` and ``bessel_J`` stay scalar.
+Three kernels take whole arrays of points, for quadrature integrands:
+``_whittaker_kernel`` (the summation formula's k - 1 M-kernels as one
+series; one table of terms per block of sorted points), ``bessel_J_grid``
+(the ascending series to x = 12, one single-order Miller sweep past it)
+and ``_gamma_half_exp``, which runs integer orders m >= 1 through the
+finite-sum recurrence of ``_upper_gamma_int`` on the whole array.  The
+first two give a point the value of its one-point call, bit for bit.
+``upper_gamma`` and ``upper_gamma_scaled`` stay scalar.
 """
 
 from __future__ import annotations
@@ -388,30 +389,6 @@ def _gamma_half_exp(s: complex, xs: np.ndarray) -> np.ndarray:
 _WHITTAKER_BLOCK = 64  # kernel ratios per cached block; rows of a continuation table
 
 
-def whittaker_M(kappa: float, mu: float, z):
-    """Whittaker M_{kappa,mu}(z) for real parameters and z > 0.
-
-    ``z`` is a float (a float is returned) or an array (an array of its
-    shape is returned).  Evaluated as the confluent series with
-    a = mu - kappa + 1/2, b = 1 + 2 mu, seeded with e^{-z/2} z^{mu+1/2}
-    (as e^{-z/4} z^{mu+1/2} e^{-z/4}) so that the partial sums stay finite
-    wherever M is (``RangeOverflowError`` where they do not), and summed
-    by ``_seeded_series``.
-    """
-    zs = np.asarray(z, dtype=float)
-    b = 1.0 + 2.0 * mu
-    if b <= 0 and abs(b - round(b)) < 1e-12:
-        raise DomainError("whittaker_M undefined: 1 + 2*mu is a nonpositive integer")
-    a = mu - kappa + 0.5
-
-    def factors(j0, n, z, out):
-        js = np.arange(j0, j0 + n)
-        np.divide(np.multiply.outer(a + js, z, out=out), ((b + js) * (js + 1.0))[:, None], out=out)
-
-    out = _seeded_series(zs, mu, factors, f"whittaker_M({kappa}, {mu}, z)")
-    return out.reshape(zs.shape) if zs.ndim else float(out[0])
-
-
 def _whittaker_kernel(k: int, z) -> np.ndarray:
     """sum_{l=0}^{k-2} 2^{l+1} M_{1-k/2+l, (k-1)/2}(z) on an array of z > 0
     (even k >= 2), as one series of positive terms.
@@ -422,17 +399,10 @@ def _whittaker_kernel(k: int, z) -> np.ndarray:
     (a)_j / (k)_j = prod_{i=a}^{k-1} i / (i + j) for integer a,
     C_j j! is proportional to e_j = sum_{a=1}^{k-1} prod_{i=a}^{k-1} 2i / (i + j).
     The ratios C_{j+1} / C_j are formed from it in exact rationals, a block
-    at a time (cached per k and block), and rounded once, as the factors of
-    ``whittaker_M``.
+    at a time (cached per k and block), rounded once, and summed by
+    ``_seeded_series``.
     """
-    def factors(j0, n, z, out):
-        first, last = j0 // _WHITTAKER_BLOCK, (j0 + n - 1) // _WHITTAKER_BLOCK
-        ratios = np.concatenate([_kernel_ratios(k, i) for i in range(first, last + 1)])
-        np.multiply.outer(ratios[j0 - first * _WHITTAKER_BLOCK:][:n], z, out=out)
-
-    return (2.0 ** k - 2.0) * _seeded_series(
-        np.asarray(z, dtype=float), 0.5 * (k - 1), factors, f"the M-kernel sum at k={k}"
-    )
+    return (2.0 ** k - 2.0) * _seeded_series(np.asarray(z, dtype=float), k)
 
 
 @lru_cache(maxsize=256)
@@ -449,15 +419,14 @@ def _kernel_ratios(k: int, block: int) -> np.ndarray:
 
 def _series_terms(z: np.ndarray) -> np.ndarray:
     """Rows of a point's first table in ``_seeded_series``.  The kernels of
-    k = 2, 4, 12 and each of their M-series settle by z + 8 sqrt(z) + 22."""
+    k = 2, 4, 12 settle by z + 8 sqrt(z) + 22."""
     return (z + 8.0 * np.sqrt(z) + 30.0).astype(np.int64)
 
 
-def _seeded_series(zs: np.ndarray, mu: float, factors, name: str) -> np.ndarray:
+def _seeded_series(zs: np.ndarray, k: int) -> np.ndarray:
     """sum_j t_j(z) on the flattened array of z > 0, with
-    t_0 = e^{-z/2} z^{mu+1/2} (as e^{-z/4} z^{mu+1/2} e^{-z/4}) and t_{j+1} / t_j
-    in row j - j0 of what ``factors(j0, n, z, out)`` writes into ``out``
-    (rows j = j0..j0+n-1, one column per point).
+    t_0 = e^{-z/2} z^{k/2} (as e^{-z/4} z^{k/2} e^{-z/4}) and
+    t_{j+1} / t_j = z C_{j+1} / C_j, the ratios of ``_kernel_ratios``.
 
     Each point takes its partial sum at the tenth of ten consecutive terms
     below 1e-16 of it.  The points are sorted by z, in blocks of at most
@@ -469,13 +438,14 @@ def _seeded_series(zs: np.ndarray, mu: float, factors, name: str) -> np.ndarray:
     ``RangeOverflowError`` where the seed or a partial sum leaves the
     double range; a seed that underflows at z <= 1 gives 0.
     """
+    name = f"the M-kernel sum at k={k}"
     if not np.all(zs > 0):
         raise DomainError(f"{name} requires z > 0")
     flat = zs.ravel()
     quarter = np.exp(-0.25 * flat)
     with np.errstate(over="ignore", invalid="ignore"):
-        seed = quarter * flat ** (mu + 0.5) * quarter
-    # a seed that underflows leaves M at 0 for small z and beyond range for large z
+        seed = quarter * flat ** (0.5 * k) * quarter
+    # a seed that underflows leaves the sum at 0 for small z and beyond range for large z
     if np.any(((seed == 0.0) & (flat > 1.0)) | ~np.isfinite(seed)):
         raise RangeOverflowError(f"{name} overflows double precision")
     out = np.zeros(flat.size)
@@ -496,7 +466,9 @@ def _seeded_series(zs: np.ndarray, mu: float, factors, name: str) -> np.ndarray:
                 raise AccuracyError(f"{name}: series did not settle")
             t, s, bound = bufs[:, :(n + 1) * pts.size].reshape(3, n + 1, pts.size)
             quiet = quiet_buf[:n * pts.size].reshape(n, pts.size)
-            factors(j0, n, z, t[1:])
+            first, last = j0 // _WHITTAKER_BLOCK, (j0 + n - 1) // _WHITTAKER_BLOCK
+            ratios = np.concatenate([_kernel_ratios(k, b) for b in range(first, last + 1)])
+            np.multiply.outer(ratios[j0 - first * _WHITTAKER_BLOCK:][:n], z, out=t[1:])
             t[0] = term
             with np.errstate(over="ignore", invalid="ignore"):
                 np.cumprod(t, axis=0, out=t)
@@ -521,14 +493,14 @@ def _seeded_series(zs: np.ndarray, mu: float, factors, name: str) -> np.ndarray:
     return out
 
 
-def _bessel_j_series(nu: float, x) -> np.ndarray:
-    """J_nu on an array of x >= 0 (any shape) by the ascending series."""
+def _bessel_j_series(n: int, x) -> np.ndarray:
+    """J_n on an array of x >= 0 (any shape) by the ascending series."""
     xs = np.asarray(x, dtype=float)
-    t = (0.5 * xs) ** nu / math.gamma(nu + 1.0)
+    t = (0.5 * xs) ** n / math.gamma(n + 1.0)
     acc = t
     q = 0.25 * xs * xs
     for k in range(0, 10000):
-        t = t * (-q / ((k + 1.0) * (nu + k + 1.0)))
+        t = t * (-q / ((k + 1.0) * (n + k + 1.0)))
         acc = acc + t
         if k > 4 and np.all(np.abs(t) < 1e-18 * (np.abs(acc) + 1e-300)):
             return acc
@@ -572,55 +544,15 @@ def _bessel_j_miller(n: int, x: np.ndarray) -> np.ndarray:
     return (jn / norm)[np.argsort(order)]
 
 
-def bessel_J(nu: float, x: float) -> float:
-    """Bessel function of the first kind, nu >= 0, finite x >= 0.
-
-    Integer orders are ``bessel_J_grid`` at one point; other orders take
-    the ascending series for x <= 12 and Hankel asymptotics beyond.
-    Absolute error <= ~1e-12 for x <= 100.
-    """
-    if nu < 0 or not 0 <= x < math.inf:
-        raise DomainError("bessel_J requires nu >= 0 and finite x >= 0")
-    if abs(nu - round(nu)) < 1e-12:
-        return float(bessel_J_grid(int(round(nu)), x))
-    if x <= 12.0:
-        return float(_bessel_j_series(nu, x))
-    return _bessel_j_hankel(nu, x)
-
-
-def _bessel_j_hankel(nu: float, x: float) -> float:
-    """Large-x Hankel expansion; truncated at the smallest term."""
-    mu = 4.0 * nu * nu
-    p, q = 1.0, 0.0
-    c = 1.0
-    prev = math.inf
-    for j in range(1, 40):
-        c *= (mu - (2 * j - 1) ** 2) / (8.0 * j * x)
-        if abs(c) > prev:
-            break
-        half, r = divmod(j, 2)
-        sign = 1.0 if half % 2 == 0 else -1.0
-        if r == 1:
-            q += sign * c
-        else:
-            # j = 2*half, contributes (-1)^half
-            p += c if half % 2 == 0 else -c
-        prev = abs(c)
-        if abs(c) < 1e-18:
-            break
-    w = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
-
-
 def bessel_J_grid(n: int, xs: np.ndarray) -> np.ndarray:
     """J_n on an array of finite nonnegative points (integer order n).
 
-    Points x > 12 share one backward Miller sweep; the others share the
-    ascending series of ``bessel_J``.
+    Points x > 12 share one backward Miller sweep; the others share one
+    ascending series.
     """
     xs = np.asarray(xs, dtype=float)
     if n < 0 or not np.all((xs >= 0) & (xs < np.inf)):
-        raise DomainError("bessel_J requires nu >= 0 and finite x >= 0")
+        raise DomainError("bessel_J_grid requires n >= 0 and finite x >= 0")
     out = np.empty(xs.shape)
     far = xs > 12.0
     out[far] = _bessel_j_miller(n, xs[far])

@@ -578,10 +578,10 @@ def test_cut_series_within_the_added_bound_of_the_full_range_sum():
     checked = 0
     for f, chi, phi in _cut_instances():
         try:
-            plain, delta = lseries_module._twisted_pair(f, chi, phi)
+            ft, rounding = lseries_module._twisted(f, chi)
+            plain, delta = lseries_module._series_pair(ft, phi, True, rounding)
         except MembershipError:
             continue
-        ft = twist(f, chi)
         ns, c = ft._arrays("a")
         step = 2 * math.pi / ft.period
         lv, le = laplace_many((phi, shift_s(phi, 2.0)), ns * step)

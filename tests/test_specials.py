@@ -1,5 +1,5 @@
-"""Special-function kernel tests: incomplete gamma with continuation,
-Whittaker M, Bessel J, Kronecker symbol, characters and Gauss sums."""
+"""Special-function kernel tests: incomplete gamma with continuation, the
+Whittaker kernel, Bessel J, Kronecker symbol, characters and Gauss sums."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,6 @@ from maass_lseries import specials, verify
 
 from maass_lseries.errors import AccuracyError, DomainError, RangeOverflowError
 from maass_lseries.specials import (
-    bessel_J,
     bessel_J_grid,
     characters_mod,
     epsilon_d,
@@ -23,7 +22,6 @@ from maass_lseries.specials import (
     trivial_character,
     upper_gamma,
     upper_gamma_scaled,
-    whittaker_M,
     _gamma_half_exp,
     _principal_pow,
     _whittaker_kernel,
@@ -126,42 +124,49 @@ def test_gamma_domain_and_range_errors():
 
 
 # ---------------------------------------------------------------------------
-# Whittaker M
+# Whittaker kernel
 
 
 def test_whittaker_closed_form_sinh():
-    # M_{0,1/2}(z) = 2 sinh(z/2)
-    for z in (0.3, 1.0, 5.0, 20.0):
-        assert abs(whittaker_M(0.0, 0.5, z) - 2 * math.sinh(z / 2)) < 1e-13 * math.cosh(z / 2)
+    # at k = 2 the kernel is 2 M_{0,1/2}(z) = 4 sinh(z/2)
+    zs = np.array([0.3, 1.0, 5.0, 20.0])
+    assert np.all(np.abs(_whittaker_kernel(2, zs) - 4 * np.sinh(zs / 2)) < 2e-13 * np.cosh(zs / 2))
 
 
 def test_whittaker_small_z_leading_term():
-    # M_{k,mu}(z) / z^{mu+1/2} -> 1 as z -> 0+
-    for kappa, mu in ((0.7, 0.3), (-2.0, 1.5), (1.0, 0.25)):
-        z = 1e-8
-        ratio = whittaker_M(kappa, mu, z) / z ** (mu + 0.5)
-        assert abs(ratio - 1.0) < 1e-6
+    # the kernel / ((2^k - 2) z^{k/2}) -> 1 as z -> 0+
+    z = 1e-8
+    for k in (2, 4, 12):
+        ratio = _whittaker_kernel(k, z)[0] / ((2.0 ** k - 2.0) * z ** (0.5 * k))
+        assert abs(ratio - 1.0) < 1e-6, k
 
 
 def test_whittaker_long_series_oracle():
-    # independently coded 200-term confluent series at the k=12, l=0, n=1
-    # parameters (kappa=-5, mu=11/2, z=2 pi)
-    kappa, mu, z = -5.0, 5.5, 2 * math.pi
-    a = mu - kappa + 0.5
-    b = 1 + 2 * mu
-    term, acc = 1.0, 1.0
-    for j in range(200):
-        term *= (a + j) * z / ((b + j) * (j + 1))
-        acc += term
-    oracle = math.exp(-z / 2) * z ** (mu + 0.5) * acc
-    assert abs(whittaker_M(kappa, mu, z) - oracle) < 1e-10 * abs(oracle)
+    # independently coded 200-term confluent series of each M-function of
+    # the k = 12 kernel at n = 1 (mu = 11/2, z = 2 pi)
+    k, z = 12, 2 * math.pi
+    mu, b = 0.5 * (k - 1), k
+    oracle = 0.0
+    for l in range(k - 1):
+        kappa = 1 - 0.5 * k + l
+        a = mu - kappa + 0.5
+        term, acc = 1.0, 1.0
+        for j in range(200):
+            term *= (a + j) * z / ((b + j) * (j + 1))
+            acc += term
+        oracle += 2 ** (l + 1) * math.exp(-z / 2) * z ** (mu + 0.5) * acc
+    assert abs(_whittaker_kernel(k, z)[0] - oracle) < 1e-10 * abs(oracle)
 
 
 def test_whittaker_domain_error():
-    with pytest.raises(DomainError):
-        whittaker_M(0.0, -0.5, 1.0)  # 1 + 2 mu = 0
-    with pytest.raises(DomainError):
-        whittaker_M(0.0, 0.5, -1.0)
+    for z in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            _whittaker_kernel(4, z)
+
+
+def test_whittaker_out_of_range():
+    # where the seed e^{-z/2} z^{k/2} underflows at small z the kernel is 0
+    assert _whittaker_kernel(12, np.array([1e-60, 1.0]))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +174,24 @@ def test_whittaker_domain_error():
 
 
 def test_bessel_basics():
-    assert bessel_J(0, 0.0) == 1.0
-    assert bessel_J(3, 0.0) == 0.0
+    assert bessel_J_grid(0, 0.0) == 1.0
+    assert bessel_J_grid(3, 0.0) == 0.0
     # first zero of J_0
-    assert abs(bessel_J(0, 2.404825557695773)) < 1e-10
+    assert abs(bessel_J_grid(0, 2.404825557695773)) < 1e-10
 
 
 def test_bessel_ascending_series_oracle():
     # 50-term ascending series, coded independently
-    def oracle(nu, x):
+    def oracle(n, x):
         acc = 0.0
         for m in range(50):
-            acc += (-1) ** m * (x / 2) ** (nu + 2 * m) / (
-                math.factorial(m) * math.gamma(nu + m + 1)
+            acc += (-1) ** m * (x / 2) ** (n + 2 * m) / (
+                math.factorial(m) * math.factorial(n + m)
             )
         return acc
 
-    for nu, x in ((11, 1.0), (0, 3.0), (4, 7.5), (2.5, 2.0)):
-        assert abs(bessel_J(nu, x) - oracle(nu, x)) < 1e-13
+    for n, x in ((11, 1.0), (0, 3.0), (4, 7.5)):
+        assert abs(bessel_J_grid(n, x) - oracle(n, x)) < 1e-13
 
 
 def test_bessel_series_vs_miller_crossover():
@@ -205,9 +210,9 @@ def test_bessel_large_argument():
     # J_1(x) ~ sqrt(2/(pi x)) cos(x - 3 pi/4) cross-check at x = 100
     x = 100.0
     lead = math.sqrt(2 / (math.pi * x)) * math.cos(x - 0.75 * math.pi)
-    assert abs(bessel_J(1, x) - lead) < 2e-3  # leading asymptotic only
+    assert abs(bessel_J_grid(1, x) - lead) < 2e-3  # leading asymptotic only
     with pytest.raises(DomainError):
-        bessel_J(-1.0, 1.0)
+        bessel_J_grid(-1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -609,49 +614,6 @@ def test_gamma_half_exp_noninteger_orders_match_the_scalar_path():
         assert np.all(np.abs(got - one) <= 1e-14 * np.abs(one)), s
 
 
-def _whittaker_parameters():
-    # the kernels of mf_term_check and summation_residual
-    for k in (2, 4, 12):
-        for l in range(k - 1):
-            yield 1.0 - 0.5 * k + l, 0.5 * (k - 1)
-
-
-def test_whittaker_array_matches_mpmath():
-    # the series used to overflow before its factor e^{-z/2} was applied:
-    # inf at z = 720 and "did not settle" from z ~ 800
-    mp = pytest.importorskip("mpmath")
-    zs = np.array([1e-3, 0.5, 2 * math.pi, 20.0, 63.0, 200.0, 720.0, 800.0, 1300.0])
-    for kappa, mu in _whittaker_parameters():
-        got = whittaker_M(kappa, mu, zs)
-        with mp.workdps(40):
-            ref = np.array([float(mp.whitm(kappa, mu, z)) for z in zs])
-        assert np.all(np.isfinite(got)), (kappa, mu)
-        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), (kappa, mu)
-
-
-def test_whittaker_out_of_range():
-    # past z ~ 1420 M_{-5,11/2} overflows: a named error, not inf or a
-    # series that never settles; where z^{mu+1/2} underflows M is 0
-    for z in (1500.0, 3000.0):
-        with pytest.raises(RangeOverflowError):
-            whittaker_M(-5.0, 5.5, np.array([1.0, z]))
-    assert whittaker_M(0.0, 200.0, 1e-5) == 0.0
-
-
-def test_whittaker_array_matches_scalar_calls():
-    zs = np.array([[1e-3, 0.7, 6.3], [31.4, 62.8, 900.0]])
-    for kappa, mu in list(_whittaker_parameters()) + [(0.7, 0.3), (0.0, 0.5)]:
-        got = whittaker_M(kappa, mu, zs)
-        assert got.shape == zs.shape
-        one = np.array([[whittaker_M(kappa, mu, float(z)) for z in row] for row in zs])
-        assert np.all(np.abs(got - one) <= 4 * np.finfo(float).eps * np.abs(one)), (kappa, mu)
-    v = whittaker_M(-5.0, 5.5, 2 * math.pi)
-    assert type(v) is float
-    assert whittaker_M(-5.0, 5.5, np.array([])).shape == (0,)
-    with pytest.raises(DomainError):
-        whittaker_M(0.0, 0.5, np.array([1.0, 0.0]))
-
-
 def test_whittaker_kernel_sum_matches_mpmath():
     # the k - 1 Whittaker kernels of the summation formula as one series
     mp = pytest.importorskip("mpmath")
@@ -668,11 +630,10 @@ def test_whittaker_kernel_sum_matches_mpmath():
 
 
 def test_whittaker_kernel_sum_out_of_range():
-    # a named error where whittaker_M raises one, not inf
+    # past z ~ 1420 the kernel overflows: a named error, not inf or a
+    # series that never settles
     for k in (2, 4, 12):
         for z in (1500.0, 3000.0):
-            with pytest.raises(RangeOverflowError):
-                whittaker_M(1.0 - 0.5 * k, 0.5 * (k - 1), np.array([1.0, z]))
             with pytest.raises(RangeOverflowError):
                 _whittaker_kernel(k, np.array([1.0, z]))
     with pytest.raises(DomainError):
@@ -692,22 +653,20 @@ def test_bessel_grid_matches_scalar_calls():
     xs = np.array([[0.0, 0.4, 11.9, 12.0], [12.1, 37.5, 99.0, 142.0]])
     for n in (0, 1, 3, 11):
         got = bessel_J_grid(n, xs)
-        one = np.array([[bessel_J(n, float(x)) for x in row] for row in xs])
-        assert np.all(np.abs(got - one) <= 4 * np.finfo(float).eps * np.maximum(np.abs(one), 1e-300)), n
+        one = np.array([[bessel_J_grid(n, float(x)) for x in row] for row in xs])
+        assert np.array_equal(got, one), n
     with pytest.raises(DomainError):
         bessel_J_grid(1, np.array([1.0, -1.0]))
 
 
 def test_bessel_at_infinity_is_a_domain_error():
-    # once nan with two RuntimeWarnings, nan, and a bare "math domain error"
+    # a non-finite point once gave nan, not a named error
     with pytest.raises(DomainError):
         bessel_J_grid(1, np.array([1.0, np.inf]))
     with pytest.raises(DomainError):
-        bessel_J(1, math.inf)
+        bessel_J_grid(1, math.inf)
     with pytest.raises(DomainError):
-        bessel_J(2.5, math.inf)
-    with pytest.raises(DomainError):
-        bessel_J(2.5, math.nan)
+        bessel_J_grid(1, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -801,34 +760,22 @@ def test_whittaker_kernel_equals_the_blocked_loop():
         assert np.array_equal(_whittaker_kernel(k, _GEOMETRIC), ref), k
 
 
-def test_whittaker_M_equals_the_blocked_loop():
-    zs = np.geomspace(1e-3, 700.0, 801)
-    for kappa, mu in list(_whittaker_parameters())[::3] + [(0.7, 0.3), (3.2, 0.1), (7.5, 1.0)]:
-        a, b = mu - kappa + 0.5, 1.0 + 2.0 * mu
-        factors = lambda ks, z: (a + ks) * z[:, None] / ((b + ks) * (ks + 1.0))
-        assert np.array_equal(whittaker_M(kappa, mu, zs), _blocked_series(zs, mu, factors)), (kappa, mu)
-
-
 def test_array_kernels_equal_their_scalar_calls_exactly():
     zs = np.concatenate([np.geomspace(1e-3, 1300.0, 41), [6.3, 62.8, 62.8]])
     for k in (2, 4, 12):
         got = _whittaker_kernel(k, zs)
         one = np.array([_whittaker_kernel(k, np.array([z]))[0] for z in zs])
         assert np.array_equal(got, one), k
-        got = whittaker_M(1.0 - 0.5 * k, 0.5 * (k - 1), zs)
-        one = np.array([whittaker_M(1.0 - 0.5 * k, 0.5 * (k - 1), float(z)) for z in zs])
-        assert np.array_equal(got, one), k
+    assert _whittaker_kernel(4, np.array([])).shape == (0,)
 
 
 def test_series_continuation_gives_the_same_values(monkeypatch):
     # every point runs out of rows in its first table and continues
     zs = np.geomspace(1e-3, 1300.0, 301)
     want = {k: _whittaker_kernel(k, zs) for k in (2, 4, 12)}
-    want_m = whittaker_M(-5.0, 5.5, zs)
     monkeypatch.setattr(specials, "_series_terms", lambda z: np.full(z.shape, 8))
     for k in (2, 4, 12):
         assert np.array_equal(_whittaker_kernel(k, zs), want[k]), k
-    assert np.array_equal(whittaker_M(-5.0, 5.5, zs), want_m)
 
 
 def test_kernel_ratios_are_correctly_rounded():
