@@ -7,6 +7,8 @@ integral and half-integral weight, converse-theorem sweeps, derivative-lift
 identities, and the summation-formula term checks.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AccuracyError,
     DomainError,
@@ -95,5 +97,7 @@ from .verify import (
     sweep_instances,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules they came from
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

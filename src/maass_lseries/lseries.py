@@ -19,7 +19,7 @@ estimate separately; nothing is folded silently into the value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,10 +28,6 @@ from .errors import AccuracyError, DomainError, MembershipError
 from .form import FormData, RuleCoeffs, _hol_tail, delta_k_iy, eval_iy, geom_tail, twist
 from .specials import Character, _gamma_half_exp, _matmul, _principal_pow, i_pow, upper_gamma
 from .testfn import (
-    _CHUNK,
-    _G_W,
-    _GK_NODES,
-    _GK_W,
     _SEED_LEVELS,
     TestFunction,
     _columns,
@@ -142,19 +138,16 @@ def _nonhol_series_tail(f: FormData, c1: float, extra_poly: float = 0.0) -> floa
 def lseries_series(f: FormData, phi: TestFunction) -> LValue:
     """L_f(phi) by the defining coefficient-side series.
 
-    The nonholomorphic terms are computed through the t-integral of the
-    shifted Laplace transform and cross-validated against the equivalent
-    incomplete-gamma y-integral; disagreement beyond the combined error
-    budget raises AccuracyError.
-
-    - Both b-routes come from one sampling of phi on the transform grid
-      (``_nonhol_part``): one incomplete-gamma table over b-terms x nodes,
-      and a fixed Gauss-Kronrod rule in tau = 4 pi m c1 t / M shared by
-      every term.  The t-route's estimate is the panels' |Kronrod - Gauss|,
-      a certified tail bound and the transforms' rounding column; the
-      routes must agree within 1e-12 of the terms' absolute mass plus ten
-      times both estimates.  Sharing the samples, the check covers the
-      t-integral only; the x-grid's own error is in neither estimate.
+    The b-terms come from one sampling of phi (``_nonhol_part``).  At
+    integral weight k <= 0, m = 1 - k is an integer, and the paper's
+    t-integral of the b(n) term equals the finite moment sum
+    sum_{j<m} (m-1)!/j! (2 lambda)^j (L[y^j phi])(lambda), lambda = -2 pi n / M.
+    Its estimate is the transforms' error columns under these positive
+    weights plus the weights' rounding.  The incomplete-gamma y-integral on
+    the same samples cross-checks it: the two must agree within 1e-12 of
+    the terms' absolute mass plus ten times both estimates, or
+    AccuracyError is raised.  At other orders, and where the moment
+    weights pass the double range, the y-route stands alone.
     """
     return _series_pair(f, phi, delta=False)[0]
 
@@ -240,16 +233,16 @@ def _series_pair(
     n_terms = int(np.count_nonzero(plain | neg))
     if len(f.b):
         part = _nonhol_part(f, phi, delta)
-        # the routes share phi's samples but take the t-integral apart: a
-        # tau-rule against the closed-form incomplete gamma
-        allowed = _ROUTE_AGREEMENT * part.mass + 10.0 * (part.t_err + part.y_err)
-        if not abs(part.t - part.y) <= allowed:
+        # the routes share phi's samples but take the y-integral apart:
+        # finite moments against the closed-form incomplete gamma
+        allowed = _ROUTE_AGREEMENT * part.mass + 10.0 * (part.err + part.y_err)
+        if not abs(part.value - part.y) <= allowed:
             raise AccuracyError(
-                f"nonholomorphic term cross-check failed: {part.t} vs {part.y}",
-                best=part.t,
+                f"nonholomorphic term cross-check failed: {part.value} vs {part.y}",
+                best=part.value,
             )
-        value += part.t
-        quad += part.t_err
+        value += part.value
+        quad += part.err
         trunc += tails[1]
         n_terms += len(f.b)
     base = LValue(value, trunc, quad, n_terms, "series")
@@ -275,8 +268,8 @@ def _series_pair(
     quad += step * K2 * skipped_err[1]
     trunc += step * (tails[2] + K2 * skipped[1])
     if len(f.b):
-        value += part.delta_t
-        quad += part.delta_t_err
+        value += part.delta_value
+        quad += part.delta_err
         trunc += tails[3]
     n_terms = int(np.count_nonzero(deriv | neg)) + len(f.b)
     return base, LValue(value, trunc, quad, n_terms, "series")
@@ -381,182 +374,123 @@ def _longdouble_capable(phi: TestFunction) -> bool:
 
 @dataclass(frozen=True)
 class _NonholPart:
-    """The b-part of the series by its two routes, from one grid.
+    """The b-part of the series from one grid.
 
-    ``t`` is the t-integral route, ``y`` the incomplete-gamma route, each
-    with its error estimate; ``mass`` is the terms' absolute mass
-    sum |b(n)| int |Gamma(1-k, -4 pi n y / M) e^{-2 pi n y / M} phi(y)| dy;
-    ``delta_t`` is the b-part of the delta_k series (t-route), when asked.
+    ``value`` is the b-part by finite moments at integer order m = 1 - k
+    and by the y-route at other orders, with its error estimate ``err``;
+    ``delta_value`` and ``delta_err`` are the same for the b-part of the
+    delta_k series, when asked.  ``y`` and ``y_err`` are the y-route's
+    plain b-part, the cross-check at integer m (``value`` itself at other
+    orders); ``mass`` is the terms' absolute mass
+    sum |b(n)| int |Gamma(1-k, -4 pi n y / M) e^{-2 pi n y / M} phi(y)| dy.
     """
 
-    t: complex
-    t_err: float
+    value: complex
+    err: float
     y: complex
     y_err: float
     mass: float
-    delta_t: complex = 0j
-    delta_t_err: float = 0.0
+    delta_value: complex = 0j
+    delta_err: float = 0.0
 
 
 # the two b-routes may differ by this much of the terms' absolute mass,
 # besides ten times their error estimates (they agree to ~1e-15 on g)
 _ROUTE_AGREEMENT = 1e-12
-_TAU_TAIL = 1e-17  # tail of the tau-rule, relative to its integral's scale
-_TAU_GAUSS = 1e3  # z^14 at the peak, z = half the panel width times the rate
-_TAU_ZMAX = 8.0
-
-
-def _tau_tail(T: float, s: np.ndarray, p: float) -> np.ndarray:
-    """A bound on int_T^inf e^{-tau} (1 + tau/s)^p d tau, for each s > 0.
-
-    With p <= 0 the power is at most (1 + T/s)^p past T.  With p > 0,
-    ((s + tau)/(s + T))^p <= e^{p (tau - T)/(s + T)}, so the tail is at most
-    e^{-T} (1 + T/s)^p / (1 - p/(s + T)) once p < s + T (inf before).
-    """
-    shrink = 1.0 - max(p, 0.0) / (s + T)
-    with np.errstate(over="ignore", divide="ignore"):
-        bound = np.exp(-T + p * np.log1p(T / s)) / shrink
-    return np.where(shrink > 0.0, bound, np.inf)
-
-
-def _tau_rule(s: np.ndarray, p: float, ratio: float):
-    """A composite GK15 rule for int_0^inf g(tau) (1 + tau/s)^p d tau, where
-    g is a sum of e^{-tau x / c1} over x / c1 in [1, ratio].
-
-    A panel at a has width 2 z / rho, with rho = ratio + |p| / (min s + a)
-    the integrand's local rate of change, and z = (_TAU_GAUSS / env)^{1/14},
-    at most _TAU_ZMAX, where env <= 1 is the envelope e^{-a} (1 + a/s)^p
-    over its maximum: the 7-point Gauss error grows like z^14 times what
-    the panel holds, so panels widen where the integrand has decayed.  The
-    rule ends at the first edge T where every s has ``_tau_tail(T, s, p)``
-    below ``_TAU_TAIL`` / (ratio + max(-p, 0) / s), the last factor a lower
-    bound on the scale of its integral (with every x at ratio c1).  Returns
-    the nodes, the Kronrod and the Gauss weights (zero at the Kronrod-only
-    nodes) and T.
-    """
-    target = _TAU_TAIL / (ratio + max(-p, 0.0) / s)
-    s_min = float(np.min(s))
-    peak = np.maximum(p - s, 0.0)  # where e^{-tau} (1 + tau/s)^p is largest
-    log_peak = -peak + p * np.log1p(peak / s)
-    edges = [0.0]
-    while np.any(_tau_tail(edges[-1], s, p) > target):
-        a = edges[-1]
-        log_env = float(np.max(-a + p * np.log1p(a / s) - log_peak))
-        z = min(_TAU_ZMAX, math.exp((math.log(_TAU_GAUSS) - log_env) / 14.0))
-        edges.append(a + 2.0 * z / (ratio + abs(p) / (s_min + a)))
-    edges = np.array(edges)
-    h = 0.5 * np.diff(edges)[:, None]
-    tau = (0.5 * (edges[:-1, None] + edges[1:, None]) + h * _GK_NODES).ravel()
-    return tau, (h * _GK_W).ravel(), (h * _G_W).ravel(), float(edges[-1])
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _nonhol_part(f: FormData, phi: TestFunction, delta: bool = False) -> _NonholPart:
-    """The b-part of the series, both routes, on one sampling of phi.
+    """The b-part of the series on one sampling of phi.
 
-    phi, phi_{2-k} (and phi_{3-k} with ``delta``) are sampled once on the
-    graded grid of ``laplace_many``.  With m = -n > 0 and lambda = 2 pi m / M
-    the y-route is ``_gamma_route`` and the t-route, after the substitution
-    tau = 2 lambda c1 t, is ``_tau_route`` over the nodes of ``_tau_rule``.
-
-    Both routes read the same samples, so neither estimate counts the error
-    of the x-grid itself (as with the a-part's ``laplace_many``), and their
-    cross-check tests only how the t-integral is taken: the tau-rule
-    against the closed-form incomplete gamma.
+    With lambda = -2 pi n / M and m = 1 - k, the b(n) term is
+    b(n) int Gamma(m, 2 lambda y) e^{lambda y} phi(y) dy in the plain
+    series and lambda times that over y phi in the delta_k series.  At
+    integer m >= 1 (DLMF 8.4.8) it is the moment sum of ``_moment_route``
+    over the columns phi, y phi, ..., y^{m-1} phi (and y^m phi with
+    ``delta``) of one transform table, cross-checked by the y-route
+    ``_gamma_route`` on the same samples; at other orders, and where the
+    moment weights pass the double range, the y-route over phi and, with
+    ``delta``, y phi stands alone.  Neither estimate counts the error of
+    the x-grid itself (as with the a-part's ``laplace_many``).
     """
     bns, bvals = f._arrays("b")
-    if not len(bns):
-        return _NonholPart(0j, 0.0, 0j, 0.0, 0.0)
     lo, hi = phi.support()
     if not (lo > 0 and np.isfinite(hi)):
         raise DomainError("the nonholomorphic terms need compact support in (0, inf)")
-    k = f.k
+    m = 1.0 - f.k
+    moments = m >= 1.0 and m == int(m)
     lam = _TWO_PI * -bns.astype(float) / f.period
-    rule = _tau_rule(2.0 * lam * lo, -k, hi / lo)
-    phis = (phi, shift_s(phi, 2.0 - k)) + ((shift_s(phi, 3.0 - k),) if delta else ())
-    u_max = np.max(lam) + rule[-1] / lo  # the t-route's largest frequency
-    x, wf = _sampled_grid(phis, np.array([u_max]), np.float64)
-    y_terms, y_mass, y_err = _gamma_route(lam, k, x, wf[:, 0])
-    t_int, t_err = _tau_route(x, wf[:, 1:], lam, lo, -k, rule)
-    nm = len(lam)
-    pref = bvals * (2.0 * lam) ** (1.0 - k)  # b(n) (-4 pi n / M)^{1-k}
+    # phi y^j for j < m (moments) or j < 1, and one more column for delta_k
+    cols = (int(m) if moments else 1) + delta
+    x, wf = _sampled_grid(tuple(shift_s(phi, j + 1.0) for j in range(cols)), lam, np.float64)
+    y, y_mass, y_err = _gamma_route(lam, f.k, x, wf[:, :1 + delta])
+    vals, errs = _moment_route(lam, int(m), x, wf) if moments else (y, y_err)
+    if not np.isfinite(errs).all():  # moment weights past the double range
+        vals, errs = y, y_err
+    # the terms' weights: b(n) in the plain series, b(n) lambda in delta_k's
+    weights = np.stack([bvals, bvals * lam], axis=1)[:, :1 + delta]
+    value = np.sum(weights * vals, axis=0)
+    err = np.sum(np.abs(weights) * errs, axis=0)
     absb = np.abs(bvals)
-    part = _NonholPart(
-        complex(np.sum(pref * t_int[:nm])),
-        float(np.sum(np.abs(pref) * t_err[:nm])),
-        complex(np.sum(bvals * y_terms)),
-        float(np.sum(absb * y_err)),
-        float(np.sum(absb * y_mass)),
+    return _NonholPart(
+        complex(value[0]),
+        float(err[0]),
+        complex(np.sum(bvals * y[:, 0])),
+        float(np.sum(absb * y_err[:, 0])),
+        float(np.sum(absb * y_mass[:, 0])),
+        *((complex(value[1]), float(err[1])) if delta else ()),
     )
-    if delta:
-        pref = pref * lam  # the delta_k weight -2 pi n / M
-        part = replace(
-            part,
-            delta_t=complex(np.sum(pref * t_int[nm:])),
-            delta_t_err=float(np.sum(np.abs(pref) * t_err[nm:])),
-        )
-    return part
 
 
 def _gamma_route(lam: np.ndarray, k: float, x: np.ndarray, w_phi: np.ndarray):
-    """sum_x w phi(x) Gamma(1-k, 2 lambda x) e^{lambda x} for every lambda,
-    from one table of the scaled incomplete gamma.
+    """sum_x w phi(x) Gamma(1-k, 2 lambda x) e^{lambda x} for every lambda
+    and every column of ``w_phi``, from one table of the scaled incomplete
+    gamma.
 
-    Returns the sums, their absolute masses and their error estimates: the
-    rounding of the gamma values and of the sums (50 eps of the mass) and
-    that of the argument 2 lambda x, relative to it, in e^{-lambda x}.
+    Returns the (lambdas x columns) sums, their absolute masses and their
+    error estimates: the rounding of the gamma values and of the sums (50
+    eps of the mass) and that of the argument 2 lambda x, relative to it,
+    in e^{-lambda x}.
     """
     gam = _gamma_half_exp(1.0 - k, np.multiply.outer(2.0 * lam, x))
     mag = np.abs(gam)
     aw = np.abs(w_phi)
     mass = _matmul(mag, aw)
-    return _matmul(gam, w_phi), mass, _EPS * (50.0 * mass + 4.0 * lam * _matmul(mag, x * aw))
+    err = _EPS * (50.0 * mass + 4.0 * lam[:, None] * _matmul(mag, x[:, None] * aw))
+    return _matmul(gam, w_phi), mass, err
 
 
-def _tau_route(x, samples, lam, c1: float, p: float, rule):
-    """int_0^inf sum_x A(x) e^{-tau x / c1} (1 + tau/s)^p d tau / s, where
-    A = samples e^{-lambda x} and s = 2 lambda c1, for every lambda and
-    sample column (the columns' lambdas vary fastest).
+def _moment_route(lam: np.ndarray, m: int, x: np.ndarray, wf: np.ndarray):
+    """sum_{j<m} (m-1)!/j! (2 lambda)^j (L[y^j phi])(lambda) for every
+    lambda, and, when ``wf`` holds one more column, the same sum over
+    y^{j+1} phi: (lambdas x 1 or 2).  ``wf`` holds the weighted samples of
+    phi, y phi, y^2 phi, ... on the nodes x, each x times the one before,
+    so ``_columns`` adds one column to them, and one product gives every
+    transform, as in ``laplace_many``.
 
-    This is int_0^inf (L phi_{2-k})(lambda (2t + 1)) (1 + t)^{-k} dt with
-    tau = s t when the column holds w phi_{2-k}.  The exponentials
-    e^{-tau x / c1} are shared by every column and built a few panels of
-    ``rule`` at a time, so no table exceeds ``_CHUNK`` entries.  The
-    value takes the Kronrod weights.  The error estimate adds, per column,
-    sum over panels |Kronrod - Gauss|, the rounding columns of ``_split``
-    under the same weights, and the tail past the rule's end T, at most
-    sum |A| int_T^inf e^{-tau} (1 + tau/s)^p d tau since x >= c1.
+    The error estimate takes the transforms' error columns (``_split``)
+    under the same positive weights, plus the weights' own rounding: the
+    ratio (m-1)!/j! is an exact product of integers downward from j = m - 1
+    (while below 2^53; past that each of its m - 1 - j products rounds),
+    (2 lambda)^j carries j times lambda's rounding (1.5 eps) and that of
+    the power, and the products and the sum over j add m more, so column
+    j is charged (1.5 j + m + 2) eps of its term's mass.
     """
-    tau, wk, wg, T = rule
-    tiny = np.finfo(np.float64).tiny
-    nlam = len(lam)
-    ncol = samples.shape[1] * nlam
-    # the distinct sample columns times e^{-lambda x}; logical column (c, lambda)
-    # of the product is its column (idx[c], lambda)
-    dist, idx = _columns(x, samples)
-    table = _exp_normal(np.multiply.outer(x, -lam))[:, None, :] * dist[:, :, None]
-    table = table.reshape(len(x), -1)
-    table[np.abs(table) < tiny] = 0.0  # no subnormal enters the products
-    idx = (idx[:, None] * nlam + np.arange(nlam)).ravel()
-    lam_c = np.tile(lam, samples.shape[1])
-    s_c = 2.0 * c1 * lam_c
-    lost = np.repeat(samples, nlam, axis=1)  # bounds what fell below tiny
-    acc = np.zeros(ncol, dtype=table.dtype)
-    err = np.zeros(ncol)
-    kg = np.zeros(ncol)
-    wd = wk - wg
-    rows = 15 * max(1, _CHUNK // (15 * len(x)))  # whole panels per chunk
-    buf = np.empty((rows, len(x)))
-    for i in range(0, len(tau), rows):
-        tc = tau[i:i + rows]
-        B = _exp_normal(np.multiply.outer(tc, -x / c1, out=buf[:len(tc)]))
-        vals, errs = _split(_matmul(B, table), idx, lam_c[:, None] + tc / c1, x, lost, tiny, False)
-        power = (1.0 + tc / s_c[:, None]) ** p
-        vals *= power
-        acc += _matmul(vals, wk[i:i + rows])
-        err += _matmul(errs * power, wk[i:i + rows])
-        kg += np.sum(np.abs((vals * wd[i:i + rows]).reshape(ncol, -1, 15).sum(axis=2)), axis=1)
-    mass = np.sum(np.abs(table), axis=0)[idx[:ncol]] + tiny * np.sum(np.abs(lost), axis=0)
-    return acc / s_c, (kg + err + mass * _tau_tail(T, s_c, p)) / s_c
+    c = wf.shape[1]
+    cols, idx = _columns(x, wf)
+    out = _matmul(_exp_normal(np.multiply.outer(-lam, x)), cols)
+    vals, errs = _split(out, idx, lam, x, wf, _TINY, False)  # (columns x lambdas)
+    mass = np.abs(out[:, idx[c:2 * c]]).T
+    j = np.arange(m)
+    ratio = np.cumprod(np.r_[1.0, np.arange(m - 1.0, 0.0, -1.0)])[::-1]  # (m-1)!/j!
+    rounding = ((1.5 * j + m + 2.0) * _EPS)[:, None]
+    shifts = range(c - m + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller tests for inf and nan
+        weights = ratio[:, None] * np.power.outer(2.0 * lam, j).T
+        value = [np.sum(weights * vals[s:s + m], axis=0) for s in shifts]
+        err = [np.sum(weights * (errs[s:s + m] + rounding * mass[s:s + m]), axis=0) for s in shifts]
+    return np.stack(value, axis=1), np.stack(err, axis=1)
 
 
 def lseries_integral(f: FormData, phi: TestFunction, tol: float = 1e-12) -> LValue:

@@ -133,9 +133,9 @@ def _tiled(a: np.ndarray, b: np.ndarray, out=None):
         return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty(a.shape[:-1] + b.shape[1:], dtype=a.dtype)
-    # tiles of a multiple of 4 rows or columns fill BLAS's vector lanes: the
-    # (30 x 792) @ (792 x 24) product of the tau route took 18 us in 12-row
-    # tiles and 24 us in 13-row tiles (SkylakeX kernels, warm caches)
+    # tiles of a multiple of 4 rows or columns fill BLAS's vector lanes: a
+    # (30 x 792) @ (792 x 24) product took 18 us in 12-row tiles and 24 us
+    # in 13-row tiles (SkylakeX kernels, warm caches)
     if m > 1 and (n == 1 or 2 * k * n <= cap):
         step = _tile_width(cap // (k * n))
         for i in range(0, m, step):

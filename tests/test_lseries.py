@@ -89,7 +89,7 @@ def test_series_integral_equivalence(name, prec):
 
 
 def test_nonholomorphic_two_internal_forms():
-    # single b(-1), k = -10: t-integral route vs y-integral route
+    # single b(-1), k = -10: moment route vs y-integral route
     k = -10
     f = FormData(
         weight2=2 * k, level=1, psi=trivial_character(1), n0=0,
@@ -97,7 +97,7 @@ def test_nonholomorphic_two_internal_forms():
     )
     for phi in (BAT[2], BAT[5]):
         part = _nonhol_part(f, phi)
-        assert abs(part.t - part.y) < 1e-9 * max(abs(part.t), abs(part.y))
+        assert abs(part.value - part.y) < 1e-9 * max(abs(part.value), abs(part.y))
         sv = lseries_series(f, phi)
         iv = lseries_integral(f, phi)
         assert abs(sv.value - iv.value) < 1e-9 * abs(iv.value)
@@ -106,6 +106,44 @@ def test_nonholomorphic_two_internal_forms():
 def _bump_mp(mp, phi):
     c1, c2 = phi.support()
     return c1, c2, lambda y: mp.exp(4 / mp.mpf(c2 - c1) ** 2 - 1 / ((y - c1) * (c2 - y)))
+
+
+def _y_oracle(mp, k, phi, shift, n=1):
+    """The b(-n) term at period 1 as a y-integral, lambda = 2 pi n:
+    lambda^shift int Gamma(1-k, 2 lambda y) e^{lambda y} y^shift phi(y) dy.
+    Shift 0 is the plain series' term, shift 1 the delta_k series' b-part."""
+    c1, c2, bump = _bump_mp(mp, phi)
+    lam = 2 * mp.pi * n
+    return lam ** shift * mp.quad(
+        lambda y: mp.gammainc(1 - mp.mpf(k), 2 * lam * y) * mp.exp(lam * y) * y ** shift * bump(y),
+        [c1, (c1 + c2) / 2, c2],
+    )
+
+
+def _t_oracle(mp, k, phi, shift):
+    """The same term by the paper's t-integral,
+    lambda^shift (2 lambda)^{1-k} int_0^inf (L phi_{2-k+shift})(lambda (2t+1)) (1+t)^{-k} dt.
+
+    The transform is a tanh-sinh sum of step 1/32 over phi's support (its
+    nodes whose weight is below 1e-3 eps of the largest are dropped), the
+    t-integral mpmath's quadrature."""
+    c1, c2, bump = _bump_mp(mp, phi)
+    lam = 2 * mp.pi
+    mid, half, h = (mp.mpf(c1) + c2) / 2, (mp.mpf(c2) - c1) / 2, mp.mpf(1) / 32
+    nodes = []
+    for i in range(-102, 103):  # |s| <= 3.2: the nodes reach the ends to 1e-17
+        u = mp.pi / 2 * mp.sinh(i * h)
+        y = mid + half * mp.tanh(u)
+        if c1 < y < c2:
+            nodes.append((y, h * half * mp.pi / 2 * mp.cosh(i * h) / mp.cosh(u) ** 2 * bump(y)))
+    top = max(w for _, w in nodes)
+    p = 1 - k + shift
+    terms = [(-2 * lam * y, w * y ** p * mp.exp(-lam * y)) for y, w in nodes if w > 1e-3 * mp.eps * top]
+
+    def integrand(t):
+        return mp.fsum(w * mp.exp(t * a) for a, w in terms) * (1 + t) ** (-k)
+
+    return lam ** shift * (2 * lam) ** (1 - k) * mp.quad(integrand, [0, 1, 4, 16, mp.inf])
 
 
 def _harmonic_form(n_terms):
@@ -140,12 +178,69 @@ def test_nonholomorphic_part_within_its_budget():
                 lambda y: term(y) * (mp.mpf(k) / 2 + 2 * mp.pi * y), [c1, (c1 + c2) / 2, c2]
             ))
         part = _nonhol_part(f, phi)
-        for v, q in ((part.t, part.t_err), (part.y, part.y_err)):
+        for v, q in ((part.value, part.err), (part.y, part.y_err)):
             assert abs(v - ref) <= q, (phi.label, v, ref, q)
         sv, dv = lseries_series(f, phi), lseries_delta(f, phi)
         assert abs(sv.value - ref) <= sv.quad_err + sv.trunc_err
         assert abs(dv.value - ref_d) <= dv.quad_err + dv.trunc_err
         assert dv.quad_err <= 1e-13 * abs(ref_d)
+
+
+@pytest.mark.parametrize("k", [0, -2, -10])
+def test_moment_route_against_the_t_and_the_y_integral(k):
+    # m = 1 - k = 1, 3 and 11 moment columns: the plain and the delta_k
+    # b-part against the paper's t-integral and against the y-integral,
+    # both in mpmath, each within the error the library reports
+    mp = pytest.importorskip("mpmath")
+    f = FormData(
+        weight2=2 * k, level=1, psi=trivial_character(1), n0=0,
+        a={}, b={-1: 1.0}, growth_C=4.0, exhaustive=True,
+    )
+    for phi in (BAT[0], BAT[5]):
+        part = _nonhol_part(f, phi, delta=True)
+        for shift, (v, q) in enumerate(((part.value, part.err), (part.delta_value, part.delta_err))):
+            with mp.workdps(20):
+                ref_t = _t_oracle(mp, k, phi, shift)
+            with mp.workdps(30):
+                ref_y = _y_oracle(mp, k, phi, shift)
+            assert abs(ref_t - ref_y) <= 1e-17 * abs(ref_y)
+            for ref in (complex(ref_t), complex(ref_y)):
+                assert abs(v - ref) <= q, (phi.label, shift, v, ref, q)
+
+
+def test_half_integral_b_part_by_the_y_route_alone():
+    # weight -19/2: m = 21/2 has no finite moment sum, so the y-route is
+    # the value, plain and delta_k (over its y phi column), and checks none
+    mp = pytest.importorskip("mpmath")
+    f = FormData(
+        weight2=-19, level=4, psi=trivial_character(4), n0=0,
+        a={}, b={-1: 1.0}, growth_C=4.0, exhaustive=True,
+    )
+    for phi in (BAT[0], BAT[5]):
+        part = _nonhol_part(f, phi, delta=True)
+        assert (part.value, part.err) == (part.y, part.y_err)
+        for shift, (v, q) in enumerate(((part.value, part.err), (part.delta_value, part.delta_err))):
+            with mp.workdps(30):
+                ref = complex(_y_oracle(mp, f.k, phi, shift))
+            assert abs(v - ref) <= q, (phi.label, shift, v, ref, q)
+
+
+def test_moment_weights_past_the_double_range_leave_the_y_route():
+    # weight -100 (m = 101): (2 lambda)^100 overflows at n = -100, so the
+    # y-route is the value, plain and delta_k, within its budgets
+    mp = pytest.importorskip("mpmath")
+    f = FormData(
+        weight2=-200, level=1, psi=trivial_character(1), n0=0,
+        a={}, b={-100: 1.0}, growth_C=4.0, exhaustive=True,
+    )
+    part = _nonhol_part(f, BAT[0], delta=True)
+    assert (part.value, part.err) == (part.y, part.y_err)
+    with mp.workdps(30):
+        refs = [complex(_y_oracle(mp, f.k, BAT[0], shift, n=100)) for shift in (0, 1)]
+    for (v, q), ref in zip(((part.value, part.err), (part.delta_value, part.delta_err)), refs):
+        assert abs(v - ref) <= q, (v, ref, q)
+    sv = lseries_series(f, BAT[0])
+    assert abs(sv.value - refs[0]) <= sv.quad_err
 
 
 @pytest.mark.parametrize("n_terms", [12, 100])
@@ -155,7 +250,7 @@ def test_nonholomorphic_routes_agree(n_terms):
     g = _harmonic_form(n_terms)
     for phi in BAT:
         part = _nonhol_part(g, phi)
-        assert abs(part.t - part.y) <= 1e-14 * part.mass, phi.label
+        assert abs(part.value - part.y) <= 1e-14 * part.mass, phi.label
         assert part.mass >= abs(part.y)
         assert np.isfinite(lseries_series(g, phi).value)
 
@@ -174,7 +269,7 @@ def test_nonholomorphic_grid_against_an_adaptive_y_integral():
             integrand, *phi.support(), rel_tol=1e-14, knots=phi.knots(), vectorized=True
         )
         part = _nonhol_part(g, phi)
-        for v, q in ((part.t, part.t_err), (part.y, part.y_err)):
+        for v, q in ((part.value, part.err), (part.y, part.y_err)):
             assert abs(v - ref) <= q + ref_err, (phi.label, v, ref, q, ref_err)
 
 
@@ -185,7 +280,7 @@ def test_route_cross_check_fires_on_a_perturbed_route(monkeypatch):
 
     def perturbed(*args, **kwargs):
         part = honest(*args, **kwargs)
-        return replace(part, t=part.t + 1e-9 * part.mass)
+        return replace(part, value=part.value + 1e-9 * part.mass)
 
     monkeypatch.setattr(lseries_module, "_nonhol_part", perturbed)
     for phi in (BAT[0], BAT[9]):
@@ -305,7 +400,7 @@ def test_delta_variant_series_vs_integral():
 
 
 def test_delta_variant_nonholomorphic_part():
-    # the t-integral route of the delta-op series against the direct
+    # the moment route of the delta-op series against the direct
     # integral of (delta_k f)(iy) for data with a genuine b-part
     k = -10
     f = FormData(

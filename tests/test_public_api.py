@@ -66,3 +66,13 @@ def test_every_kept_name_is_public_and_uncalled():
     assert not gone, f"kept names that are no longer public functions: {sorted(gone)}"
     called = kept.keys() & _called()
     assert not called, f"kept names that now have a caller, so need no reason: {sorted(called)}"
+
+
+def test_star_import_binds_no_module():
+    import types
+
+    names = {}
+    exec("from maass_lseries import *", names)
+    modules = sorted(name for name, value in names.items() if isinstance(value, types.ModuleType))
+    assert not modules, modules
+    assert "lseries_series" in names and "FormData" in names

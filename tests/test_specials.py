@@ -862,7 +862,8 @@ def test_matmul_calls_stay_within_the_caps(monkeypatch):
 
 
 def test_library_products_stay_within_the_caps(monkeypatch):
-    from maass_lseries.form import _evaluate, eval_iy
+    from maass_lseries.form import FormData, _evaluate, eval_iy
+    from maass_lseries.lseries import lseries_delta, lseries_series
     from maass_lseries.qseries import fixture
     from maass_lseries.testfn import laplace_lattice, shift_s, slash_W, standard_battery
 
@@ -883,6 +884,33 @@ def test_library_products_stay_within_the_caps(monkeypatch):
     calls.clear()
     _evaluate(f, 0.1 + 1j * ys, False, 1e-12)
     assert sum(m for _, _, m, k, _ in calls if k == 256) == 128
+    _within_the_caps(calls)
+    # the weight -10 form of the harmonic benchmark (12 b-terms) on bump 9,
+    # plain and delta_k: every product is one BLAS call, none is split into
+    # tiles (a tiled product enters _tiled again from within)
+    depths, depth = [], [0]
+    tiled = specials._tiled
+
+    def spy_tiled(a, b, out=None):
+        depths.append(depth[0])
+        depth[0] += 1
+        try:
+            return tiled(a, b, out)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(specials, "_tiled", spy_tiled)
+    tau = fixture("delta", 13).a
+    g = FormData(
+        weight2=-20, level=1, psi=trivial_character(1), n0=1,
+        a={-1: 1.0, 0: 2.0, 1: 5.0, 2: -1.0},
+        b={-n: -tau[n].real * (4.0 * math.pi * n) ** -11 for n in range(1, 13)},
+        growth_C=8.0, exhaustive=True,
+    )
+    calls.clear()
+    lseries_series(g, standard_battery()[9])
+    lseries_delta(g, standard_battery()[9])
+    assert calls and max(depths, default=0) == 0
     _within_the_caps(calls)
 
 
