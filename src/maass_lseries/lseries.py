@@ -328,12 +328,16 @@ def _weighted_transform_sum(
     |coeffs[n]| err_n exceeds eps_ld * sum|terms| / len(ns) are recomputed
     in x87 long double (the transforms, their frequencies 2 pi n / period
     and the products), and every term is summed in complex long double.
+    The transforms come from ``laplace_lattice`` in long double, whose
+    error column carries the (B + Q + 3) eps_ld of its running products.
     That pushes the noise floor down by three orders of magnitude; the
     float64 bounds of the terms kept stay in the budget, and together they
     are at most eps_ld * sum|terms|.  Exact for integer coefficient data
     stored in complex128 (the cast to complex long double is lossless).
-    ``coeff_err`` bounds the error of each coefficient and adds its image
-    to the budget.
+    Where ``np.longdouble`` is float64 (Windows, Apple-silicon macOS) the
+    escalation would rerun the same precision, so it is skipped and the
+    budget is the float64 one.  ``coeff_err`` bounds the error of each
+    coefficient and adds its image to the budget.
     """
     if table is None:
         table = laplace_lattice(phi, ns, _TWO_PI / period)
@@ -349,13 +353,13 @@ def _weighted_transform_sum(
     if coeff_err is not None:
         storage_noise += float(np.sum(coeff_err * np.abs(lv)))
     cancel = mass / max(abs(ssum), 1e-300)
-    if cancel > _CANCEL_ESCALATE and _longdouble_capable(phi):
+    if cancel > _CANCEL_ESCALATE and _EPS_LD < _EPS and _longdouble_capable(phi):
         redo = errs > _EPS_LD * mass / len(ns)
         terms2 = terms.astype(np.clongdouble)
         quad = float(np.sum(errs[~redo])) + _EPS_LD * mass * 10.0
         if np.any(redo):
-            us_ld = ns[redo].astype(np.longdouble) * (2 * _PI_LD / np.longdouble(period))
-            lv2, le2 = laplace_many(phi, us_ld, dtype=np.longdouble)
+            step = 2 * _PI_LD / np.longdouble(period)
+            lv2, le2 = laplace_lattice(phi, ns[redo], step, np.longdouble)
             terms2[redo] = coeffs[redo].astype(np.clongdouble) * lv2.astype(np.clongdouble)
             quad += float(np.sum(np.abs(coeffs[redo]) * le2.astype(float)))
         ssum = complex(np.sum(terms2))

@@ -83,9 +83,14 @@ def _matmul(a, b):
     against a complex one is one real product of the complex one's
     (re, im) pairs, with no complex copy of the real one: a real ``a``
     times ``b``'s pairs, or ``a``'s pairs times a real matrix that holds
-    each entry of ``b`` at the real and at the imaginary place.  Other
-    dtypes go to ``np.matmul`` untiled: long double and integers do not
-    reach BLAS, and the library forms no single-precision product.
+    each entry of ``b`` at the real and at the imaginary place.  A long
+    double operand does not reach BLAS; it goes to ``np.dot``, which forms
+    each entry as ``np.matmul``'s loop does, the same products summed in
+    the same order, so the bits agree, and which took 0.52 ms against
+    1.26 ms for a (10 x 1000) @ (1000 x 20) product (2-core x86-64 Xeon,
+    numpy 2.4.6, x87 long double).  Other dtypes go to ``np.matmul``
+    untiled: integers do not reach BLAS, and the library forms no
+    single-precision product.
 
     The caps keep a margin of at least 2 below the sizes at which numpy
     2.4.6's bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH; SkylakeX kernels, and
@@ -106,6 +111,8 @@ def _matmul(a, b):
     a, b = np.asarray(a), np.asarray(b)
     n = b.shape[1] if b.ndim == 2 else 1
     pair = a.dtype.char + b.dtype.char
+    if "g" in pair or "G" in pair:
+        return np.dot(a, b)
     mkn = a.size * n
     if mkn <= _SMALL_PRODUCT or (mkn <= _SMALL_REAL_PRODUCT and pair == "dd"):
         return np.matmul(a, b)

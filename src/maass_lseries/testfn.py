@@ -14,7 +14,7 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,6 +60,10 @@ _GRID_RULES = (32, 20)  # Gauss points a panel of _grid_integrals: its value's a
 # dyadic levels of _graded_edges that seed an adaptive quadrature over a test
 # function's support: 8 settle the widest battery bump in at most 3 passes
 _SEED_LEVELS = 8
+# In long double laplace_lattice runs while B Q (len(phis) + 1), about its
+# product's terms a node, is at most this many times len(ns) - 3, the
+# exponentials a node it saves (see laplace_lattice)
+_LD_LATTICE = 16
 
 
 # exp(_LOG_TINY) is normal and exp of the next double below it is subnormal
@@ -457,6 +461,12 @@ class TestFunction:
 
     ``ops`` is the modifier stack, applied left to right; an entry is
     ("shift", s) for phi -> phi_s or ("slash", a, M) for phi -> phi|_a W_M.
+
+    The fields are frozen, so the support, the knots and the graded edges
+    of ``_graded_edges`` are computed once per instance.  They are cached
+    in the instance's ``__dict__``, outside the fields: ``==``, ``hash``
+    and ``repr`` do not read them, and ``dataclasses.replace`` starts
+    afresh.
     """
 
     __test__ = False  # not a pytest collectible, despite the name
@@ -531,8 +541,10 @@ class TestFunction:
 
     # -- geometry ---------------------------------------------------------
 
-    def support(self) -> tuple[float, float]:
+    @cached_property
+    def _geometry(self) -> tuple[tuple[float, float], tuple[float, ...]]:
         lo, hi = self.base.support
+        ks = list(self.base.knots())
         for op in self.ops:
             if op[0] == "slash":
                 _, _, M = op
@@ -540,17 +552,20 @@ class TestFunction:
                     0.0 if hi == math.inf else 1.0 / (M * hi),
                     math.inf if lo == 0.0 else 1.0 / (M * lo),
                 )
-        return lo, hi
+                ks = [1.0 / (M * k) for k in ks if k not in (0.0, math.inf)]
+        out = sorted({k for k in ks if np.isfinite(k)} | {lo} | ({hi} if np.isfinite(hi) else set()))
+        return (lo, hi), tuple(out)
+
+    @cached_property
+    def _edges(self) -> dict[int, tuple[float, ...]]:
+        """``_graded_edges(self, levels)`` by ``levels``, as they are asked for."""
+        return {}
+
+    def support(self) -> tuple[float, float]:
+        return self._geometry[0]
 
     def knots(self) -> tuple[float, ...]:
-        ks = list(self.base.knots())
-        for op in self.ops:
-            if op[0] == "slash":
-                _, _, M = op
-                ks = [1.0 / (M * k) for k in ks if k not in (0.0, math.inf)]
-        lo, hi = self.support()
-        out = sorted({k for k in ks if np.isfinite(k)} | {lo} | ({hi} if np.isfinite(hi) else set()))
-        return tuple(out)
+        return self._geometry[1]
 
     @property
     def is_compact(self) -> bool:
@@ -734,6 +749,9 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
     are dropped.  A member that differs from the one before it only by its
     trailing shift is sampled as those samples times x^(s - s_prev): phi x
     after phi is exactly x times phi's column, which ``_columns`` reuses.
+    Such a column vanishes where the one before it does, so ``_sample``
+    reads the nodes' liveness from the other columns alone and forms it on
+    the nodes it keeps.
 
     Within a sweep the grid is looked up in, or added to, the sweep's table
     ``_GRIDS``; it depends on ``us`` only through the grading depth.  The
@@ -764,38 +782,52 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
 
 
 def _sample(phis: tuple[TestFunction, ...], levels: int, dtype, longdouble: bool, order: int):
-    """``_sampled_grid``'s nodes and weighted samples, sampled afresh."""
+    """``_sampled_grid``'s nodes and weighted samples, sampled afresh.
+
+    The members sampled on their own decide which nodes live: one formed as
+    x^(s - s_prev) times the member before it is 0 exactly where that one
+    is (x > 0 and the power finite).  The dead nodes leave every column
+    before the derived ones are formed and the columns are stacked, so the
+    grid is the one of sampling every node and dropping the rows where all
+    columns vanish, bit for bit."""
     xg, wg = (_leggauss_longdouble if longdouble else _leggauss)(order)
     edges = np.array(_graded_edges(phis[0], levels), dtype=dtype)
     a, b = edges[:-1, None], edges[1:, None]
     h = 0.5 * (b - a)
     x = (0.5 * (a + b) + h * xg).ravel()
     w = (h * wg).ravel()
-    cols = [w * phis[0].eval_many(x)]
+    powers = [None]  # p = prev x^power, or None where p is sampled on its own
     for prev, p in zip(phis, phis[1:]):
         (pre, s), (pre_p, s_p) = _trailing_shift(prev), _trailing_shift(p)
-        if p.base is prev.base and pre_p == pre:
-            cols.append(cols[-1] * x ** (s_p - s))  # p = prev x^(s_p - s)
-        else:
-            cols.append(w * p.eval_many(x))
-    wf = np.stack(cols, axis=1)
-    live = np.any(wf != 0, axis=1)
-    return x[live], wf[live]
+        powers.append(s_p - s if p.base is prev.base and pre_p == pre else None)
+    own = [w * p.eval_many(x) for p, power in zip(phis, powers) if power is None]
+    live = own[0] != 0
+    for col in own[1:]:
+        live |= col != 0
+    x, own = x[live], iter(own)
+    cols = []
+    for power in powers:
+        cols.append(next(own)[live] if power is None else cols[-1] * x ** power)
+    return x, np.stack(cols, axis=1)
 
 
 def _graded_edges(phi: TestFunction, levels: int) -> tuple[float, ...]:
     """Panel edges graded dyadically into both ends of phi's compact support
     (lo, hi), sorted: phi's knots (lo and hi among them), and lo + w / 2^j
     and hi - w / 2^j for j = 1..levels, w = hi - lo.  A bump's essential
-    singularities sit at the two ends; these panels resolve them."""
-    lo, hi = phi.support()
-    width = hi - lo
-    edges = set(phi.knots())
-    for j in range(1, levels + 1):
-        d = width / 2.0 ** j
-        edges.add(lo + d)
-        edges.add(hi - d)
-    return tuple(sorted(edges))
+    singularities sit at the two ends; these panels resolve them.  Computed
+    once per test function and ``levels``."""
+    edges = phi._edges.get(levels)
+    if edges is None:
+        lo, hi = phi.support()
+        width = hi - lo
+        grid = set(phi.knots())
+        for j in range(1, levels + 1):
+            d = width / 2.0 ** j
+            grid.add(lo + d)
+            grid.add(hi - d)
+        edges = phi._edges[levels] = tuple(sorted(grid))
+    return edges
 
 
 def _trailing_shift(phi: TestFunction):
@@ -855,7 +887,7 @@ def _columns(x: np.ndarray, wf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([wf, xw[:, extra]], axis=1), np.array(idx)
 
 
-def _split(out, idx, us, x, wf, unit, single: bool):
+def _split(out, idx, us, x, wf, unit, single: bool, powers: int = 0):
     """Values and error bounds, one row per test function, from the product
     ``out`` of an exponential table with the distinct columns of
     ``_columns(x, wf)``, read back through their index map ``idx``.
@@ -865,13 +897,15 @@ def _split(out, idx, us, x, wf, unit, single: bool):
     the exponent u x itself, which is relative to |u x| and dominates at
     large u, plus unit sum (2 + |w phi|) over the nodes where w phi != 0
     for the terms lost below ``unit``: at most unit |w phi| for an
-    exponential and unit for a product, per node.
+    exponential and unit for a product, per node.  An exponential formed
+    as a product of powers, with ``powers`` eps of extra relative rounding,
+    adds powers eps sum |w phi e^{-u x}|.
     """
     m = wf.shape[1]
     eps = float(np.finfo(out.real.dtype).eps)
     floor = unit * (2 * np.count_nonzero(wf, axis=0) + np.sum(np.abs(wf), axis=0))
     vals = out[:, idx[:m]].T
-    errs = (50.0 * eps) * np.abs(out[:, idx[m:2 * m]]).T
+    errs = ((50.0 + powers) * eps) * np.abs(out[:, idx[m:2 * m]]).T
     errs = errs + (4.0 * eps) * np.abs(us) * np.abs(out[:, idx[2 * m:]]).T + floor[:, None]
     return (vals[0], errs[0]) if single else (vals, errs)
 
@@ -887,10 +921,12 @@ def laplace_many(
     """(L phi)(u) on an array of real u, compact support, fixed panels.
 
     Samples phi on the graded grid of ``_sampled_grid`` and evaluates all
-    transforms with one outer product over its nodes.  ``dtype`` may be
-    np.longdouble for extended-precision accumulation when the caller's
-    series cancels heavily; the caller then passes only the frequencies
-    whose terms need it.  Returns (values, err_bounds).
+    transforms with one outer product over its nodes, one exponential a
+    frequency and node.  ``dtype`` may be np.longdouble for
+    extended-precision accumulation; the library asks for that through
+    ``laplace_lattice`` alone, which comes here for the index sets where
+    its running products would cost more (negative or sparse indices).
+    Returns (values, err_bounds).
 
     ``phi`` may also be a sequence of test functions with a common support
     and common knots (phi and phi x, say).  They share the grid and the
@@ -911,10 +947,26 @@ def laplace_many(
     return _split(_matmul(E, cols), idx, us, x, wf, unit, single)
 
 
+def _running_powers(x: np.ndarray, step, n0: int, B: int, Q: int):
+    """The baby table e^{-r step x} (row r < B) and the giant table
+    e^{-(n0 + q B) step x} (column q < Q) from three exponentials a node,
+    e^{-step x}, e^{-B step x} and e^{-n0 step x}, and running products:
+    row r is row r - 1 times e^{-step x}, column q column q - 1 times
+    e^{-B step x}."""
+    e1, eB, e0 = np.exp(np.multiply.outer(np.array([-1, -B, -n0]) * step, x))
+    baby = np.empty((B, len(x)), x.dtype)
+    baby[0] = 1.0
+    np.cumprod(np.broadcast_to(e1, (B - 1, len(x))), axis=0, out=baby[1:])
+    giant = np.empty((len(x), Q), x.dtype)
+    giant[:, 0], giant[:, 1:] = e0, eB[:, None]
+    return baby, np.cumprod(giant, axis=1)
+
+
 def laplace_lattice(
-    phi: TestFunction | tuple[TestFunction, ...], ns, step: float
+    phi: TestFunction | tuple[TestFunction, ...], ns, step, dtype=np.float64
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``laplace_many(phi, ns * step)`` for integers ns, in float64.
+    """``laplace_many(phi, ns * step, dtype)`` for integers ns, in float64
+    or in ``np.longdouble``.
 
     With n = n0 + q B + r, B = ceil(sqrt(span)) and 0 <= r < B, the
     exponential e^{-n step x} is the product of a "baby" table
@@ -926,33 +978,64 @@ def laplace_lattice(
 
         T[r, (q, c)] = sum_j baby[r, j] giant[q, j] W[j, c].
 
-    Entries of baby, giant and giant * W below the smallest normal number
-    tiny are set to 0, so no subnormal enters the product, though products
-    of two normal entries below tiny are still formed inside it; what the
-    flush drops is at most tiny sum (2 + |w phi|) per transform and joins
-    its error bound.  When B + Q >= len(ns) (sparse indices, squares say) the
-    factorization saves nothing, and the direct path runs instead; so it
-    does for negative indices, whose exponentials grow.
+    In float64, entries of baby, giant and giant * W below the smallest
+    normal number tiny are set to 0, so no subnormal enters the product,
+    though products of two normal entries below tiny are still formed
+    inside it; what the flush drops is at most tiny sum (2 + |w phi|) per
+    transform and joins its error bound.  When B + Q >= len(ns) (sparse
+    indices, squares say) the factorization saves nothing, and the direct
+    path runs instead.
+
+    In long double (pass ``step`` in long double too) a node takes three
+    exponentials, e^{-step x}, e^{-B step x} and e^{-n0 step x}, and the
+    tables are their running products (``_running_powers``).  Counting half
+    an ulp for each exponential and each product, an entry of T carries
+    2 B + 2 Q - 3 of them, under (B + Q) eps_ld, more than a direct
+    exponential; ``_split`` charges (B + Q + 3) eps_ld to the error column.
+    The exponent's own rounding stays within the 4 eps |u| x term.  Nothing is
+    flushed: what underflows loses at most half the smallest subnormal a
+    product, (B + Q) of them a node at most.  An exponential costs as much
+    as about 30 of the product's terms there (76 ns against 2.6 ns on a
+    2-core x86-64 Xeon), so the lattice runs while B Q (len(phis) + 1),
+    about the product's terms a node for positive samples, is at most
+    16 (len(ns) - 3), the exponentials a node it saves.  That takes in
+    dense indices from len(ns) = 4 on, where float64 needs about
+    2 sqrt(span) of them; it leaves out theta's squares.  On random index
+    sets the two paths took equal time at 16 to 17.
+
+    Negative indices, whose exponentials grow, take the direct path in
+    either precision.
     """
     ns = np.asarray(ns, dtype=np.int64)
     n0, n1 = (int(ns.min()), int(ns.max())) if len(ns) else (0, 0)
     B = math.isqrt(n1 - n0) + 1
     Q = (n1 - n0) // B + 1
-    if n0 < 0 or B + Q >= len(ns):
-        return laplace_many(phi, ns * step)
     single, phis = _as_tuple(phi)
+    longdouble = np.dtype(dtype) != np.dtype(np.float64)
+    step = np.dtype(dtype).type(step)
+    if longdouble:
+        direct = B * Q * (len(phis) + 1) > _LD_LATTICE * (len(ns) - 3)
+    else:
+        direct = B + Q >= len(ns)
+    if n0 < 0 or direct:
+        return laplace_many(phi, ns * step, dtype)
     us = ns * step
-    x, wf = _sampled_grid(phis, us, np.float64)
-    tiny = np.finfo(np.float64).tiny
-    baby = _exp_normal(np.multiply.outer(np.arange(B) * -step, x))
-    giant = _exp_normal(np.multiply.outer(x, (n0 + B * np.arange(Q)) * -step))
+    x, wf = _sampled_grid(phis, us, dtype)
+    if longdouble:
+        baby, giant = _running_powers(x, step, n0, B, Q)
+        unit = (B + Q) * np.finfo(dtype).smallest_subnormal  # underflow is the only loss
+    else:
+        baby = _exp_normal(np.multiply.outer(np.arange(B) * -step, x))
+        giant = _exp_normal(np.multiply.outer(x, (n0 + B * np.arange(Q)) * -step))
+        unit = np.finfo(np.float64).tiny  # what _exp_normal and the fold flush is the only loss
     cols, idx = _columns(x, wf)
     folded = np.einsum("jq,jc->jqc", giant, cols).reshape(len(x), -1)
-    parts = folded.view(np.float64)  # real and imaginary parts side by side
-    parts[np.abs(parts) < tiny] = 0.0
+    if not longdouble:
+        parts = folded.view(np.float64)  # real and imaginary parts side by side
+        parts[np.abs(parts) < unit] = 0.0
     table = _matmul(baby, folded).reshape(B, Q, -1)
     out = table[(ns - n0) % B, (ns - n0) // B]
-    return _split(out, idx, us, x, wf, tiny, single)
+    return _split(out, idx, us, x, wf, unit, single, B + Q + 3 if longdouble else 0)
 
 
 # ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Test-function algebra, quadrature engine, Laplace transforms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -489,6 +490,112 @@ def test_error_column_bounds_the_rounding_of_the_exponent(D):
 
 
 # ---------------------------------------------------------------------------
+# the lattice in long double
+
+
+_PI_LD = 4 * np.arctan(np.longdouble(1))
+# the sums fe-check --fixture delta --dmax 5 escalates, as (bump j of the
+# battery slashed by W_1 at a = -10, its trailing shift s, period, the
+# indices recomputed in long double)
+_REDO_SETS = (
+    (8, 1.0, 1, np.arange(1, 30)),
+    (8, 2.0, 1, np.arange(1, 34)),
+    (9, 1.0, 4, np.setdiff1d(np.arange(2, 189, 2), [162, 172, 176, 178, 180, 182, 184, 186])),
+    (9, 1.0, 1, np.setdiff1d(np.arange(1, 45), [42, 43])),
+    (9, 2.0, 1, np.setdiff1d(np.arange(1, 48), [43])),
+)
+
+
+def _assert_within_both_columns(got, want):
+    (v, e), (r, re) = got, want
+    assert v.dtype == r.dtype and e.dtype == re.dtype
+    assert np.all(np.abs(v - r) <= e + re)
+
+
+def _lattice_only(monkeypatch):
+    """laplace_lattice with its direct fallback made to fail."""
+    from maass_lseries import testfn
+
+    def no_fallback(*args):
+        raise AssertionError("laplace_lattice fell back to laplace_many")
+
+    monkeypatch.setattr(testfn, "laplace_many", no_fallback)
+
+
+@pytest.mark.parametrize("D", [1, 5])
+def test_long_double_lattice_matches_the_direct_path(D, monkeypatch):
+    # n = 1..200, single test functions and (phi, phi x) pairs, plain,
+    # slashed and complex; at D = 1 bump 9's terms e^{-2 pi n x} w phi(x)
+    # near its upper end fall below the long-double range from n = 160 on
+    ns = np.arange(1, 201)
+    step = 2 * _PI_LD / D
+    want = [laplace_many(phi, ns * step, np.longdouble) for phi in _lattice_cases()]
+    _lattice_only(monkeypatch)
+    for phi, ref in zip(_lattice_cases(), want):
+        _assert_within_both_columns(laplace_lattice(phi, ns, step, np.longdouble), ref)
+
+
+def test_long_double_lattice_on_the_escalated_index_sets(monkeypatch):
+    bat = standard_battery()
+    cases = []
+    for j, s, period, ns in _REDO_SETS:
+        phi = shift_s(slash_W(bat[j], -10.0, 1), s)
+        step = 2 * _PI_LD / period
+        cases.append((phi, ns, step, laplace_many(phi, ns * step, np.longdouble)))
+    _lattice_only(monkeypatch)
+    for phi, ns, step, ref in cases:
+        got = laplace_lattice(phi, ns, step, np.longdouble)
+        _assert_within_both_columns(got, ref)
+        # the running products are charged: the column exceeds the direct one
+        assert np.all(got[1] > ref[1])
+
+
+def test_long_double_lattice_keeps_the_direct_path_where_it_is_cheaper():
+    # negative indices, and theta's squares: the product would cost more
+    # than the exponentials it saves, so the call is laplace_many's, bit for bit
+    phi = slash_W(standard_battery()[9], 1.5, 4)
+    step = 2 * _PI_LD / 3
+    for p in (phi, (phi, shift_s(phi, 2.0))):
+        for ns in (np.arange(-3, 60), np.arange(21) ** 2):
+            got = laplace_lattice(p, ns, step, np.longdouble)
+            want = laplace_many(p, ns * step, np.longdouble)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_long_double_lattice_column_against_mpmath():
+    # bump 9's largest escalated frequency, u = 2 pi 47 (and 2 pi 188 / 4):
+    # the transforms of phi = bump 9 | W_1 at a = -10 and of phi x, to 30
+    # digits, lie within the error column
+    mp = pytest.importorskip("mpmath")
+    bump9 = standard_battery()[9]
+    phi = slash_W(bump9, -10.0, 1)
+    c1, c2 = bump9.support()
+    ns = np.arange(1, 48)
+    vals, errs = laplace_lattice((phi, shift_s(phi, 2.0)), ns, 2 * _PI_LD, np.longdouble)
+    with mp.workdps(30):
+        a, b = mp.mpf(c1), mp.mpf(c2)
+        lo, hi = 1 / b, 1 / a
+        u = 2 * mp.pi * 47
+
+        def phi_mp(x):  # x^10 bump(1/x)
+            y = 1 / x
+            return x ** 10 * mp.exp(4 / (b - a) ** 2 - 1 / ((y - a) * (b - y))) if a < y < b else 0
+
+        def exact(v):  # a long double is the sum of two doubles
+            hi = float(v)
+            return mp.mpf(hi) + mp.mpf(float(v - np.longdouble(hi)))
+
+        cuts = [lo + (hi - lo) * t for t in (0, mp.mpf(1) / 16, mp.mpf(1) / 4, mp.mpf(1) / 2,
+                                             mp.mpf(3) / 4, mp.mpf(15) / 16, 1)]
+        for row, power in enumerate((0, 1)):
+            # mpmath stops on an absolute error: scale by e^{u lo} and back
+            scaled = mp.quad(lambda x: phi_mp(x) * x ** power * mp.exp(-u * (x - lo)), cuts)
+            ref = mp.exp(-u * lo) * scaled
+            err = abs(exact(vals[row, -1]) - ref)
+            assert err <= exact(errs[row, -1]), (row, err, errs[row, -1], ref)
+
+
+# ---------------------------------------------------------------------------
 # the distinct columns of the transform product
 
 
@@ -608,9 +715,14 @@ def test_graded_edges_are_the_knots_and_the_dyadic_points(phi):
         assert all(p < q for p, q in zip(edges, edges[1:]))
 
 
-def _sampled_grid_inline(phi, us, dtype, order):
-    """``_sampled_grid`` on one test function with its edges built inline, as
-    before ``_graded_edges``: the reference for that refactor."""
+def _sampled_grid_inline(phis, us, dtype, order):
+    """``_sampled_grid`` with its edges built inline, as before
+    ``_graded_edges``, and every node sampled: a member that differs from
+    the one before it only by its trailing shift is that column times
+    x^(s - s_prev), any other is sampled on its own, and the rows where
+    every column vanishes are dropped after stacking.  The reference for
+    ``_graded_edges`` and for ``_sample``'s liveness test."""
+    phi = phis[0]
     lo, hi = phi.support()
     knots = phi.knots()
     width = hi - lo
@@ -629,8 +741,17 @@ def _sampled_grid_inline(phi, us, dtype, order):
     a, b = edges[:-1, None], edges[1:, None]
     h = 0.5 * (b - a)
     x = (0.5 * (a + b) + h * xg).ravel()
-    wf = (h * wg).ravel() * phi.eval_many(x)
-    live = wf != 0
+    w = (h * wg).ravel()
+    cols = [w * phi.eval_many(x)]
+    for prev, p in zip(phis, phis[1:]):
+        (s, s_p) = (q.ops[-1][1] if q.ops and q.ops[-1][0] == "shift" else 1.0 for q in (prev, p))
+        pre, pre_p = (q.ops[:-1] if q.ops and q.ops[-1][0] == "shift" else q.ops for q in (prev, p))
+        if p.base is prev.base and pre == pre_p:
+            cols.append(cols[-1] * x ** (s_p - s))
+        else:
+            cols.append(w * p.eval_many(x))
+    wf = np.stack(cols, axis=1)
+    live = np.any(wf != 0, axis=1)
     return x[live], wf[live]
 
 
@@ -641,8 +762,56 @@ def test_sampled_grid_is_unchanged_by_graded_edges(phi, dtype, order):
     for us in ([1.0], np.arange(768) * (2 * math.pi / 5), [2e5]):
         us = np.asarray(us, dtype=dtype)
         x, wf = _sampled_grid((phi,), us, dtype, order)
-        x_ref, wf_ref = _sampled_grid_inline(phi, us, dtype, order)
-        assert np.array_equal(x, x_ref) and np.array_equal(wf[:, 0], wf_ref)
+        x_ref, wf_ref = _sampled_grid_inline((phi,), us, dtype, order)
+        assert np.array_equal(x, x_ref) and np.array_equal(wf, wf_ref)
+
+
+def _sampling_cases():
+    bat = standard_battery()
+    signed = derivative(TestFunction.bspline(3, 1.0, 2.0), 1)  # negative pieces
+    slashed = slash_W(bat[9], -10.0, 1)
+    for phi in (bat[0], bat[6], slashed, slash_W(bat[3], 1.5, 4), signed):
+        yield (phi,)
+        yield (phi, shift_s(phi, 2.0), shift_s(phi, 3.0))  # phi, phi x, phi x^2
+    yield (shift_s(bat[4], 1.5 + 2.0j), shift_s(bat[4], 2.5 + 2.0j))  # complex samples
+    # a member sampled on its own after a chain, nonzero where the bump
+    # underflows: every such member decides which nodes live
+    yield (bat[5], shift_s(bat[5], 2.0), TestFunction.spline(bat[5].support(), [[1.0]]))
+
+
+@pytest.mark.parametrize("dtype, order", [(np.float64, 32), (np.longdouble, 40)])
+def test_sampled_grid_matches_sampling_every_node(dtype, order):
+    # _sample reads liveness from the members it samples on their own and
+    # forms the others on the live nodes alone; nodes and samples are those
+    # of sampling every node, bit for bit
+    for phis in _sampling_cases():
+        for us in ([1.0], np.arange(768) * (2 * math.pi / 5)):
+            us = np.asarray(us, dtype=dtype)
+            x, wf = _sampled_grid(phis, us, dtype)
+            x_ref, wf_ref = _sampled_grid_inline(phis, us, dtype, order)
+            assert x.dtype == x_ref.dtype and wf.dtype == wf_ref.dtype
+            assert np.array_equal(x, x_ref) and np.array_equal(wf, wf_ref), phis[0].label
+
+
+def test_geometry_is_cached_outside_the_fields():
+    bat = standard_battery()
+    signed = derivative(TestFunction.bspline(3, 1.0, 2.0), 1)
+    for phi in (bat[7], slash_W(bat[7], -4.0, 4), shift_s(slash_W(bat[2], 1.5, 4), 2.0), signed):
+        copy = replace(phi)
+        assert copy == phi and not {"_geometry", "_edges"} & set(vars(copy))
+        support, knots, edges = phi.support(), phi.knots(), _graded_edges(phi, 13)
+        # computed once: the same objects come back
+        assert phi.support() is support and phi.knots() is knots and _graded_edges(phi, 13) is edges
+        # a fresh computation agrees, and the cache is not in ==, hash or repr
+        assert (copy.support(), copy.knots(), _graded_edges(copy, 13)) == (support, knots, edges)
+        assert {"_geometry", "_edges"} <= set(vars(phi))
+        fresh = replace(phi)
+        assert fresh == phi and hash(fresh) == hash(phi) and repr(fresh) == repr(phi)
+        assert "_geometry" not in repr(phi)
+        # replace starts afresh, also on a changed stack
+        moved = replace(phi, ops=phi.ops + (("slash", 1.0, 2),))
+        assert not {"_geometry", "_edges"} & set(vars(moved))
+        assert moved.support() != support
 
 
 def test_sampled_grid_honours_an_explicit_order():

@@ -609,24 +609,108 @@ def test_trivial_twist_charges_no_coefficient_rounding():
     assert plain.quad_err < 1e-7 * abs(plain.value)
 
 
-def test_fe_side_escalates_the_right_side_of_delta(monkeypatch):
+def _transform_calls(monkeypatch):
+    """Record (function, dtype) of every transform call from lseries."""
     from maass_lseries import lseries
 
+    calls = []
+
+    def recorder(name, call, dtype_at):
+        def recording(*args, **kwargs):
+            dtype = args[dtype_at] if len(args) > dtype_at else kwargs.get("dtype", np.float64)
+            calls.append((name, np.dtype(dtype)))
+            return call(*args, **kwargs)
+        return recording
+
+    for name, dtype_at in (("laplace_many", 2), ("laplace_lattice", 3)):
+        monkeypatch.setattr(lseries, name, recorder(name, getattr(lseries, name), dtype_at))
+    return calls
+
+
+def test_fe_side_escalates_the_right_side_of_delta(monkeypatch):
+    # the escalation's transforms come from the lattice in long double
     f, g = fixture_pair("delta", 768)
-    dtypes = []
-    laplace_many = lseries.laplace_many
-
-    def recording(phi, us, dtype=np.float64):
-        dtypes.append(np.dtype(dtype))
-        return laplace_many(phi, us, dtype)
-
-    monkeypatch.setattr(lseries, "laplace_many", recording)
+    calls = _transform_calls(monkeypatch)
     for j in (8, 9):
-        dtypes.clear()
+        calls.clear()
         phi_w = slash_W(BAT[j], -10.0, 1)
         _fe_side(_twisted(g, CHI1), phi_w, "right")
-        assert np.dtype(np.longdouble) in dtypes, BAT[j].label
+        assert ("laplace_lattice", np.dtype(np.longdouble)) in calls, BAT[j].label
+        assert ("laplace_many", np.dtype(np.longdouble)) not in calls, BAT[j].label
         _check_side_matches_routes(g, CHI1, phi_w)
+
+
+def test_escalation_is_skipped_where_long_double_is_double(monkeypatch):
+    # where np.longdouble is float64 (Windows, Apple-silicon macOS) the
+    # escalation would rerun the same precision: with eps_ld patched to
+    # float64's, no long-double transform is asked for and the budget is
+    # the float64 one
+    from maass_lseries import lseries
+    from maass_lseries.testfn import laplace_lattice
+
+    _, g = fixture_pair("delta", 768)
+    phi_w = slash_W(BAT[9], -10.0, 1)
+    ns, coeffs = (a[:60] for a in g._arrays("a"))
+    table = laplace_lattice(phi_w, ns, 2 * math.pi)
+    terms = coeffs * table[0]
+    mass = float(np.sum(np.abs(terms)))
+    assert mass > lseries._CANCEL_ESCALATE * abs(np.sum(terms))  # an escalating sum
+    calls = _transform_calls(monkeypatch)
+    escalated = lseries._weighted_transform_sum(coeffs, phi_w, ns, 1, table)
+    if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+        assert ("laplace_lattice", np.dtype(np.longdouble)) in calls
+    calls.clear()
+    monkeypatch.setattr(lseries, "_EPS_LD", float(np.finfo(np.float64).eps))
+    value, budget = lseries._weighted_transform_sum(coeffs, phi_w, ns, 1, table)
+    assert calls == []
+    assert value == complex(np.sum(terms))
+    assert budget == float(np.sum(np.abs(coeffs) * table[1])) + 1e-16 * mass
+    assert abs(value - escalated[0]) <= budget + escalated[1]
+
+
+@pytest.mark.parametrize("j", [8, 9])
+def test_escalated_right_side_of_delta_against_mpmath(j):
+    """delta@768 at D = 1 on slash_W(bump j, -10, 1): the right side cancels
+    about ten digits and escalates.  Its plain and delta_k values lie within
+    their budgets (rounding and truncation) of the stored series summed in
+    mpmath at 30 digits: every n = 1..768, with a(n) = tau(n) as stored,
+    each transform a tanh-sinh sum of step 1/32 over phi's support (|t| <=
+    3.2, nodes below 1e-40 of the largest weight dropped) and e^{-2 pi n x}
+    the n-th power of e^{-2 pi x}.  Steps 1/32 and 1/64 agree to 1.5e-22
+    of these values, and 30 and 40 digits to 3e-24."""
+    mp = pytest.importorskip("mpmath")
+    _, g = fixture_pair("delta", 768)
+    plain, dval = _fe_side(_twisted(g, CHI1), slash_W(BAT[j], -10.0, 1), "right")
+    ns, coeffs = g._arrays("a")
+    assert list(ns) == list(range(1, 769))
+    c1, c2 = BAT[j].support()
+    with mp.workdps(30):
+        h = mp.mpf(1) / 32
+        lo, hi = 1 / mp.mpf(c2), 1 / mp.mpf(c1)
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        nodes = []
+        for i in range(-102, 103):
+            t = mp.pi / 2 * mp.sinh(i * h)
+            x = mid + half * mp.tanh(t)
+            y = 1 / x
+            if c1 < y < c2:  # phi(x) = x^10 bump(1/x)
+                bump = mp.exp(4 / mp.mpf(c2 - c1) ** 2 - 1 / ((y - c1) * (c2 - y)))
+                nodes.append((x, h * half * mp.pi / 2 * mp.cosh(i * h) / mp.cosh(t) ** 2 * x ** 10 * bump))
+        top = max(w for _, w in nodes)
+        a = [mp.mpf(float(c.real)) for c in coeffs]
+        ref, ref_x = mp.mpf(0), mp.mpf(0)  # sum a(n) (L phi)(2 pi n), sum n a(n) (L phi x)(2 pi n)
+        for x, w in nodes:
+            if w < mp.mpf(10) ** -40 * top:
+                continue
+            e, s0, s1 = mp.exp(-2 * mp.pi * x), mp.mpf(0), mp.mpf(0)
+            for n in range(768, 0, -1):  # Horner in e^{-2 pi x}
+                s0 = (s0 + a[n - 1]) * e
+                s1 = (s1 + n * a[n - 1]) * e
+            ref += w * s0
+            ref_x += w * x * s1
+        ref_d = 6 * ref - 2 * mp.pi * ref_x  # (k/2) L - 2 pi sum n a(n) (L phi x), k = 12
+        for lv, want in ((plain, ref), (dval, ref_d)):
+            assert abs(lv.value - complex(want)) <= lv.quad_err + lv.trunc_err, (j, lv.value, want)
 
 
 def test_targeted_escalation_matches_a_full_long_double_recompute(monkeypatch):
