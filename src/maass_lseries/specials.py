@@ -64,6 +64,19 @@ _LANCZOS_C = (
     1.5056327351493116e-7,
 )
 
+# Taylor coefficients d_1, d_2, ... of 1/Gamma(1+a) = 1 + sum_j d_j a^j about
+# a = 0 (d_1 is Euler's constant), to 1e-18 relative at |a| <= 1/2
+_RGAMMA_TAYLOR = (
+    0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+    -2.0583260535665066e-14,
+)
+
 
 def _matmul(a, b):
     """a @ b for 1-D and 2-D operands, in BLAS calls too small to start
@@ -311,6 +324,55 @@ def _upper_gamma_negint_series(n: int, x: float) -> complex:
     return (-1.0) ** n * ((psi - log_z) * inv_fact + below - above)
 
 
+def _expm1(z: complex) -> complex:
+    """e^z - 1 without cancellation at small |z|, for complex z."""
+    if z.imag == 0.0:
+        return complex(math.expm1(z.real))
+    e = math.expm1(z.real)
+    return complex(e * math.cos(z.imag) - 2.0 * math.sin(0.5 * z.imag) ** 2, (e + 1.0) * math.sin(z.imag))
+
+
+def _upper_gamma_small(a: complex, x: float, max_iter: int = 2000) -> complex:
+    """Gamma(a, x) for 0 < |a| <= 1/2 and x > 0, where Gamma(a) - gamma(a, x)
+    would cancel near the pole at a = 0.
+
+    At x < 1 the closed form
+
+        Gamma(a, x) = (Gamma(1+a) - 1)/a - (x^a - 1)/a
+                      - x^a sum_{k>=1} (-x)^k / (k! (a+k))
+
+    (DLMF 8.7.1 with its k = 0 term x^a / a taken into the first two),
+    whose differences are formed without cancelling: (Gamma(1+a) - 1)/a is
+    -d / (1 + a d) with d = (1/Gamma(1+a) - 1)/a from ``_RGAMMA_TAYLOR``,
+    and (x^a - 1)/a is expm1(a log x) / a.  Its three terms cancel more as
+    x grows (a factor 50 at x = 2), so at x >= 1 the continued fraction
+    e^{-x} x^a / (x + (1-a)/(1 + 1/(x + (2-a)/(1 + 2/(x + ...)))))
+    (DLMF 8.9.2) is evaluated from depth 160 / x up.  Its partial
+    numerators are positive at real a, so no step of that evaluation
+    cancels; the forward (Lentz) evaluation of ``_upper_gamma_cf`` leaves
+    1e-14 at x near 1.
+    """
+    if x >= 1.0:
+        t = x
+        for n in range(math.ceil(160.0 / x), 0, -1):
+            t = x + (n - a) / (1.0 + n / t)
+        return math.exp(-x) * _principal_pow(x, a) / t
+    d = 0j
+    for c in reversed(_RGAMMA_TAYLOR):
+        d = d * a + c
+    series, term = 0.0, 1.0
+    for k in range(1, max_iter):
+        term *= -x / k
+        contrib = term / (a + k)
+        series += contrib
+        if abs(contrib) <= 1e-18 * abs(series):
+            break
+    else:
+        raise AccuracyError(f"Gamma({a}, {x}) series stalled")
+    log_x = math.log(x)
+    return -d / (1.0 + a * d) - _expm1(a * log_x) / a - cmath.exp(a * log_x) * series
+
+
 def _upper_gamma(s: complex, x: float, scaled: bool) -> complex:
     """Gamma(s, x), or e^x Gamma(s, x) with ``scaled``, for real x != 0.
 
@@ -318,7 +380,11 @@ def _upper_gamma(s: complex, x: float, scaled: bool) -> complex:
     ``_upper_gamma_int``; x >= 2 at integer orders and x >= max(Re s + 2, 1)
     at the others the continued fraction; integer orders m <= 0 at x < 2
     the series of DLMF 8.4.15; other orders Gamma(s) - gamma(s, x) by
-    ``_lower_gamma_series``, Re s raised into [1, 2) first at x > 0.
+    ``_lower_gamma_series``, Re s raised into [1, 2) first at x > 0.  At
+    x > 0 an order within 1/2 of a nonpositive integer m starts instead at
+    s - m, next to the pole at 0, by ``_upper_gamma_small``: the shift
+    down through that order would divide a near-equal difference by s - m.
+    Both recur down to s by Gamma(s, x) = (Gamma(s+1, x) - x^s e^{-x}) / s.
     """
     m = round(s.real)
     integer = s.imag == 0.0 and abs(s.real - m) < 1e-12
@@ -329,8 +395,12 @@ def _upper_gamma(s: complex, x: float, scaled: bool) -> complex:
     if integer:
         val = _upper_gamma_negint_series(-m, x)
     else:
-        shift = max(0, math.ceil(1.0 - s.real)) if x > 0.0 else 0
-        val = complete_gamma(s + shift) - _lower_gamma_series(s + shift, x)
+        if x > 0.0 and m <= 0 and abs(s - m) <= 0.5:
+            shift = -m  # from the order s - m next to 0
+            val = _upper_gamma_small(s - m, x)
+        else:
+            shift = max(0, math.ceil(1.0 - s.real)) if x > 0.0 else 0
+            val = complete_gamma(s + shift) - _lower_gamma_series(s + shift, x)
         for j in range(shift, 0, -1):
             val = (val - _principal_pow(x, s + j - 1) * math.exp(-x)) / (s + j - 1)
     if not cmath.isfinite(val):

@@ -848,6 +848,11 @@ def _grid_integrals(phi: TestFunction, kernel, us, rel_tol: float):
     the rules differ by more than rel_tol |value| + 300 eps m, m = int |phi kernel|
     (``quadrature``'s test).  Returns the values and estimates: that difference
     plus the rounding bound of ``_split``, 50 eps m + 4 eps |u| int x |phi kernel|.
+
+    It serves the gf moments of ``verify._gf_moments``, whose n columns the
+    summation formula needs at once; a one-column kernel takes the adaptive
+    ``quadrature`` seeded with ``_graded_edges(phi, _SEED_LEVELS)``, which
+    evaluates it on far fewer nodes than the 13 or more graded levels here.
     """
     us = np.asarray(us, dtype=float)
     x, wf = _sampled_grid((phi,), us, np.float64, _GRID_RULES[0])

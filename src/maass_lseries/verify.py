@@ -567,13 +567,14 @@ def gf_term_check(n: int, k: int, phi: TestFunction, tol: float = 1e-10) -> Iden
 def _gamma_moment(phi: TestFunction, k: int, cs, weights) -> complex:
     """sum_c weight_c int Gamma(k-1, c y) e^{c y / 2} phi(y) dy, one adaptive
     quadrature over a (nodes x c) table."""
+    return _seeded_quadrature(
+        phi, lambda ys: _matmul(_gamma_half_exp(k - 1, np.outer(ys, cs)), weights), 1e-13)[0]
 
-    def integrand(ys):
-        return _matmul(_gamma_half_exp(k - 1, np.outer(ys, cs)), weights) * phi.eval_many(ys)
 
-    lo, hi = phi.support()
-    knots = _graded_edges(phi, _SEED_LEVELS)
-    return quadrature(integrand, lo, hi, rel_tol=1e-13, knots=knots, vectorized=True)[0]
+def _seeded_quadrature(phi: TestFunction, kernel, rel_tol: float) -> tuple[complex, float]:
+    """int phi(y) kernel(y) dy by ``quadrature`` seeded with phi's graded edges: (value, estimate)."""
+    return quadrature(lambda ys: kernel(ys) * phi.eval_many(ys), *phi.support(), rel_tol=rel_tol,
+                      knots=_graded_edges(phi, _SEED_LEVELS), vectorized=True)
 
 
 def _gf_moments(phi: TestFunction, k: int, ns) -> tuple[np.ndarray, np.ndarray]:
@@ -606,26 +607,21 @@ def mf_term_check(
     alternative normalization carrying an extra (8 pi n)^{-1/2} is
     inconsistent with that reduction (see the regression test).
 
-    The sides are computed independently: the left by one adaptive
-    quadrature in y, whose k - 1 inner u-integrals are the columns of one
-    product e^{-u^2/y} @ kernels on a fixed Gauss grid in u, the right by
-    ``_whittaker_side``.
+    The kernels are computed independently: on the left the k - 1 inner
+    u-integrals are the columns of one product e^{-u^2/y} @ kernels on the
+    Gauss panels of ``_bessel_nodes``, on the right the Whittaker series of
+    ``_whittaker_side``.  Both sides integrate over y by the same adaptive
+    rule, seeded with phi's graded edges.  The identity holds pointwise in
+    y, so a shared y-rule cancels only y-quadrature error, which is no part
+    of the identity.
     """
     if k < 2 or k % 2 != 0 or n < 1 or N < 1:
         raise DomainError("mf term check needs even k >= 2, n >= 1, N >= 1")
-    lo, hi = phi.support()
-    beta = math.sqrt(8.0 * math.pi * n)
-    # fixed Bessel grid: composite Gauss-Legendre panels of half-period length;
-    # the Gaussian cutoff overshoots so the u^{k-2} growth cannot bite
-    u_max = math.sqrt(80.0 * hi) + 2.0 / beta
-    panel = min(math.pi / beta, u_max / 8.0)
-    edges = np.minimum(np.arange(int(math.ceil(u_max / panel)) + 1) * panel, u_max)
-    xg, wg = _leggauss(16)
-    h = 0.5 * np.diff(edges)[:, None]
-    us = (0.5 * (edges[:-1, None] + edges[1:, None]) + h * xg).ravel()
-    ws = (h * wg).ravel()
+    hi = phi.support()[1]
+    us, ws = _bessel_nodes(n, hi)
     ls = np.arange(k - 1)
-    kern = (ws * bessel_J_grid(k - 1, beta * us))[:, None] * np.power.outer(us, 2.0 - k + 2 * ls)
+    bessel = ws * bessel_J_grid(k - 1, math.sqrt(8.0 * math.pi * n) * us)
+    kern = bessel[:, None] * np.power.outer(us, 2.0 - k + 2 * ls)
     fact = math.factorial(k - 2)
     coef = np.array([2.0 ** (l + 1) * fact / math.factorial(l) for l in ls])
 
@@ -634,13 +630,27 @@ def mf_term_check(
         rows = max(1, _CHUNK // len(us))  # bounds the table e^{-u^2/y}
         for i in range(0, len(ys), rows):
             inner[i:i + rows] = _matmul(_exp_normal(-np.outer(1.0 / ys[i:i + rows], us ** 2)), kern)
-        return phi.eval_many(ys) * _matmul(inner * np.power.outer(ys, k - 2.0 - ls), coef)
+        return _matmul(inner * np.power.outer(ys, k - 2.0 - ls), coef)
 
-    knots = _graded_edges(phi, _SEED_LEVELS)
-    ov, _ = quadrature(outer, lo, hi, rel_tol=1e-11, knots=knots, vectorized=True)
+    ov, _ = _seeded_quadrature(phi, outer, 1e-11)
     lhs = float(np.real(ov)) * (8.0 * math.pi * n) ** (0.5 * (1 - k)) / N
     rhs = float(np.real(_whittaker_side(phi, k, n)[0])) / N
     return IdentityReport.build(lhs, rhs, tol, f"mf term n={n} k={k} N={N}")
+
+
+def _bessel_nodes(n: int, y_max: float, order: int = 12) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights in u of ``mf_term_check``'s inner integrals
+    int_0^inf u^p J_{k-1}(sqrt(8 pi n) u) e^{-u^2/y} du, y <= y_max: Gauss-
+    Legendre panels of half a Bessel period, ``order`` points a panel (12
+    reach the rounding floor; the tests pin them against 32), up to a
+    cutoff that overshoots the Gaussian so the u^{k-2} growth cannot bite."""
+    beta = math.sqrt(8.0 * math.pi * n)
+    u_max = math.sqrt(80.0 * y_max) + 2.0 / beta
+    panel = min(math.pi / beta, u_max / 8.0)
+    edges = np.minimum(np.arange(int(math.ceil(u_max / panel)) + 1) * panel, u_max)
+    xg, wg = _leggauss(order)
+    h = 0.5 * np.diff(edges)[:, None]
+    return (0.5 * (edges[:-1, None] + edges[1:, None]) + h * xg).ravel(), (h * wg).ravel()
 
 
 def _whittaker_side(phi: TestFunction, k: int, n: int) -> tuple[complex, float]:
@@ -648,17 +658,18 @@ def _whittaker_side(phi: TestFunction, k: int, n: int) -> tuple[complex, float]:
     (8 pi n)^{-k/2} (k-1)^{-1} sum_l 2^{l+1}
         int phi(y) y^{k/2-1} e^{-pi n y} M_{1-k/2+l, (k-1)/2}(2 pi n y) dy.
 
-    The k - 1 kernels are one positive series (``_whittaker_kernel``), run
-    once per node of phi's checked grid (``_grid_integrals``, rel_tol 1e-12).
-    Returns (value, grid estimate); ``RangeOverflowError`` past 2 pi n y ~ 1420.
+    The k - 1 kernels are one positive series (``_whittaker_kernel``),
+    integrated by ``_seeded_quadrature`` (rel_tol 1e-12), the rule and seed
+    of the Bessel side of ``mf_term_check``.  Returns (value, quadrature
+    estimate); ``RangeOverflowError`` past 2 pi n y ~ 1420.
     """
     def kernel(ys):
         m = _whittaker_kernel(k, _TWO_PI * n * ys)
-        return (ys ** (0.5 * k - 1.0) * np.exp(-math.pi * n * ys) * m)[:, None]
+        return ys ** (0.5 * k - 1.0) * np.exp(-math.pi * n * ys) * m
 
-    (wv,), (we,) = _grid_integrals(phi, kernel, [_TWO_PI * n], 1e-12)
+    value, est = _seeded_quadrature(phi, kernel, 1e-12)
     scale = (8.0 * math.pi * n) ** (-0.5 * k) / (k - 1)
-    return wv * scale, we * scale
+    return value * scale, est * scale
 
 
 def decomp_identity_check(

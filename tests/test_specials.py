@@ -461,6 +461,21 @@ def test_upper_gamma_scaled_matches_mpmath():
             assert abs(upper_gamma_scaled(s, x) - ref) <= 1e-13 * abs(ref), (s, x)
 
 
+def test_upper_gamma_orders_next_to_nonpositive_integers():
+    # s = -n +- delta at 0 < x < max(Re s + 2, 1), where the shift down from
+    # Re s in [1, 2) divided by s + n = +-delta: 7.6e-6 off at delta = 1e-9
+    mp = pytest.importorskip("mpmath")
+    orders = [-n + sign * delta for n in range(4) for delta in (1e-3, 1e-6, 1e-9) for sign in (1, -1)]
+    for s in orders + [1e-6j, -1 + 1e-4 - 1e-4j, -2 - 0.3 + 0.2j]:
+        top = max(s.real + 2, 1.0)
+        for x in top * np.array([1e-6, 1e-3, *np.linspace(0.0, 1.0, 17)[1:-1]]):
+            with mp.workdps(40):
+                ref = mp.gammainc(mp.mpc(s), x)
+                ref_scaled = complex(ref * mp.exp(x))
+            assert abs(upper_gamma(s, x) - complex(ref)) <= 1e-14 * abs(complex(ref)), (s, x)
+            assert abs(upper_gamma_scaled(s, x) - ref_scaled) <= 1e-14 * abs(ref_scaled), (s, x)
+
+
 def test_upper_gamma_negative_integer_order_at_large_x():
     # the downward recurrence from Gamma(0, x) cancels about a factor x per
     # step; at x = 50 eleven steps used to leave 1e-5 relative accuracy

@@ -23,12 +23,18 @@ from maass_lseries.lseries import (
     series_membership,
 )
 from maass_lseries.qseries import fixture, fixture_pair
-from maass_lseries.specials import characters_mod, kronecker_character, trivial_character
+from maass_lseries.specials import (
+    bessel_J_grid,
+    characters_mod,
+    kronecker_character,
+    trivial_character,
+)
 from maass_lseries.testfn import TestFunction, slash_W, standard_battery
 from maass_lseries.verify import (
     FEReport,
     IdentityReport,
     SummationReport,
+    _bessel_nodes,
     _fe_side,
     _gf_moments,
     _whittaker_side,
@@ -376,7 +382,7 @@ KERNEL_PAIRS = [(n, k) for k in (2, 4, 12) for n in range(1, 6)]
 
 
 def test_term_residuals_stay_far_below_their_tolerances():
-    # measured worst residuals: gf 7.4e-16, mf 7.2e-14 (tolerances 1e-10 and 1e-6)
+    # measured worst residuals: gf 7.4e-16, mf 1.8e-14 (tolerances 1e-10 and 1e-6)
     phi = TestFunction.bump(1, 2)
     for n, k in KERNEL_PAIRS:
         assert gf_term_check(n, k, phi).rel_residual <= 1e-13, (n, k)
@@ -524,15 +530,53 @@ def test_gf_moments_against_mpmath(phi):
 
 def test_grid_check_fires_on_a_coarse_grid(monkeypatch):
     # six and four Gauss points a panel cannot resolve the bump: the two
-    # rules disagree, and the kernels raise instead of returning the value
+    # rules disagree, and the gf moments raise instead of returning the value
     phi = TestFunction.bump(1, 2)
     monkeypatch.setattr(testfn, "_GRID_RULES", (6, 4))
     with pytest.raises(AccuracyError):
-        _whittaker_side(phi, 12, 2)
-    with pytest.raises(AccuracyError):
         _gf_moments(phi, 12, [1, 2])
+
+
+def test_adaptive_sides_raise_where_the_quadrature_cannot_settle(monkeypatch):
+    # with no subdivision allowed past a seed of phi's endpoints and two
+    # graded levels, neither y-quadrature of the mf check settles: each side
+    # raises instead of returning its first pass
+    phi = TestFunction.bump(1, 2)
+    quadrature = verify_module.quadrature
+    monkeypatch.setattr(verify_module, "_SEED_LEVELS", 2)
+    monkeypatch.setattr(verify_module, "quadrature", lambda *a, **kw: quadrature(*a, **kw, max_subdiv=0))
+    with pytest.raises(AccuracyError):
+        _whittaker_side(phi, 12, 2)
+    # the Bessel side comes first and raises before the Whittaker side runs
+    monkeypatch.setattr(verify_module, "_whittaker_side", lambda *a: pytest.fail("Bessel side returned"))
     with pytest.raises(AccuracyError):
         mf_term_check(2, 12, 1, phi)
+
+
+@pytest.mark.parametrize("phi", (TestFunction.bump(1, 2), BAT[0], BAT[5], BAT[9]), ids=lambda p: p.label)
+def test_bessel_panels_reach_the_rounding_floor(phi):
+    # the k - 1 inner u-integrals of mf_term_check on its 12-point panels
+    # against 32 points on the same panels, at y across phi's support, within
+    # 1e-13 of their absolute mass (measured 3.2e-14; 10 points reach 1.3e-13);
+    # and the whole check's residual on these bumps
+    lo, hi = phi.support()
+    ys = lo + (hi - lo) * np.linspace(0.0, 1.0, 41)[1:-1]
+    for k in (2, 4, 12):
+        powers = 2.0 - k + 2 * np.arange(k - 1)
+        for n in range(1, 6):
+            beta = math.sqrt(8 * math.pi * n)
+
+            def inner(us, ws):
+                kern = (ws * bessel_J_grid(k - 1, beta * us))[:, None] * np.power.outer(us, powers)
+                gauss = np.exp(-np.outer(1.0 / ys, us ** 2))
+                return gauss @ kern, gauss @ np.abs(kern)
+
+            us, ws = _bessel_nodes(n, hi)
+            us_ref, ws_ref = _bessel_nodes(n, hi, 32)
+            assert len(us) * 32 == len(us_ref) * 12  # 12 points a panel
+            (got, _), (ref, mass) = inner(us, ws), inner(us_ref, ws_ref)
+            assert np.all(np.abs(got - ref) <= 1e-13 * mass), (k, n, np.max(np.abs(got - ref) / mass))
+            assert mf_term_check(n, k, 1, phi).rel_residual <= 1e-11, (k, n)
 
 
 def test_summation_domain_errors():
