@@ -130,6 +130,26 @@ class FormData:
             cache[part] = (ns, vals)
         return cache[part]
 
+    def _positive(self) -> tuple[int, int, np.ndarray, np.ndarray]:
+        """The a-indices n > 0, cached like ``_arrays``: the number of
+        a-indices, where the n > 0 start among them (they are sorted), those
+        n as floats, and the (2, len(n)) rows [0, log n]."""
+        cache = self._cache
+        if "pos_a" not in cache:
+            ns = self._arrays("a")[0]
+            start = int(np.searchsorted(ns, 0, side="right"))
+            n = ns[start:].astype(float)
+            cache["pos_a"] = (len(ns), start, n, np.stack([np.zeros_like(n), np.log(n)]))
+        return cache["pos_a"]
+
+    def _envelope(self, part: str) -> np.ndarray:
+        """e^{growth_C sqrt|n|} at the stored indices of ``part``, cached."""
+        key = "env_" + part
+        if key not in self._cache:
+            ns = self._arrays(part)[0]
+            self._cache[key] = np.exp(self.growth_C * np.sqrt(np.abs(ns).astype(float)))
+        return self._cache[key]
+
     def amplitude(self, part: str) -> float:
         """A with |c(n)| <= A e^{growth_C sqrt|n|} over the stored range."""
         key = "amp_" + part
@@ -138,8 +158,7 @@ class FormData:
             if len(ns) == 0:
                 self._cache[key] = 0.0
             else:
-                env = np.exp(self.growth_C * np.sqrt(np.abs(ns).astype(float)))
-                self._cache[key] = float(max(1e-300, np.max(np.abs(vals) / env)))
+                self._cache[key] = float(max(1e-300, np.max(np.abs(vals) / self._envelope(part))))
         return self._cache[key]
 
 
@@ -314,7 +333,8 @@ def twist(f: FormData, chi: Character) -> FormData:
     iterated twists are rejected (the transformation theory is stated for
     period-1 input only).  Each call builds its own table and form: a sweep
     (``verify.fe_sweep``) twists each (f, chi) once and reuses the result
-    for every test function.
+    for every test function.  The twisted form shares f's index arrays and
+    growth_C, and so the tables of ``FormData._positive`` and ``_envelope``.
     """
     D = chi.modulus
     if f.period != 1:
@@ -327,13 +347,15 @@ def twist(f: FormData, chi: Character) -> FormData:
         ns, vals = f._arrays(part)
         return ArrayCoeffs(ns, vals * taus[ns % D])
 
-    return replace(
+    out = replace(
         f,
         period=D,
         a=twisted("a"),
         b=twisted("b"),
         label=f"{f.label}.chi[{D}.{chi.index}]" if f.label else f"chi[{D}.{chi.index}]",
     )
+    out._cache.update(pos_a=f._positive(), env_a=f._envelope("a"), env_b=f._envelope("b"))
+    return out
 
 
 def shadow_coeffs(g: FormData) -> dict[int, complex]:

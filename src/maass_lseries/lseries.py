@@ -30,7 +30,6 @@ from .specials import Character, _gamma_half_exp, _matmul, _principal_pow, i_pow
 from .testfn import (
     _SEED_LEVELS,
     TestFunction,
-    _columns,
     _exp_normal,
     _graded_edges,
     _sampled_grid,
@@ -204,23 +203,25 @@ def _series_pair(
     neg = ns < 0
     # each series sums its terms n > 0 that its budget can see, and charges
     # the others' bounds to its truncation
-    keep, skipped, skipped_err = _mass_cut(ns, np.abs(avals), alpha, coeff_err)
+    keep, skipped, skipped_err = _mass_cut(f._positive(), np.abs(avals), alpha, coeff_err)
     plain = keep[0] | (ns == 0)
     deriv = keep[1] if delta else np.zeros_like(plain)
     table = plain | deriv
     if np.any(table):
         lv, le = laplace_lattice((phi, phi2) if delta else (phi,), ns[table], step)
 
-    def tabulated(row, mask, coeffs, test, err):
-        sub = mask[table]
-        return _weighted_transform_sum(
-            coeffs, test, ns[mask], f.period, (lv[row][sub], le[row][sub]), err
-        )
-
-    value, quad = 0.0 + 0.0j, 0.0
-    if np.any(plain):
-        err = None if coeff_err is None else coeff_err[plain]
-        value, quad = tabulated(0, plain, avals[plain], phi, err)
+    # the sums over the table by its row, plain and delta_k: which terms,
+    # their coefficients and the coefficients' errors, and the test function
+    series = {0: (plain, avals[plain], None if coeff_err is None else coeff_err[plain], phi)}
+    if delta:
+        nf = ns[deriv].astype(float)
+        series[1] = (deriv, avals[deriv] * nf, None if coeff_err is None else coeff_err[deriv] * nf, phi2)
+    series = {row: s for row, s in series.items() if np.any(s[0])}
+    sums = dict(zip(series, _weighted_transform_sums([
+        (test, coeffs, ns[mask], (lv[row][mask[table]], le[row][mask[table]]), err)
+        for row, (mask, coeffs, err, test) in series.items()
+    ], f.period)))
+    value, quad = sums.get(0, (0.0 + 0.0j, 0.0))
     if np.any(neg):
         # growing exponentials: the direct path, one grid for phi and phi_2
         nv, ne = laplace_many((phi, phi2) if delta else (phi,), ns[neg] * step)
@@ -253,10 +254,8 @@ def _series_pair(
     value = 0.5 * k * base.value
     quad = abs(0.5 * k) * base.quad_err
     trunc = abs(0.5 * k) * base.trunc_err
-    if np.any(deriv):
-        nf = ns[deriv].astype(float)
-        err = None if coeff_err is None else coeff_err[deriv] * nf
-        v, q = tabulated(1, deriv, avals[deriv] * nf, phi2, err)
+    if 1 in sums:
+        v, q = sums[1]
         value += -step * v
         quad += step * q
     if np.any(neg):
@@ -275,36 +274,38 @@ def _series_pair(
     return base, LValue(value, trunc, quad, n_terms, "series")
 
 
-_ROW_N = np.array([[0.0], [1.0]])  # log n times this weights row 1 by n
 _CUT_EPS = 2.0 ** -63  # x87 long double's eps, the same on every platform
 
 
-def _mass_cut(ns: np.ndarray, mags: np.ndarray, alpha: float, errs: np.ndarray | None):
+def _mass_cut(terms: tuple, mags: np.ndarray, alpha: float, errs: np.ndarray | None):
     """The cut of the plain series (row 0, bounds b_n = mags_n e^{-alpha n}
     times a constant) and of the delta_k series (row 1, bounds n b_n): the
     terms n > 0 whose bound exceeds rho sum b, rho = 1e-3 2^-63 / len(ns),
     as a mask over ns; the sum of the other terms' bounds; and the sum of
-    errs_n e^{-alpha n} (n times that in row 1) over those.  The rule is
-    relative, so it does not change when every mags_n is scaled; it works
-    in logarithms, so no b_n underflows on the way."""
-    keep = np.zeros((2, len(ns)), dtype=bool)
+    errs_n e^{-alpha n} (n times that in row 1) over those.  ``terms`` are
+    ns's positive terms (``FormData._positive``), and ``mags`` and ``errs``
+    are aligned with ns.  The rule is relative, so it does not change when
+    every mags_n is scaled; it works in logarithms, so no b_n underflows on
+    the way."""
+    count, start, n, rows = terms
+    keep = np.zeros((2, count), dtype=bool)
+    cut = keep[:, start:]
     skipped = np.zeros(2)
-    pos = ns > 0
-    live = pos & (mags > 0)
+    live = mags[start:] > 0
     if live.any():
-        n = ns[live]
-        log_b = (np.log(mags[live]) - alpha * n) + _ROW_N * np.log(n)
+        on = slice(None) if live.all() else live
+        log_b = (np.log(mags[start:][on]) - alpha * n[on]) + rows[:, on]
         top = log_b.max(axis=1, keepdims=True)
         rel = np.exp(log_b - top)
-        summed = rel > (1e-3 * _CUT_EPS / len(ns)) * rel.sum(axis=1, keepdims=True)
-        keep[:, live] = summed
-        skipped = np.exp(top[:, 0]) * (rel * ~summed).sum(axis=1)
+        summed = rel > (1e-3 * _CUT_EPS / count) * rel.sum(axis=1, keepdims=True)
+        cut[:, on] = summed
+        skipped = np.exp(top[:, 0]) * np.where(summed, 0.0, rel).sum(axis=1)
     if errs is None:
         return keep, skipped.tolist(), [0.0, 0.0]
-    out = pos & (errs > 0)
-    n = ns[out]
-    charge = np.exp((np.log(errs[out]) - alpha * n) + _ROW_N * np.log(n))
-    return keep, skipped.tolist(), (charge * ~keep[:, out]).sum(axis=1).tolist()
+    out = errs[start:] > 0
+    on = slice(None) if out.all() else out
+    charge = np.exp((np.log(errs[start:][on]) - alpha * n[on]) + rows[:, on])
+    return keep, skipped.tolist(), np.where(cut[:, on], 0.0, charge).sum(axis=1).tolist()
 
 
 _CANCEL_ESCALATE = 3e3
@@ -320,52 +321,71 @@ def _weighted_transform_sum(
     table: tuple[np.ndarray, np.ndarray] | None = None,
     coeff_err: np.ndarray | None = None,
 ):
-    """sum_n coeffs[n] (L phi)(2 pi n / period), escalating precision.
-
-    ``table`` holds the float64 transform values and errors at these
-    frequencies when the caller has them already.  When the float64 sum
-    cancels by more than ~3e3, the terms whose float64 error bound
-    |coeffs[n]| err_n exceeds eps_ld * sum|terms| / len(ns) are recomputed
-    in x87 long double (the transforms, their frequencies 2 pi n / period
-    and the products), and every term is summed in complex long double.
-    The transforms come from ``laplace_lattice`` in long double, whose
-    error column carries the (B + Q + 3) eps_ld of its running products.
-    That pushes the noise floor down by three orders of magnitude; the
-    float64 bounds of the terms kept stay in the budget, and together they
-    are at most eps_ld * sum|terms|.  Exact for integer coefficient data
-    stored in complex128 (the cast to complex long double is lossless).
-    Where ``np.longdouble`` is float64 (Windows, Apple-silicon macOS) the
-    escalation would rerun the same precision, so it is skipped and the
-    budget is the float64 one.  ``coeff_err`` bounds the error of each
-    coefficient and adds its image to the budget.
-    """
+    """sum_n coeffs[n] (L phi)(2 pi n / period), escalating precision
+    (``_weighted_transform_sums``).  ``table`` holds the float64 transform
+    values and errors at these frequencies when the caller has them
+    already; ``coeff_err`` bounds the error of each coefficient."""
     if table is None:
         table = laplace_lattice(phi, ns, _TWO_PI / period)
-    lv, le = table
-    terms = coeffs * lv
-    ssum = complex(np.sum(terms))
-    mass = float(np.sum(np.abs(terms)))
-    errs = np.abs(coeffs) * le
-    # coefficients beyond 2^53 were rounded when stored; that noise is
-    # irreducible at any working precision
-    big = np.abs(coeffs) > 2.0 ** 53
-    storage_noise = 5e-16 * float(np.sum(np.abs(terms[big]))) if np.any(big) else 0.0
-    if coeff_err is not None:
-        storage_noise += float(np.sum(coeff_err * np.abs(lv)))
-    cancel = mass / max(abs(ssum), 1e-300)
-    if cancel > _CANCEL_ESCALATE and _EPS_LD < _EPS and _longdouble_capable(phi):
-        redo = errs > _EPS_LD * mass / len(ns)
-        terms2 = terms.astype(np.clongdouble)
-        quad = float(np.sum(errs[~redo])) + _EPS_LD * mass * 10.0
-        if np.any(redo):
-            step = 2 * _PI_LD / np.longdouble(period)
-            lv2, le2 = laplace_lattice(phi, ns[redo], step, np.longdouble)
-            terms2[redo] = coeffs[redo].astype(np.clongdouble) * lv2.astype(np.clongdouble)
-            quad += float(np.sum(np.abs(coeffs[redo]) * le2.astype(float)))
-        ssum = complex(np.sum(terms2))
-    else:
-        quad = float(np.sum(errs)) + 1e-16 * mass
-    return ssum, quad + storage_noise
+    return _weighted_transform_sums([(phi, coeffs, ns, table, coeff_err)], period)[0]
+
+
+def _weighted_transform_sums(rows, period: int) -> list[tuple[complex, float]]:
+    """(sum, budget) of sum_n coeffs[n] (L phi)(2 pi n / period) for each
+    row (phi, coeffs, ns, table, coeff_err), escalating precision.
+
+    ``table`` holds the float64 transform values and errors at these
+    frequencies.  When a row's float64 sum cancels by more than ~3e3, the
+    terms whose float64 error bound |coeffs[n]| err_n exceeds
+    eps_ld * sum|terms| / len(ns) are recomputed in x87 long double (the
+    transforms, their frequencies 2 pi n / period and the products), and
+    every term is summed in complex long double.  The transforms come from
+    one ``laplace_lattice`` call in long double over the union of the rows'
+    recomputed indices, with the rows' test functions side by side (they
+    share support and knots, as phi and phi x do, and one grid); its error
+    column carries the (B + Q + 3) eps_ld of its running products.  That pushes the noise floor down by three
+    orders of magnitude; the float64 bounds of the terms kept stay in the
+    budget, and together they are at most eps_ld * sum|terms|.  Exact for
+    integer coefficient data stored in complex128 (the cast to complex long
+    double is lossless).  Where ``np.longdouble`` is float64 (Windows,
+    Apple-silicon macOS) the escalation would rerun the same precision, so
+    it is skipped and the budget is the float64 one.  ``coeff_err`` bounds
+    the error of each coefficient and adds its image to the budget.
+    """
+    out, redo = [], []  # [sum, terms in long double or None, budget, storage noise] a row
+    for phi, coeffs, ns, (lv, le), coeff_err in rows:
+        terms = coeffs * lv
+        ssum = complex(np.sum(terms))
+        mass = float(np.sum(np.abs(terms)))
+        errs = np.abs(coeffs) * le
+        # coefficients beyond 2^53 were rounded when stored; that noise is
+        # irreducible at any working precision
+        big = np.abs(coeffs) > 2.0 ** 53
+        storage_noise = 5e-16 * float(np.sum(np.abs(terms[big]))) if np.any(big) else 0.0
+        if coeff_err is not None:
+            storage_noise += float(np.sum(coeff_err * np.abs(lv)))
+        cancel = mass / max(abs(ssum), 1e-300)
+        if cancel > _CANCEL_ESCALATE and _EPS_LD < _EPS and _longdouble_capable(phi):
+            redo.append(errs > _EPS_LD * mass / len(ns))
+            quad = float(np.sum(errs[~redo[-1]])) + _EPS_LD * mass * 10.0
+            out.append([ssum, terms.astype(np.clongdouble), quad, storage_noise])
+        else:
+            redo.append(np.zeros(len(ns), dtype=bool))
+            out.append([ssum, None, float(np.sum(errs)) + 1e-16 * mass, storage_noise])
+    escalated = [i for i, r in enumerate(redo) if r.any()]
+    if escalated:
+        picked = [rows[i][2][redo[i]] for i in escalated]
+        union = np.sort(np.concatenate(picked))
+        union = union[np.concatenate(([True], union[1:] != union[:-1]))]  # np.union1d imports numpy.ma
+        step = 2 * _PI_LD / np.longdouble(period)
+        lv2, le2 = laplace_lattice(tuple(rows[i][0] for i in escalated), union, step, np.longdouble)
+        for i, ns_i, lv_i, le_i in zip(escalated, picked, lv2, le2):
+            at = np.searchsorted(union, ns_i)
+            coeffs = rows[i][1][redo[i]]
+            out[i][1][redo[i]] = coeffs.astype(np.clongdouble) * lv_i[at].astype(np.clongdouble)
+            out[i][2] += float(np.sum(np.abs(coeffs) * le_i[at].astype(float)))
+    return [(ssum if terms is None else complex(np.sum(terms)), quad + noise)
+            for ssum, terms, quad, noise in out]
 
 
 def _longdouble_capable(phi: TestFunction) -> bool:
@@ -427,9 +447,9 @@ def _nonhol_part(f: FormData, phi: TestFunction, delta: bool = False) -> _Nonhol
     lam = _TWO_PI * -bns.astype(float) / f.period
     # phi y^j for j < m (moments) or j < 1, and one more column for delta_k
     cols = (int(m) if moments else 1) + delta
-    x, wf = _sampled_grid(tuple(shift_s(phi, j + 1.0) for j in range(cols)), lam, np.float64)
+    x, wf, layout = _sampled_grid(tuple(shift_s(phi, j + 1.0) for j in range(cols)), lam, np.float64)
     y, y_mass, y_err = _gamma_route(lam, f.k, x, wf[:, :1 + delta])
-    vals, errs = _moment_route(lam, int(m), x, wf) if moments else (y, y_err)
+    vals, errs = _moment_route(lam, int(m), x, wf, layout) if moments else (y, y_err)
     if not np.isfinite(errs).all():  # moment weights past the double range
         vals, errs = y, y_err
     # the terms' weights: b(n) in the plain series, b(n) lambda in delta_k's
@@ -465,13 +485,13 @@ def _gamma_route(lam: np.ndarray, k: float, x: np.ndarray, w_phi: np.ndarray):
     return _matmul(gam, w_phi), mass, err
 
 
-def _moment_route(lam: np.ndarray, m: int, x: np.ndarray, wf: np.ndarray):
+def _moment_route(lam: np.ndarray, m: int, x: np.ndarray, wf: np.ndarray, layout):
     """sum_{j<m} (m-1)!/j! (2 lambda)^j (L[y^j phi])(lambda) for every
     lambda, and, when ``wf`` holds one more column, the same sum over
     y^{j+1} phi: (lambdas x 1 or 2).  ``wf`` holds the weighted samples of
     phi, y phi, y^2 phi, ... on the nodes x, each x times the one before,
-    so ``_columns`` adds one column to them, and one product gives every
-    transform, as in ``laplace_many``.
+    so their ``layout`` adds one column to them, and one product gives
+    every transform, as in ``laplace_many``.
 
     The error estimate takes the transforms' error columns (``_split``)
     under the same positive weights, plus the weights' own rounding: the
@@ -482,10 +502,9 @@ def _moment_route(lam: np.ndarray, m: int, x: np.ndarray, wf: np.ndarray):
     j is charged (1.5 j + m + 2) eps of its term's mass.
     """
     c = wf.shape[1]
-    cols, idx = _columns(x, wf)
-    out = _matmul(_exp_normal(np.multiply.outer(-lam, x)), cols)
-    vals, errs = _split(out, idx, lam, x, wf, _TINY, False)  # (columns x lambdas)
-    mass = np.abs(out[:, idx[c:2 * c]]).T
+    out = _matmul(_exp_normal(np.multiply.outer(-lam, x)), layout.columns(x, wf))
+    vals, errs = _split(out, layout, lam, _TINY, False)  # (columns x lambdas)
+    mass = np.abs(out[:, layout.mass]).T
     j = np.arange(m)
     ratio = np.cumprod(np.r_[1.0, np.arange(m - 1.0, 0.0, -1.0)])[::-1]  # (m-1)!/j!
     rounding = ((1.5 * j + m + 2.0) * _EPS)[:, None]

@@ -64,6 +64,10 @@ _SEED_LEVELS = 8
 # product's terms a node, is at most this many times len(ns) - 3, the
 # exponentials a node it saves (see laplace_lattice)
 _LD_LATTICE = 16
+# the most derived test functions (shift_s, slash_W) a test function keeps,
+# dropping the oldest: an FE takes two (phi|W_N and phi x), the b-part at
+# weight -10 eleven (phi y^j, j = 1..11)
+_DERIVED = 16
 
 
 # exp(_LOG_TINY) is normal and exp of the next double below it is subnormal
@@ -462,11 +466,11 @@ class TestFunction:
     ``ops`` is the modifier stack, applied left to right; an entry is
     ("shift", s) for phi -> phi_s or ("slash", a, M) for phi -> phi|_a W_M.
 
-    The fields are frozen, so the support, the knots and the graded edges
-    of ``_graded_edges`` are computed once per instance.  They are cached
-    in the instance's ``__dict__``, outside the fields: ``==``, ``hash``
-    and ``repr`` do not read them, and ``dataclasses.replace`` starts
-    afresh.
+    The fields are frozen, so the support, the knots, the graded edges
+    of ``_graded_edges`` and the derived test functions of ``shift_s`` and
+    ``slash_W`` are computed once per instance.  They are cached in the
+    instance's ``__dict__``, outside the fields: ``==``, ``hash`` and
+    ``repr`` do not read them, and ``dataclasses.replace`` starts afresh.
     """
 
     __test__ = False  # not a pytest collectible, despite the name
@@ -561,6 +565,11 @@ class TestFunction:
         """``_graded_edges(self, levels)`` by ``levels``, as they are asked for."""
         return {}
 
+    @cached_property
+    def _derived(self) -> dict[tuple, "TestFunction"]:
+        """The last ``_DERIVED`` test functions of ``_derive``, by (ops, label)."""
+        return {}
+
     def support(self) -> tuple[float, float]:
         return self._geometry[0]
 
@@ -624,18 +633,29 @@ def shift_s(phi: TestFunction, s: complex) -> TestFunction:
         new_ops = ops[:-1] if combined == 1.0 else ops[:-1] + (("shift", combined),)
     else:
         new_ops = ops + (("shift", s),)
-    return replace(phi, ops=new_ops, label=f"{phi.label}.s({s})")
+    return _derive(phi, new_ops, f"{phi.label}.s({s})")
 
 
 def slash_W(phi: TestFunction, a, M: int) -> TestFunction:
     """(phi|_a W_M)(x) = (M x)^{-a} phi(1/(M x))."""
     if M < 1:
         raise DomainError("slash_W requires M >= 1")
-    return replace(
-        phi,
-        ops=phi.ops + (("slash", float(a), int(M)),),
-        label=f"{phi.label}.W{M}({a:g})",
-    )
+    return _derive(phi, phi.ops + (("slash", float(a), int(M)),), f"{phi.label}.W{M}({a:g})")
+
+
+def _derive(phi: TestFunction, ops: tuple, label: str) -> TestFunction:
+    """``replace(phi, ops=ops, label=label)``, one instance per (phi, ops,
+    label) while phi keeps it: phi keeps its latest ``_DERIVED`` and drops
+    the oldest.  So phi|W_N and phi x keep their geometry, graded edges and
+    ``lseries._phi_mass`` hit from call to call.  The label is in the key:
+    equal ops may carry different labels (s = 0.0 and -0.0, say)."""
+    memo = phi._derived
+    out = memo.get((ops, label))
+    if out is None:
+        if len(memo) >= _DERIVED:
+            del memo[next(iter(memo))]
+        out = memo[ops, label] = replace(phi, ops=ops, label=label)
+    return out
 
 
 def derivative(phi: TestFunction, m: int) -> TestFunction:
@@ -738,7 +758,8 @@ _GRIDS: ContextVar[dict | None] = ContextVar("_GRIDS", default=None)
 
 
 def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: int | None = None):
-    """Nodes x and weighted samples w phi(x), one column per test function.
+    """Nodes x, weighted samples w phi(x), one column per test function, and
+    the ``_Layout`` of the transform product's columns.
 
     A composite Gauss-Legendre grid on the common support, dyadically
     graded into both endpoints (resolving bump-type essential singularities
@@ -748,7 +769,7 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
     nodes where every test function is 0 add nothing to any transform and
     are dropped.  A member that differs from the one before it only by its
     trailing shift is sampled as those samples times x^(s - s_prev): phi x
-    after phi is exactly x times phi's column, which ``_columns`` reuses.
+    after phi is exactly x times phi's column, which the layout records.
     Such a column vanishes where the one before it does, so ``_sample``
     reads the nodes' liveness from the other columns alone and forms it on
     the nodes it keeps.
@@ -775,14 +796,14 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
         grid = grids.get(key)
         if grid is None:
             grid = grids[key] = _sample(phis, levels, dtype, longdouble, order)
-            for a in grid:
+            for a in (*grid[:2], grid[2].floor):
                 a.flags.writeable = False
         return grid
     return _sample(phis, levels, dtype, longdouble, order)
 
 
 def _sample(phis: tuple[TestFunction, ...], levels: int, dtype, longdouble: bool, order: int):
-    """``_sampled_grid``'s nodes and weighted samples, sampled afresh.
+    """``_sampled_grid``'s nodes, weighted samples and layout, sampled afresh.
 
     The members sampled on their own decide which nodes live: one formed as
     x^(s - s_prev) times the member before it is 0 exactly where that one
@@ -808,7 +829,8 @@ def _sample(phis: tuple[TestFunction, ...], levels: int, dtype, longdouble: bool
     cols = []
     for power in powers:
         cols.append(next(own)[live] if power is None else cols[-1] * x ** power)
-    return x, np.stack(cols, axis=1)
+    wf = np.stack(cols, axis=1)
+    return x, wf, _Layout.of(wf, [power == 1.0 for power in powers[1:]])
 
 
 def _graded_edges(phi: TestFunction, levels: int) -> tuple[float, ...]:
@@ -855,8 +877,8 @@ def _grid_integrals(phi: TestFunction, kernel, us, rel_tol: float):
     evaluates it on far fewer nodes than the 13 or more graded levels here.
     """
     us = np.asarray(us, dtype=float)
-    x, wf = _sampled_grid((phi,), us, np.float64, _GRID_RULES[0])
-    xc, wc = _sampled_grid((phi,), us, np.float64, _GRID_RULES[1])
+    x, wf, _ = _sampled_grid((phi,), us, np.float64, _GRID_RULES[0])
+    xc, wc, _ = _sampled_grid((phi,), us, np.float64, _GRID_RULES[1])
     table = kernel(np.concatenate([x, xc]))
     vals = _matmul(wf[:, 0], table[:len(x)])
     diff = np.abs(vals - _matmul(wc[:, 0], table[len(x):]))
@@ -867,35 +889,63 @@ def _grid_integrals(phi: TestFunction, kernel, us, rel_tol: float):
     return vals, diff + eps * (50.0 * mass + 4.0 * np.abs(us) * xmass)
 
 
-def _columns(x: np.ndarray, wf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The right-hand side of the transform product, each column once.
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """The columns of a transform product over a grid's m columns w phi.
 
     Its 3 m logical columns are w phi(x), its modulus (the terms' mass) and
-    x times that (their exponents' scale).  Returns the distinct columns
-    and, for each logical column, its index among them.  Real nonnegative
-    samples are their own modulus, and x |w phi| is the next column when
-    ``_sampled_grid`` sampled that as x times this one: (phi, phi x) takes
-    3 columns, not 6.  Signed or complex samples keep all 3 m.
+    x times that (their exponents' scale).  Real nonnegative samples are
+    their own modulus, and x |w phi| of column j is column j + 1 when
+    ``_sample`` formed that as x times column j (``chain[j]``): the
+    columns are w phi and x w phi of the columns in ``extra``, so (phi,
+    phi x) takes 3, not 6.  Signed or complex samples keep all 3 m.
+    ``value``, ``mass`` and ``xmass`` pick each kind out of the product,
+    slices where the columns lie side by side; ``floor`` is
+    2 #{w phi != 0} + sum |w phi| a column (``_split``).
     """
-    m = wf.shape[1]
-    if np.iscomplexobj(wf) or (wf < 0).any():
-        mag = np.abs(wf)
-        return np.concatenate([wf, mag, x[:, None] * mag], axis=1), np.arange(3 * m)
-    xw = x[:, None] * wf
-    idx, extra = [*range(m), *range(m)], []
-    for j in range(m):
-        if j + 1 < m and (xw[:, j] == wf[:, j + 1]).all():
-            idx.append(j + 1)
-        else:
-            idx.append(m + len(extra))
-            extra.append(j)
-    return np.concatenate([wf, xw[:, extra]], axis=1), np.array(idx)
+
+    signed: bool
+    extra: slice | list[int]
+    value: slice
+    mass: slice
+    xmass: slice | list[int]
+    floor: np.ndarray
+
+    @classmethod
+    def of(cls, wf: np.ndarray, chain: list[bool]) -> "_Layout":
+        m = wf.shape[1]
+        # sum |w phi| in node order, as a sum along axis 0 adds, without
+        # its per-node overhead
+        total = np.cumsum(np.abs(wf), axis=0)[-1] if len(wf) else np.zeros(m, wf.real.dtype)
+        floor = 2 * np.array([np.count_nonzero(col) for col in wf.T]) + total
+        if np.iscomplexobj(wf) or (wf < 0).any():
+            return cls(True, slice(0, m), slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m), floor)
+        xmass, extra = [], []
+        for j in range(m):
+            if j + 1 < m and chain[j]:
+                xmass.append(j + 1)
+            else:
+                xmass.append(m + len(extra))
+                extra.append(j)
+        return cls(False, _as_slice(extra), slice(0, m), slice(0, m), _as_slice(xmass), floor)
+
+    def columns(self, x: np.ndarray, wf: np.ndarray) -> np.ndarray:
+        """The right-hand side of the transform product, each column once."""
+        if self.signed:
+            mag = np.abs(wf)
+            return np.concatenate([wf, mag, x[:, None] * mag], axis=1)
+        return np.concatenate([wf, x[:, None] * wf[:, self.extra]], axis=1)
 
 
-def _split(out, idx, us, x, wf, unit, single: bool, powers: int = 0):
+def _as_slice(index: list[int]) -> slice | list[int]:
+    """``index`` as a slice where it is a run of consecutive integers."""
+    run = index == list(range(index[0], index[0] + len(index)))
+    return slice(index[0], index[0] + len(index)) if run else index
+
+
+def _split(out, layout: _Layout, us, unit, single: bool, powers: int = 0):
     """Values and error bounds, one row per test function, from the product
-    ``out`` of an exponential table with the distinct columns of
-    ``_columns(x, wf)``, read back through their index map ``idx``.
+    ``out`` of an exponential table with ``layout.columns(x, wf)``.
 
     The error bound is 50 eps sum |w phi e^{-u x}| for the exponentials and
     the summation, plus 4 eps |u| sum x |w phi e^{-u x}| for the rounding of
@@ -906,12 +956,10 @@ def _split(out, idx, us, x, wf, unit, single: bool, powers: int = 0):
     as a product of powers, with ``powers`` eps of extra relative rounding,
     adds powers eps sum |w phi e^{-u x}|.
     """
-    m = wf.shape[1]
     eps = float(np.finfo(out.real.dtype).eps)
-    floor = unit * (2 * np.count_nonzero(wf, axis=0) + np.sum(np.abs(wf), axis=0))
-    vals = out[:, idx[:m]].T
-    errs = ((50.0 + powers) * eps) * np.abs(out[:, idx[m:2 * m]]).T
-    errs = errs + (4.0 * eps) * np.abs(us) * np.abs(out[:, idx[2 * m:]]).T + floor[:, None]
+    vals = out[:, layout.value].T
+    errs = ((50.0 + powers) * eps) * np.abs(out[:, layout.mass]).T
+    errs = errs + (4.0 * eps) * np.abs(us) * np.abs(out[:, layout.xmass]).T + (unit * layout.floor)[:, None]
     return (vals[0], errs[0]) if single else (vals, errs)
 
 
@@ -940,7 +988,7 @@ def laplace_many(
     """
     single, phis = _as_tuple(phi)
     us = np.asarray(us, dtype=dtype)
-    x, wf = _sampled_grid(phis, us, dtype)
+    x, wf, layout = _sampled_grid(phis, us, dtype)
     E = np.multiply.outer(-us, x)
     if E.dtype == np.float64:
         _exp_normal(E)
@@ -948,8 +996,7 @@ def laplace_many(
     else:
         np.exp(E, out=E)
         unit = np.finfo(dtype).smallest_subnormal  # underflow is the only loss
-    cols, idx = _columns(x, wf)
-    return _split(_matmul(E, cols), idx, us, x, wf, unit, single)
+    return _split(_matmul(E, layout.columns(x, wf)), layout, us, unit, single)
 
 
 def _running_powers(x: np.ndarray, step, n0: int, B: int, Q: int):
@@ -977,8 +1024,8 @@ def laplace_lattice(
     exponential e^{-n step x} is the product of a "baby" table
     e^{-r step x} (B rows) and a "giant" table e^{-(n0 + q B) step x}
     (Q = ceil(span / B) rows), so B + Q exponentials per node replace
-    len(ns).  The giant table is folded into the distinct columns W of
-    ``_columns``, and one matrix product gives every value and error
+    len(ns).  The giant table is folded into the distinct columns W of the
+    grid's ``_Layout``, and one matrix product gives every value and error
     column at every lattice point:
 
         T[r, (q, c)] = sum_j baby[r, j] giant[q, j] W[j, c].
@@ -1025,7 +1072,7 @@ def laplace_lattice(
     if n0 < 0 or direct:
         return laplace_many(phi, ns * step, dtype)
     us = ns * step
-    x, wf = _sampled_grid(phis, us, dtype)
+    x, wf, layout = _sampled_grid(phis, us, dtype)
     if longdouble:
         baby, giant = _running_powers(x, step, n0, B, Q)
         unit = (B + Q) * np.finfo(dtype).smallest_subnormal  # underflow is the only loss
@@ -1033,14 +1080,13 @@ def laplace_lattice(
         baby = _exp_normal(np.multiply.outer(np.arange(B) * -step, x))
         giant = _exp_normal(np.multiply.outer(x, (n0 + B * np.arange(Q)) * -step))
         unit = np.finfo(np.float64).tiny  # what _exp_normal and the fold flush is the only loss
-    cols, idx = _columns(x, wf)
-    folded = np.einsum("jq,jc->jqc", giant, cols).reshape(len(x), -1)
+    folded = np.einsum("jq,jc->jqc", giant, layout.columns(x, wf)).reshape(len(x), -1)
     if not longdouble:
         parts = folded.view(np.float64)  # real and imaginary parts side by side
         parts[np.abs(parts) < unit] = 0.0
     table = _matmul(baby, folded).reshape(B, Q, -1)
     out = table[(ns - n0) % B, (ns - n0) // B]
-    return _split(out, idx, us, x, wf, unit, single, B + Q + 3 if longdouble else 0)
+    return _split(out, layout, us, unit, single, B + Q + 3 if longdouble else 0)
 
 
 # ----------------------------------------------------------------------------

@@ -663,7 +663,7 @@ def _added_bounds(f, chi, phi):
     ns, avals = ft._arrays("a")
     c1, _, K, K2 = lseries_module._phi_mass(phi)
     alpha = 2 * math.pi * c1 / ft.period
-    skipped = lseries_module._mass_cut(ns, np.abs(avals), alpha, None)[1]
+    skipped = lseries_module._mass_cut(ft._positive(), np.abs(avals), alpha, None)[1]
     return K * skipped[0], 2 * math.pi / ft.period * (K2 * skipped[1])
 
 
@@ -733,7 +733,7 @@ def test_n_terms_counts_the_terms_summed():
     plain, delta = lseries_series(f, BAT[0]), lseries_delta(f, BAT[0])
     ns, avals = f._arrays("a")
     alpha = 2 * math.pi * lseries_module._phi_mass(BAT[0])[0]
-    kept = lseries_module._mass_cut(ns, np.abs(avals), alpha, None)[0][1]
+    kept = lseries_module._mass_cut(f._positive(), np.abs(avals), alpha, None)[0][1]
     assert plain.n_terms < len(f.a) and delta.n_terms == np.count_nonzero(kept) < len(f.a)
 
 
@@ -748,9 +748,70 @@ def test_cut_does_not_depend_on_the_platforms_long_double(monkeypatch):
             ns, avals = ft._arrays("a")
             for phi in BAT:
                 alpha = 2 * math.pi * lseries_module._phi_mass(phi)[0] / ft.period
-                cases.append((ns, np.abs(avals), alpha, 1e-16 * np.abs(avals)))
+                cases.append((ft._positive(), np.abs(avals), alpha, 1e-16 * np.abs(avals)))
     x87 = [lseries_module._mass_cut(*case) for case in cases]
     monkeypatch.setattr(lseries_module, "_EPS_LD", 2.0 ** -52)
     for case, (keep, skipped, skipped_err) in zip(cases, x87):
         keep2, skipped2, skipped_err2 = lseries_module._mass_cut(*case)
         assert np.array_equal(keep2, keep) and skipped2 == skipped and skipped_err2 == skipped_err
+
+
+def _mass_cut_over_every_index(ns, mags, alpha, errs):
+    """The cut as it was taken over every index, masking the n > 0 with
+    nonzero bounds afresh on each call: the reference of ``_mass_cut``."""
+    row_n = np.array([[0.0], [1.0]])
+    keep = np.zeros((2, len(ns)), dtype=bool)
+    skipped = np.zeros(2)
+    pos = ns > 0
+    live = pos & (mags > 0)
+    if live.any():
+        n = ns[live]
+        log_b = (np.log(mags[live]) - alpha * n) + row_n * np.log(n)
+        top = log_b.max(axis=1, keepdims=True)
+        rel = np.exp(log_b - top)
+        summed = rel > (1e-3 * 2.0 ** -63 / len(ns)) * rel.sum(axis=1, keepdims=True)
+        keep[:, live] = summed
+        skipped = np.exp(top[:, 0]) * (rel * ~summed).sum(axis=1)
+    if errs is None:
+        return keep, skipped.tolist(), [0.0, 0.0]
+    out = pos & (errs > 0)
+    n = ns[out]
+    charge = np.exp((np.log(errs[out]) - alpha * n) + row_n * np.log(n))
+    return keep, skipped.tolist(), (charge * ~keep[:, out]).sum(axis=1).tolist()
+
+
+def test_mass_cut_on_the_positive_terms_matches_the_cut_over_every_index():
+    # bit for bit: the mask, the skipped bounds and the skipped charges, on
+    # index sets with 0 and negative n, zero magnitudes and errors, and
+    # magnitudes from 1e-300 to 1e300
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    magnitude = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+    index = st.integers(-20, 1000)
+
+    @st.composite
+    def cases(draw):
+        ns = np.array(sorted(draw(st.sets(index, min_size=1, max_size=300))), dtype=np.int64)
+        mags = np.array([draw(magnitude) for _ in ns])
+        errs = np.array([draw(magnitude) for _ in ns]) if draw(st.booleans()) else None
+        return ns, mags, draw(st.floats(1e-3, 20.0)), errs
+
+    # a term left out next to one summed, whose relative bound e^-713.8
+    # (first) or whose charge 4e-318 (second) lies in the subnormal range:
+    # it alone makes up the skipped bounds or charges
+    two = np.array([1, 2])
+
+    @settings(max_examples=300, deadline=None)
+    @example((two, np.array([1e10, math.e * 1e-300]), 1.0, None))
+    @example((two, np.array([1e10, 1e-300]), 20.0, np.array([1e-300, 1e-300])))
+    @given(cases())
+    def check(case):
+        ns, mags, alpha, errs = case
+        form = FormData(weight2=12, level=1, psi=trivial_character(1), a=ArrayCoeffs(ns, mags + 0j))
+        keep, skipped, skipped_err = lseries_module._mass_cut(form._positive(), mags, alpha, errs)
+        keep_ref, skipped_ref, skipped_err_ref = _mass_cut_over_every_index(ns, mags, alpha, errs)
+        assert np.array_equal(keep, keep_ref)
+        assert [x.hex() for x in skipped + skipped_err] == [x.hex() for x in skipped_ref + skipped_err_ref]
+
+    check()

@@ -9,13 +9,15 @@ import pytest
 from maass_lseries.errors import AccuracyError, DomainError
 from maass_lseries.specials import _matmul
 from maass_lseries.testfn import (
+    _DERIVED,
     _LOG_TINY,
     _SEED_LEVELS,
     TestFunction,
-    _columns,
+    _Layout,
     _exp_normal,
     _graded_edges,
     _leggauss_longdouble,
+    _running_powers,
     _sampled_grid,
     derivative,
     eval_at,
@@ -628,13 +630,13 @@ def _value_tol(phis, us, values):
 
 
 def _many_3m(phis, us):
-    x, wf = _sampled_grid(phis, us, np.float64)
+    x, wf, _ = _sampled_grid(phis, us, np.float64)
     E = _exp_normal(np.multiply.outer(-us, x))
     return _full_split(_matmul(E, _full_columns(x, wf)), us, wf, _TINY)
 
 
 def _lattice_3m(phis, ns, step):
-    x, wf = _sampled_grid(phis, ns * step, np.float64)
+    x, wf, _ = _sampled_grid(phis, ns * step, np.float64)
     n0, n1 = int(ns.min()), int(ns.max())
     B = math.isqrt(n1 - n0) + 1
     Q = (n1 - n0) // B + 1
@@ -666,15 +668,119 @@ def _assert_same(got, want, value_tol):
 def test_columns_keep_one_copy_of_each_column():
     bat = standard_battery()
     phi = bat[6]
-    x, wf = _sampled_grid((phi, shift_s(phi, 2.0)), np.array([100.0]), np.float64)
+    x, wf, layout = _sampled_grid((phi, shift_s(phi, 2.0)), np.array([100.0]), np.float64)
     assert np.array_equal(wf[:, 1], x * wf[:, 0])  # phi x is sampled as x times phi
-    cols, idx = _columns(x, wf)
-    assert cols.shape[1] == 3 and list(idx) == [0, 1, 0, 1, 1, 2]
+    cols = layout.columns(x, wf)
+    assert cols.shape[1] == 3
+    assert (layout.value, layout.mass, layout.xmass) == (slice(0, 2), slice(0, 2), slice(1, 3))
     full = _full_columns(x, wf)
-    assert np.array_equal(cols[:, idx], full)
+    assert np.array_equal(np.concatenate([cols[:, :2], cols[:, :2], cols[:, 1:]], axis=1), full)
     for signed in (-wf, wf * (1 + 1j)):
-        cols, idx = _columns(x, signed)
-        assert np.array_equal(cols, _full_columns(x, signed)) and list(idx) == list(range(6))
+        layout = _Layout.of(signed, [True])
+        assert np.array_equal(layout.columns(x, signed), _full_columns(x, signed))
+        assert (layout.mass, layout.xmass) == (slice(2, 4), slice(4, 6))
+
+
+# The parent route of the layout: the distinct columns found by comparing
+# them, and the values and errors read back through their index map.
+
+
+def _columns_by_comparison(x, wf):
+    m = wf.shape[1]
+    if np.iscomplexobj(wf) or (wf < 0).any():
+        mag = np.abs(wf)
+        return np.concatenate([wf, mag, x[:, None] * mag], axis=1), np.arange(3 * m)
+    xw = x[:, None] * wf
+    idx, extra = [*range(m), *range(m)], []
+    for j in range(m):
+        if j + 1 < m and (xw[:, j] == wf[:, j + 1]).all():
+            idx.append(j + 1)
+        else:
+            idx.append(m + len(extra))
+            extra.append(j)
+    return np.concatenate([wf, xw[:, extra]], axis=1), np.array(idx)
+
+
+def _split_by_index(out, idx, us, wf, unit, powers=0):
+    m = wf.shape[1]
+    eps = float(np.finfo(out.real.dtype).eps)
+    floor = unit * (2 * np.count_nonzero(wf, axis=0) + np.sum(np.abs(wf), axis=0))
+    vals = out[:, idx[:m]].T
+    errs = ((50.0 + powers) * eps) * np.abs(out[:, idx[m:2 * m]]).T
+    errs = errs + (4.0 * eps) * np.abs(us) * np.abs(out[:, idx[2 * m:]]).T + floor[:, None]
+    return vals, errs
+
+
+def _layout_cases():
+    bat = standard_battery()
+    signed = derivative(TestFunction.bspline(3, 1.0, 2.0), 1)  # negative pieces
+    for phi in (bat[2], slash_W(bat[9], -10.0, 1), shift_s(bat[4], 1.5 + 2.0j), signed):
+        phi_x = shift_s(phi, 2.0)
+        yield (phi,)
+        yield (phi, phi_x)
+        yield (phi_x, phi)  # x^-1 times the one before: not a chain
+    # the b-part's moment columns phi, phi y, ..., phi y^11 (``lseries._nonhol_part``)
+    yield tuple(shift_s(bat[3], j + 1.0) for j in range(12))
+    # a chain broken by a member sampled on its own
+    yield (bat[5], shift_s(bat[5], 2.0), TestFunction.spline(bat[5].support(), [[1.0]]))
+
+
+def _many_by_comparison(phis, us):
+    x, wf, _ = _sampled_grid(phis, us, np.float64)
+    cols, idx = _columns_by_comparison(x, wf)
+    return _split_by_index(_matmul(_exp_normal(np.multiply.outer(-us, x)), cols), idx, us, wf, _TINY)
+
+
+def _lattice_by_comparison(phis, ns, step, dtype):
+    x, wf, _ = _sampled_grid(phis, ns * step, dtype)
+    n0, n1 = int(ns.min()), int(ns.max())
+    B = math.isqrt(n1 - n0) + 1
+    Q = (n1 - n0) // B + 1
+    longdouble = dtype is np.longdouble
+    if longdouble:
+        baby, giant = _running_powers(x, step, n0, B, Q)
+        unit = (B + Q) * np.finfo(dtype).smallest_subnormal
+    else:
+        baby = _exp_normal(np.multiply.outer(np.arange(B) * -step, x))
+        giant = _exp_normal(np.multiply.outer(x, (n0 + B * np.arange(Q)) * -step))
+        unit = _TINY
+    cols, idx = _columns_by_comparison(x, wf)
+    folded = np.einsum("jq,jc->jqc", giant, cols).reshape(len(x), -1)
+    if not longdouble:
+        parts = folded.view(np.float64)
+        parts[np.abs(parts) < unit] = 0.0
+    table = _matmul(baby, folded).reshape(B, Q, -1)
+    out = table[(ns - n0) % B, (ns - n0) // B]
+    return _split_by_index(out, idx, ns * step, wf, unit, B + Q + 3 if longdouble else 0)
+
+
+def _assert_identical(got, want, label):
+    for a, b in zip(got, want):
+        a = np.atleast_2d(a)
+        assert a.dtype == b.dtype and np.array_equal(a, b), label
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_layout_matches_comparing_the_columns(dtype, monkeypatch):
+    # the columns of the product, and the values and errors read through the
+    # layout, equal bit for bit those of comparing the columns, on the direct
+    # path and on the lattice
+    ns = np.arange(1, 200)
+    step = dtype(2 * math.pi / 3)
+    cases = list(_layout_cases())
+    for phis in cases:
+        x, wf, layout = _sampled_grid(phis, ns * step, dtype)
+        cols = _columns_by_comparison(x, wf)[0]
+        assert layout.columns(x, wf).dtype == cols.dtype and np.array_equal(layout.columns(x, wf), cols)
+        if dtype is np.float64:
+            want = _many_by_comparison(phis, ns * step)
+            _assert_identical(laplace_many(phis, ns * step), want, phis[0].label)
+            if len(phis) == 1:
+                _assert_identical(laplace_many(phis[0], ns * step), want, phis[0].label)
+    _lattice_only(monkeypatch)
+    for phis in cases:
+        want = _lattice_by_comparison(phis, ns, step, dtype)
+        _assert_identical(laplace_lattice(phis, ns, step, dtype), want, phis[0].label)
 
 
 @pytest.mark.parametrize("D", [1, 3, 5])
@@ -761,7 +867,7 @@ def test_sampled_grid_is_unchanged_by_graded_edges(phi, dtype, order):
     # from the fewest levels (13) to many (a frequency of 2e5)
     for us in ([1.0], np.arange(768) * (2 * math.pi / 5), [2e5]):
         us = np.asarray(us, dtype=dtype)
-        x, wf = _sampled_grid((phi,), us, dtype, order)
+        x, wf, _ = _sampled_grid((phi,), us, dtype, order)
         x_ref, wf_ref = _sampled_grid_inline((phi,), us, dtype, order)
         assert np.array_equal(x, x_ref) and np.array_equal(wf, wf_ref)
 
@@ -787,7 +893,7 @@ def test_sampled_grid_matches_sampling_every_node(dtype, order):
     for phis in _sampling_cases():
         for us in ([1.0], np.arange(768) * (2 * math.pi / 5)):
             us = np.asarray(us, dtype=dtype)
-            x, wf = _sampled_grid(phis, us, dtype)
+            x, wf, _ = _sampled_grid(phis, us, dtype)
             x_ref, wf_ref = _sampled_grid_inline(phis, us, dtype, order)
             assert x.dtype == x_ref.dtype and wf.dtype == wf_ref.dtype
             assert np.array_equal(x, x_ref) and np.array_equal(wf, wf_ref), phis[0].label
@@ -814,13 +920,49 @@ def test_geometry_is_cached_outside_the_fields():
         assert moved.support() != support
 
 
+def test_derived_test_functions_are_kept_once_per_parent():
+    bat = standard_battery()
+    for phi in (bat[7], slash_W(bat[2], 1.5, 4), derivative(TestFunction.bspline(3, 1.0, 2.0), 1)):
+        for derive in (lambda p: slash_W(p, -10.0, 1), lambda p: shift_s(p, 2.0),
+                       lambda p: shift_s(p, 1.5 + 2.0j), lambda p: shift_s(slash_W(p, 0.5, 4), 3.0)):
+            once = derive(phi)
+            assert derive(phi) is once  # the same instance, and its caches, again
+            # equal to one derived afresh, in ==, hash, repr and label
+            fresh = derive(replace(phi))
+            assert fresh is not once
+            assert fresh == once and hash(fresh) == hash(once) and repr(fresh) == repr(once)
+        # replace starts without the derived ones, also on a changed stack
+        assert "_derived" in vars(phi)
+        assert "_derived" not in vars(replace(phi))
+        assert "_derived" not in vars(replace(phi, ops=phi.ops + (("slash", 1.0, 2),)))
+    # equal arguments that label differently stay apart
+    assert shift_s(bat[3], 0.0).label != shift_s(bat[3], -0.0).label
+    assert slash_W(bat[3], 1, 4).label == slash_W(bat[3], 1.0, 4).label
+    assert slash_W(bat[3], 1, 4) is slash_W(bat[3], 1.0, 4)
+
+
+def test_derived_test_functions_are_bounded_per_parent():
+    # shifts by arbitrary s (the s-family) keep at most _DERIVED of them, the
+    # latest, dropping the oldest
+    phi = replace(standard_battery()[4])
+    first = shift_s(phi, 2.0)
+    for s in np.linspace(0.5, 3.5, 10_000):
+        shift_s(phi, s)
+        assert len(phi._derived) <= _DERIVED
+    assert len(phi._derived) == _DERIVED
+    kept = list(phi._derived.values())
+    assert kept[-1].label == shift_s(phi, 3.5).label and shift_s(phi, 3.5) is kept[-1]
+    assert all(p is not first for p in kept)
+    assert shift_s(phi, 2.0) == first and shift_s(phi, 2.0) is not first
+
+
 def test_sampled_grid_honours_an_explicit_order():
     # long double used to take 40 points a panel whatever order was asked,
     # so where it is plain double both rules of _grid_integrals were one
     phi = GRADED_PHIS[2]  # a spline: no node underflows to 0 and drops out
     edges = np.array(_graded_edges(phi, 13))  # the levels at u = 1
     for dtype, order, per_panel in ((np.longdouble, 20, 20), (np.longdouble, None, 40), (np.float64, 20, 20)):
-        x, wf = _sampled_grid((phi,), np.array([1.0], dtype=dtype), dtype, order)
+        x, wf, _ = _sampled_grid((phi,), np.array([1.0], dtype=dtype), dtype, order)
         assert x.dtype == np.dtype(dtype) and len(wf) == len(x)
         assert np.all(np.histogram(x.astype(float), bins=edges)[0] == per_panel), (dtype, order)
 

@@ -759,23 +759,25 @@ def test_escalated_right_side_of_delta_against_mpmath(j):
 
 def test_targeted_escalation_matches_a_full_long_double_recompute(monkeypatch):
     """The five escalating sums of the delta sweep (D <= 5) recompute in long
-    double only the terms whose float64 bound exceeds eps_ld sum|terms| / n;
-    each still matches a full long-double recompute within its precision
-    budget (the coefficient rounding left out), which the plain float64 sum
-    misses by factors of 2.6 to 22."""
+    double only the terms whose float64 bound exceeds eps_ld sum|terms| / n,
+    the plain and the delta_k sum of a side on one grid; each still matches
+    a full long-double recompute within its precision budget (the
+    coefficient rounding left out), which the plain float64 sum misses by
+    factors of 2.6 to 22."""
     from maass_lseries import lseries
     from maass_lseries.testfn import laplace_many
 
     f, g = fixture_pair("delta", 768)
     calls = []
-    weighted_sum = lseries._weighted_transform_sum
+    weighted_sums = lseries._weighted_transform_sums
 
-    def recording(coeffs, phi, ns, period, table=None, coeff_err=None):
-        precision_only = weighted_sum(coeffs, phi, ns, period, table)
-        calls.append((coeffs, phi, ns, period, table[0], precision_only))
-        return weighted_sum(coeffs, phi, ns, period, table, coeff_err)
+    def recording(rows, period):
+        precision_only = weighted_sums([row[:4] + (None,) for row in rows], period)
+        for (phi, coeffs, ns, table, _), result in zip(rows, precision_only):
+            calls.append((coeffs, phi, ns, period, table[0], result))
+        return weighted_sums(rows, period)
 
-    monkeypatch.setattr(lseries, "_weighted_transform_sum", recording)
+    monkeypatch.setattr(lseries, "_weighted_transform_sums", recording)
     for D, j in ((1, 8), (1, 9), (4, 9)):
         for chi in characters_mod(D):
             fe_pair(f, g, chi, BAT[j])
@@ -793,6 +795,45 @@ def test_targeted_escalation_matches_a_full_long_double_recompute(monkeypatch):
         "bump8.W1(-10)", "bump8.W1(-10).s(2.0)",
         "bump9.W1(-10)", "bump9.W1(-10)", "bump9.W1(-10).s(2.0)",
     ]
+
+
+def test_a_side_escalates_its_plain_and_delta_k_sums_on_one_grid(monkeypatch):
+    # the delta sweep of fe-check --dmax 5 samples 3 long-double grids: the
+    # plain and the delta_k sums of the right sides of bumps 8 and 9 at D = 1
+    # share theirs, and bump 9 at D = 4 escalates its plain sum alone
+    f, g = fixture_pair("delta", 768)
+    grids = []
+    sample = testfn._sample
+
+    def recording(phis, levels, dtype, *args):
+        if np.dtype(dtype) == np.dtype(np.longdouble):
+            grids.append(tuple(p.label for p in phis))
+        return sample(phis, levels, dtype, *args)
+
+    monkeypatch.setattr(testfn, "_sample", recording)
+    for D in range(1, 6):
+        for chi in characters_mod(D):
+            for phi in BAT:
+                fe_pair(f, g, chi, phi)
+    if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+        assert sorted(grids) == [
+            ("bump8.W1(-10)", "bump8.W1(-10).s(2.0)"),
+            ("bump9.W1(-10)",),
+            ("bump9.W1(-10)", "bump9.W1(-10).s(2.0)"),
+        ]
+
+
+def test_fe_pair_on_a_test_function_with_derived_ones_matches_a_fresh_copy():
+    # phi keeps its phi|W_N and phi x (and theirs) from call to call; the
+    # reports equal, bit for bit, those of an equal phi that keeps none
+    f, g = fixture_pair("delta", 768)
+    for phi in (BAT[0], BAT[9]):
+        for chi in (CHI1, characters_mod(5)[2]):
+            first = fe_pair(f, g, chi, phi)
+            assert phi._derived
+            fresh = replace(phi)
+            assert "_derived" not in vars(fresh)
+            assert fe_pair(f, g, chi, phi) == first == fe_pair(f, g, chi, fresh)
 
 
 def test_fe_side_matches_series_and_delta_with_b_coefficients():
