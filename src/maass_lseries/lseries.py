@@ -170,6 +170,12 @@ def _series_pair(
     the absolute error of each stored a(n), aligned with ``f._arrays("a")``;
     its image sum coeff_err |(L phi)(2 pi n / M)| joins the quadrature budget.
 
+    One loop runs over the rows r: the plain series (r = 0), then the
+    delta_k series (r = 1).  Row r's terms are a(n) n^r against phi x^r,
+    whose mass is K (r = 0) or K2 (``_phi_mass``); it has its own tails, its
+    own row of ``_mass_cut`` and the scale 1 or -2 pi / M.  Row 1 starts
+    from (k/2) times row 0's finished value and budgets.
+
     The tails past the stored range are taken once, up front: a tail that
     is not finite means the envelope cannot certify the series, and raises
     ``MembershipError`` before any transform is built (as does a phi
@@ -191,87 +197,80 @@ def _series_pair(
     c1, _, K, K2 = _phi_mass(phi)
     alpha = _TWO_PI * c1 / f.period
     step = _TWO_PI / f.period
-    # the a- and b-tails of the plain series, then of the delta_k series,
-    # whose envelope carries an extra factor n (phi's mass K2 is that of phi x)
-    tails = (_hol_tail(f, alpha, mass=K), _nonhol_series_tail(f, c1))
-    if delta:
-        tails += (_hol_tail(f, alpha, 1.0, K2), _nonhol_series_tail(f, c1, 1.0))
-    if not all(map(math.isfinite, tails)):
+    rows = range(1 + delta)
+    tests, mass = (phi, shift_s(phi, 2.0))[:1 + delta], (K, K2)
+    # the a- and b-tails of each row; the delta_k envelope carries an extra factor n
+    tails = [(_hol_tail(f, alpha, r, mass[r]), _nonhol_series_tail(f, c1, r)) for r in rows]
+    if not all(math.isfinite(t) for row in tails for t in row):
         raise MembershipError(f"membership series for {phi.label!r} not certifiably convergent")
-    phi2 = shift_s(phi, 2.0)
     ns, avals = f._arrays("a")
     neg = ns < 0
-    # each series sums its terms n > 0 that its budget can see, and charges
-    # the others' bounds to its truncation
+    # each row sums its terms n > 0 that its budget can see, and charges
+    # the others' bounds to its truncation; row 0 sums n = 0 too
     keep, skipped, skipped_err = _mass_cut(f._positive(), np.abs(avals), alpha, coeff_err)
-    plain = keep[0] | (ns == 0)
-    deriv = keep[1] if delta else np.zeros_like(plain)
-    table = plain | deriv
-    if np.any(table):
-        lv, le = laplace_lattice((phi, phi2) if delta else (phi,), ns[table], step)
-
-    # the sums over the table by its row, plain and delta_k: which terms,
-    # their coefficients and the coefficients' errors, and the test function
-    series = {0: (plain, avals[plain], None if coeff_err is None else coeff_err[plain], phi)}
-    if delta:
-        nf = ns[deriv].astype(float)
-        series[1] = (deriv, avals[deriv] * nf, None if coeff_err is None else coeff_err[deriv] * nf, phi2)
-    series = {row: s for row, s in series.items() if np.any(s[0])}
-    sums = dict(zip(series, _weighted_transform_sums([
-        (test, coeffs, ns[mask], (lv[row][mask[table]], le[row][mask[table]]), err)
-        for row, (mask, coeffs, err, test) in series.items()
-    ], f.period)))
-    value, quad = sums.get(0, (0.0 + 0.0j, 0.0))
-    if np.any(neg):
-        # growing exponentials: the direct path, one grid for phi and phi_2
-        nv, ne = laplace_many((phi, phi2) if delta else (phi,), ns[neg] * step)
-        value += complex(np.sum(avals[neg] * nv[0]))
-        quad += float(np.sum(np.abs(avals[neg]) * ne[0]))
-        if coeff_err is not None:
-            quad += float(np.sum(coeff_err[neg] * np.abs(nv[0])))
-    quad += K * skipped_err[0]
-    trunc = tails[0] + K * skipped[0]
-    n_terms = int(np.count_nonzero(plain | neg))
+    masks = keep[:1 + delta]
+    masks[0] |= ns == 0
+    table = masks.any(axis=0)
+    if table.any():
+        lv, le = laplace_lattice(tests, ns[table], step)
+    # each row's sum over the table: its coefficients, their errors and its
+    # test function, weighted on the kept terms alone
+    summed = {}
+    for r, m in enumerate(masks):
+        if m.any():
+            err = None if coeff_err is None else _times_n(coeff_err[m], ns[m], r)
+            transforms = (lv[r][m[table]], le[r][m[table]])
+            summed[r] = (tests[r], _times_n(avals[m], ns[m], r), ns[m], transforms, err)
+    sums = dict(zip(summed, _weighted_transform_sums(list(summed.values()), f.period)))
+    has_neg = neg.any()
+    if has_neg:
+        # growing exponentials: the direct path, one grid for every row
+        nv, ne = laplace_many(tests, ns[neg] * step)
     if len(f.b):
         part = _nonhol_part(f, phi, delta)
         # the routes share phi's samples but take the y-integral apart:
         # finite moments against the closed-form incomplete gamma
-        allowed = _ROUTE_AGREEMENT * part.mass + 10.0 * (part.err + part.y_err)
-        if not abs(part.value - part.y) <= allowed:
+        allowed = _ROUTE_AGREEMENT * part.mass + 10.0 * (part.err[0] + part.y_err)
+        if not abs(part.value[0] - part.y) <= allowed:
             raise AccuracyError(
-                f"nonholomorphic term cross-check failed: {part.value} vs {part.y}",
-                best=part.value,
+                f"nonholomorphic term cross-check failed: {part.value[0]} vs {part.y}",
+                best=part.value[0],
             )
-        value += part.value
-        quad += part.err
-        trunc += tails[1]
-        n_terms += len(f.b)
-    base = LValue(value, trunc, quad, n_terms, "series")
-    if not delta:
-        return base, None
+    out = []
+    for r in rows:
+        # row 1 scales its values by -2 pi / M and its budgets by 2 pi / M;
+        # row 0's values are not multiplied by 1, which would flip the sign of
+        # a zero part
+        scale = step if r else 1.0
+        if r == 0:
+            (value, quad), trunc = sums.get(0, (0.0 + 0.0j, 0.0)), 0.0
+        else:
+            half, base = 0.5 * f.k, out[0]
+            value, quad, trunc = half * base.value, abs(half) * base.quad_err, abs(half) * base.trunc_err
+            if 1 in sums:
+                value += -step * sums[1][0]
+                quad += step * sums[1][1]
+        if has_neg:
+            weights = _times_n(avals[neg], ns[neg], r)
+            v = complex(np.sum(weights * nv[r]))
+            value += -step * v if r else v
+            quad += scale * float(np.sum(np.abs(weights) * ne[r]))
+            if coeff_err is not None:
+                quad += scale * float(np.sum(coeff_err[neg] * np.abs(_times_n(nv[r], ns[neg], r))))
+        quad += scale * mass[r] * skipped_err[r]
+        trunc += scale * (tails[r][0] + mass[r] * skipped[r])
+        if len(f.b):
+            value += part.value[r]
+            quad += part.err[r]
+            trunc += tails[r][1]
+        n_terms = int(np.count_nonzero(masks[r] | neg)) + len(f.b)
+        out.append(LValue(value, trunc, quad, n_terms, "series"))
+    return out[0], (out[1] if delta else None)
 
-    k = f.k
-    value = 0.5 * k * base.value
-    quad = abs(0.5 * k) * base.quad_err
-    trunc = abs(0.5 * k) * base.trunc_err
-    if 1 in sums:
-        v, q = sums[1]
-        value += -step * v
-        quad += step * q
-    if np.any(neg):
-        weights = avals[neg] * ns[neg]
-        value += -step * complex(np.sum(weights * nv[1]))
-        quad += step * float(np.sum(np.abs(weights) * ne[1]))
-        if coeff_err is not None:
-            quad += step * float(np.sum(coeff_err[neg] * np.abs(ns[neg] * nv[1])))
-    quad += step * K2 * skipped_err[1]
-    trunc += step * (tails[2] + K2 * skipped[1])
-    if len(f.b):
-        value += part.delta_value
-        quad += part.delta_err
-        trunc += tails[3]
-    n_terms = int(np.count_nonzero(deriv | neg)) + len(f.b)
-    return base, LValue(value, trunc, quad, n_terms, "series")
+
+def _times_n(x: np.ndarray, ns: np.ndarray, r: int) -> np.ndarray:
+    """x n^r: row 1's terms carry a factor n, row 0's none."""
+    return x * ns if r else x
 
 
 _CUT_EPS = 2.0 ** -63  # x87 long double's eps, the same on every platform
@@ -311,23 +310,6 @@ def _mass_cut(terms: tuple, mags: np.ndarray, alpha: float, errs: np.ndarray | N
 _CANCEL_ESCALATE = 3e3
 _PI_LD = 4 * np.arctan(np.longdouble(1.0))
 _EPS_LD = float(np.finfo(np.longdouble).eps)
-
-
-def _weighted_transform_sum(
-    coeffs: np.ndarray,
-    phi: TestFunction,
-    ns: np.ndarray,
-    period: int,
-    table: tuple[np.ndarray, np.ndarray] | None = None,
-    coeff_err: np.ndarray | None = None,
-):
-    """sum_n coeffs[n] (L phi)(2 pi n / period), escalating precision
-    (``_weighted_transform_sums``).  ``table`` holds the float64 transform
-    values and errors at these frequencies when the caller has them
-    already; ``coeff_err`` bounds the error of each coefficient."""
-    if table is None:
-        table = laplace_lattice(phi, ns, _TWO_PI / period)
-    return _weighted_transform_sums([(phi, coeffs, ns, table, coeff_err)], period)[0]
 
 
 def _weighted_transform_sums(rows, period: int) -> list[tuple[complex, float]]:
@@ -400,22 +382,20 @@ def _longdouble_capable(phi: TestFunction) -> bool:
 class _NonholPart:
     """The b-part of the series from one grid.
 
-    ``value`` is the b-part by finite moments at integer order m = 1 - k
-    and by the y-route at other orders, with its error estimate ``err``;
-    ``delta_value`` and ``delta_err`` are the same for the b-part of the
-    delta_k series, when asked.  ``y`` and ``y_err`` are the y-route's
-    plain b-part, the cross-check at integer m (``value`` itself at other
-    orders); ``mass`` is the terms' absolute mass
+    ``value`` holds a row's b-part, the plain series' and, when asked, the
+    delta_k series': by finite moments at integer order m = 1 - k and by
+    the y-route at other orders; ``err`` holds their error estimates.  ``y``
+    and ``y_err`` are the y-route's plain b-part, the cross-check at
+    integer m (``value[0]`` itself at other orders); ``mass`` is the terms'
+    absolute mass
     sum |b(n)| int |Gamma(1-k, -4 pi n y / M) e^{-2 pi n y / M} phi(y)| dy.
     """
 
-    value: complex
-    err: float
+    value: tuple[complex, ...]
+    err: tuple[float, ...]
     y: complex
     y_err: float
     mass: float
-    delta_value: complex = 0j
-    delta_err: float = 0.0
 
 
 # the two b-routes may differ by this much of the terms' absolute mass,
@@ -454,16 +434,13 @@ def _nonhol_part(f: FormData, phi: TestFunction, delta: bool = False) -> _Nonhol
         vals, errs = y, y_err
     # the terms' weights: b(n) in the plain series, b(n) lambda in delta_k's
     weights = np.stack([bvals, bvals * lam], axis=1)[:, :1 + delta]
-    value = np.sum(weights * vals, axis=0)
-    err = np.sum(np.abs(weights) * errs, axis=0)
     absb = np.abs(bvals)
     return _NonholPart(
-        complex(value[0]),
-        float(err[0]),
+        tuple(np.sum(weights * vals, axis=0).tolist()),
+        tuple(np.sum(np.abs(weights) * errs, axis=0).tolist()),
         complex(np.sum(bvals * y[:, 0])),
         float(np.sum(absb * y_err[:, 0])),
         float(np.sum(absb * y_mass[:, 0])),
-        *((complex(value[1]), float(err[1])) if delta else ()),
     )
 
 

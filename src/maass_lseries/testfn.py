@@ -56,7 +56,6 @@ _GK_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
 # Gauss weights aligned with the 15-node layout (zeros at Kronrod-only nodes)
 _G_W = np.zeros(15)
 _G_W[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])
-_GRID_RULES = (32, 20)  # Gauss points a panel of _grid_integrals: its value's and its check's
 # dyadic levels of _graded_edges that seed an adaptive quadrature over a test
 # function's support: 8 settle the widest battery bump in at most 3 passes
 _SEED_LEVELS = 8
@@ -752,27 +751,27 @@ def laplace(phi: TestFunction, s: complex):
 
 
 # The grids of one sweep (``verify.fe_sweep`` sets a fresh table for its
-# duration): (phis, levels, dtype, order) -> (x, w phi).  None outside a sweep,
+# duration): (phis, levels, dtype) -> (x, w phi).  None outside a sweep,
 # where every call samples its own grid.
 _GRIDS: ContextVar[dict | None] = ContextVar("_GRIDS", default=None)
 
 
-def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: int | None = None):
+def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype):
     """Nodes x, weighted samples w phi(x), one column per test function, and
     the ``_Layout`` of the transform product's columns.
 
     A composite Gauss-Legendre grid on the common support, dyadically
     graded into both endpoints (resolving bump-type essential singularities
-    and keeping |u| h small on the panels that matter), ``order`` nodes a
-    panel (by default 32 in float64 and 40 in long double).  A bump
-    underflows to exactly 0 on the nodes graded into its endpoints; the
-    nodes where every test function is 0 add nothing to any transform and
-    are dropped.  A member that differs from the one before it only by its
-    trailing shift is sampled as those samples times x^(s - s_prev): phi x
-    after phi is exactly x times phi's column, which the layout records.
-    Such a column vanishes where the one before it does, so ``_sample``
-    reads the nodes' liveness from the other columns alone and forms it on
-    the nodes it keeps.
+    and keeping |u| h small on the panels that matter), 32 nodes a panel
+    in float64 and 40 in long double.  A bump underflows to exactly 0 on
+    the nodes graded into its endpoints; the nodes where every test
+    function is 0 add nothing to any transform and are dropped.  A member
+    that differs from the one before it only by its trailing shift is
+    sampled as those samples times x^(s - s_prev): phi x after phi is
+    exactly x times phi's column, which the layout records.  Such a column
+    vanishes where the one before it does, so ``_sample`` reads the nodes'
+    liveness from the other columns alone and forms it on the nodes it
+    keeps.
 
     Within a sweep the grid is looked up in, or added to, the sweep's table
     ``_GRIDS``; it depends on ``us`` only through the grading depth.  The
@@ -787,22 +786,19 @@ def _sampled_grid(phis: tuple[TestFunction, ...], us: np.ndarray, dtype, order: 
     width = hi - lo
     u_scale = float(np.max(np.abs(us.astype(float)), initial=1.0))
     levels = min(48, max(13, int(math.ceil(math.log2(max(u_scale * width / 20.0, 2.0)))) + 2))
-    longdouble = np.dtype(dtype) == np.dtype(np.longdouble)
-    if order is None:
-        order = 40 if longdouble else 32
     grids = _GRIDS.get()
     if grids is not None:
-        key = (phis, levels, np.dtype(dtype), order)
+        key = (phis, levels, np.dtype(dtype))
         grid = grids.get(key)
         if grid is None:
-            grid = grids[key] = _sample(phis, levels, dtype, longdouble, order)
+            grid = grids[key] = _sample(phis, levels, dtype)
             for a in (*grid[:2], grid[2].floor):
                 a.flags.writeable = False
         return grid
-    return _sample(phis, levels, dtype, longdouble, order)
+    return _sample(phis, levels, dtype)
 
 
-def _sample(phis: tuple[TestFunction, ...], levels: int, dtype, longdouble: bool, order: int):
+def _sample(phis: tuple[TestFunction, ...], levels: int, dtype):
     """``_sampled_grid``'s nodes, weighted samples and layout, sampled afresh.
 
     The members sampled on their own decide which nodes live: one formed as
@@ -811,7 +807,8 @@ def _sample(phis: tuple[TestFunction, ...], levels: int, dtype, longdouble: bool
     before the derived ones are formed and the columns are stacked, so the
     grid is the one of sampling every node and dropping the rows where all
     columns vanish, bit for bit."""
-    xg, wg = (_leggauss_longdouble if longdouble else _leggauss)(order)
+    longdouble = np.dtype(dtype) == np.dtype(np.longdouble)
+    xg, wg = _leggauss_longdouble(40) if longdouble else _leggauss(32)
     edges = np.array(_graded_edges(phis[0], levels), dtype=dtype)
     a, b = edges[:-1, None], edges[1:, None]
     h = 0.5 * (b - a)
@@ -858,35 +855,6 @@ def _trailing_shift(phi: TestFunction):
     if phi.ops and phi.ops[-1][0] == "shift":
         return phi.ops[:-1], phi.ops[-1][1]
     return phi.ops, 1.0
-
-
-def _grid_integrals(phi: TestFunction, kernel, us, rel_tol: float):
-    """int phi(x) kernel(x)[:, c] dx for each column c of ``kernel`` (nodes ->
-    (nodes, columns) array, column c at frequency ``us[c]``), on the grid of
-    ``_sampled_grid`` for ``us``, ``_GRID_RULES[0]`` points a panel.
-
-    ``kernel`` is called once, on these nodes and those of the coarser rule
-    ``_GRID_RULES[1]`` on the same panels.  Raises :class:`AccuracyError` where
-    the rules differ by more than rel_tol |value| + 300 eps m, m = int |phi kernel|
-    (``quadrature``'s test).  Returns the values and estimates: that difference
-    plus the rounding bound of ``_split``, 50 eps m + 4 eps |u| int x |phi kernel|.
-
-    It serves the gf moments of ``verify._gf_moments``, whose n columns the
-    summation formula needs at once; a one-column kernel takes the adaptive
-    ``quadrature`` seeded with ``_graded_edges(phi, _SEED_LEVELS)``, which
-    evaluates it on far fewer nodes than the 13 or more graded levels here.
-    """
-    us = np.asarray(us, dtype=float)
-    x, wf, _ = _sampled_grid((phi,), us, np.float64, _GRID_RULES[0])
-    xc, wc, _ = _sampled_grid((phi,), us, np.float64, _GRID_RULES[1])
-    table = kernel(np.concatenate([x, xc]))
-    vals = _matmul(wf[:, 0], table[:len(x)])
-    diff = np.abs(vals - _matmul(wc[:, 0], table[len(x):]))
-    eps = np.finfo(float).eps
-    mass, xmass = _matmul(np.abs(np.stack([wf[:, 0], x * wf[:, 0]])), np.abs(table[:len(x)]))
-    if np.any(diff > rel_tol * np.abs(vals) + 300.0 * eps * mass):
-        raise AccuracyError(f"grid rules differ by {np.max(diff):.3e}", best=vals, err_est=diff)
-    return vals, diff + eps * (50.0 * mass + 4.0 * np.abs(us) * xmass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1080,7 +1048,8 @@ def laplace_lattice(
         baby = _exp_normal(np.multiply.outer(np.arange(B) * -step, x))
         giant = _exp_normal(np.multiply.outer(x, (n0 + B * np.arange(Q)) * -step))
         unit = np.finfo(np.float64).tiny  # what _exp_normal and the fold flush is the only loss
-    folded = np.einsum("jq,jc->jqc", giant, layout.columns(x, wf)).reshape(len(x), -1)
+    cols = layout.columns(x, wf)
+    folded = np.einsum("jq,jc->jqc", giant, cols).reshape(len(x), Q * cols.shape[1])
     if not longdouble:
         parts = folded.view(np.float64)  # real and imaginary parts side by side
         parts[np.abs(parts) < unit] = 0.0

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, MembershipError
 from .form import FormData
-from .lseries import _series_pair, _twisted, _weighted_transform_sum, lseries_series
+from .lseries import _series_pair, _twisted, _weighted_transform_sums, lseries_series
 from .specials import (
     Character,
     _gamma_half_exp,
@@ -54,12 +54,12 @@ from .testfn import (
     _Spline,
     _exp_normal,
     _graded_edges,
-    _grid_integrals,
     _leggauss,
     _padd,
     _pmul,
     _pscale,
     derivative,
+    laplace_lattice,
     quadrature,
     slash_W,
     standard_battery,
@@ -178,42 +178,28 @@ class _TwistedFE:
         )
 
 
-def _fe_int(f: FormData, g: FormData, chi: Character) -> _TwistedFE:
-    """The integral-weight equation at chi (see ``fe_residual_int``)."""
-    if f.weight2 % 2 != 0 or g.weight2 % 2 != 0:
-        raise DomainError("fe_residual_int requires integral weight")
+def _fe_equation(f: FormData, g: FormData, chi: Character) -> _TwistedFE:
+    """The equation at chi, in integral or half-integral weight by f's
+    parity (see ``fe_residual_int`` and ``fe_residual_half``)."""
+    half = f.weight2 % 2 != 0
+    if g.weight2 % 2 != f.weight2 % 2:
+        raise DomainError("f and g must have the same weight parity")
     N = f.level
     D = chi.modulus
-    if math.gcd(D, N) != 1:
-        raise DomainError("twisting modulus must be coprime to the level")
-    k = f.weight2 // 2
-    prefactor = i_pow(k) * chi(-N) * f.psi(D) * float(N) ** (1.0 - 0.5 * k)
-    return _TwistedFE.build(f, g, chi, chi.conjugate(), prefactor)
-
-
-def _fe_half(f: FormData, g: FormData, chi: Character) -> _TwistedFE:
-    """The half-integral-weight equation at chi (see ``fe_residual_half``)."""
-    if f.weight2 % 2 == 0:
-        raise DomainError("fe_residual_half requires half-integral weight")
-    N = f.level
-    if N % 4 != 0:
+    if half and N % 4 != 0:
         raise DomainError("half-integral weight requires 4 | N")
-    D = chi.modulus
-    if D % 2 == 0:
+    if half and D % 2 == 0:
         raise DomainError("twisting modulus must be odd in half-integral weight")
     if math.gcd(D, N) != 1:
         raise DomainError("twisting modulus must be coprime to the level")
-    k = f.weight2 / 2.0
-    kk = (f.weight2 - 1) // 2  # k - 1/2, an integer
-    prefactor = (
-        float(kronecker(-1, D)) ** kk
-        * kronecker(N, D)
-        * chi(-N)
-        * f.psi(D)
-        / epsilon_d(D)
-        * float(N) ** (1.0 - 0.5 * k)
-    )
-    chi_right = chi.conjugate() * kronecker_character(D)
+    chi_right = chi.conjugate()
+    if half:
+        kk = (f.weight2 - 1) // 2  # k - 1/2, an integer
+        lead = float(kronecker(-1, D)) ** kk * kronecker(N, D) * chi(-N) * f.psi(D) / epsilon_d(D)
+        chi_right = chi_right * kronecker_character(D)
+    else:
+        lead = i_pow(f.weight2 // 2) * chi(-N) * f.psi(D)
+    prefactor = lead * float(N) ** (1.0 - 0.25 * f.weight2)
     return _TwistedFE.build(f, g, chi, chi_right, prefactor)
 
 
@@ -229,7 +215,9 @@ def fe_residual_int(
     Returns (plain report, delta_k report); membership failures identify
     which side of the pairing broke.
     """
-    return _fe_reports(_fe_int, f, g, chi, phi, tol)
+    if f.weight2 % 2 != 0:
+        raise DomainError("fe_residual_int requires integral weight")
+    return _fe_reports(f, g, chi, phi, tol)
 
 
 def fe_residual_half(
@@ -244,22 +232,20 @@ def fe_residual_half(
     The right side is twisted by chibar * (.|D) and carries the factor
     (-1|D)^{k-1/2}-style parity sign, (N|D), and 1/epsilon_D.
     """
-    return _fe_reports(_fe_half, f, g, chi, phi, tol)
+    if f.weight2 % 2 == 0:
+        raise DomainError("fe_residual_half requires half-integral weight")
+    return _fe_reports(f, g, chi, phi, tol)
 
 
-def _fe_reports(equation, f: FormData, g: FormData, chi: Character, phi: TestFunction, tol: float):
-    """``equation(f, g, chi).reports(phi, tol)``, one instance on its own.  A
-    membership failure is raised afresh from here, so its traceback keeps
-    none of the frames that held the twisted forms."""
+def _fe_reports(f: FormData, g: FormData, chi: Character, phi: TestFunction, tol: float):
+    """``_fe_equation(f, g, chi).reports(phi, tol)``, one instance on its
+    own.  A membership failure is raised afresh from here, so its traceback
+    keeps none of the frames that held the twisted forms."""
     try:
-        return equation(f, g, chi).reports(phi, tol)
+        return _fe_equation(f, g, chi).reports(phi, tol)
     except MembershipError as exc:
         message, side = str(exc), exc.side
     raise MembershipError(message, side)
-
-
-def _fe_equation(f: FormData, g: FormData, chi: Character) -> _TwistedFE:
-    return (_fe_int if f.weight2 % 2 == 0 else _fe_half)(f, g, chi)
 
 
 def _fe_tol(f: FormData, tol: float | None) -> float:
@@ -270,7 +256,7 @@ def fe_pair(f: FormData, g: FormData, chi: Character, phi: TestFunction, tol=Non
     """Dispatch on weight parity; default tolerances 1e-8 / 1e-6, decided
     here for every caller.  Twists f and g afresh on every call; a sweep
     over many test functions goes through ``fe_sweep``."""
-    return _fe_reports(_fe_equation, f, g, chi, phi, _fe_tol(f, tol))
+    return _fe_reports(f, g, chi, phi, _fe_tol(f, tol))
 
 
 # ----------------------------------------------------------------------------
@@ -554,14 +540,15 @@ def gf_term_check(n: int, k: int, phi: TestFunction, tol: float = 1e-10) -> Iden
     (4 pi n)^{1-k} int Gamma(k-1, 4 pi n y) e^{2 pi n y} phi(y) dy
       = sum_{l=0}^{k-2} (k-2)!/l! (4 pi n)^{1-k+l} int e^{-2 pi n y} y^l phi(y) dy,
     exact for even k >= 2 because Gamma(k-1, x) is e^{-x} times a
-    polynomial.  The left side is an adaptive quadrature, the right side
-    ``_gf_moments`` on phi's grid.
+    polynomial.  Both sides integrate over y by the same adaptive rule,
+    seeded with phi's graded edges (``_gamma_moment`` and ``_gf_moments``);
+    the identity holds pointwise in y, as for ``mf_term_check``.
     """
     if k < 2 or k % 2 != 0 or n < 1:
         raise DomainError("gf term check needs even k >= 2 and n >= 1")
     c = 4.0 * math.pi * n
     lhs = c ** (1 - k) * _gamma_moment(phi, k, [c], [1.0])
-    return IdentityReport.build(lhs, _gf_moments(phi, k, [n])[0][0], tol, f"gf term n={n} k={k}")
+    return IdentityReport.build(lhs, _gf_moments(phi, k, [n], [1.0]), tol, f"gf term n={n} k={k}")
 
 
 def _gamma_moment(phi: TestFunction, k: int, cs, weights) -> complex:
@@ -577,19 +564,20 @@ def _seeded_quadrature(phi: TestFunction, kernel, rel_tol: float) -> tuple[compl
                       knots=_graded_edges(phi, _SEED_LEVELS), vectorized=True)
 
 
-def _gf_moments(phi: TestFunction, k: int, ns) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{l=0}^{k-2} (k-2)!/l! (4 pi n)^{1-k+l} int e^{-2 pi n y} y^l phi(y) dy
-    for every n of ``ns``: one column e^{-2 pi n y} P_n(y) per n, with P_n
-    the polynomial in y, on phi's checked grid: (values, grid estimates)."""
+def _gf_moments(phi: TestFunction, k: int, ns, weights) -> complex:
+    """sum_n weight_n sum_{l=0}^{k-2} (k-2)!/l! (4 pi n)^{1-k+l} int e^{-2 pi n y} y^l phi(y) dy,
+    one adaptive quadrature over a (nodes x n) table e^{-2 pi n y} P_n(y),
+    with P_n the polynomial in y."""
     ns = np.asarray(ns, dtype=float)
     ls = np.arange(k - 1)
     inv_fact = np.array([math.factorial(k - 2) / math.factorial(l) for l in ls])
     coef = inv_fact[:, None] * np.power.outer(4.0 * math.pi * ns, 1.0 - k + ls).T
 
     def kernel(ys):
-        return _exp_normal(-_TWO_PI * np.outer(ys, ns)) * _matmul(np.power.outer(ys, ls), coef)
+        table = _exp_normal(-_TWO_PI * np.outer(ys, ns)) * _matmul(np.power.outer(ys, ls), coef)
+        return _matmul(table, weights)
 
-    return _grid_integrals(phi, kernel, _TWO_PI * ns, 1e-13)
+    return _seeded_quadrature(phi, kernel, 1e-13)[0]
 
 
 def mf_term_check(
@@ -730,7 +718,9 @@ def summation_residual(
         """sum_n coeffs[n] (L test)(2 pi n)"""
         items = sorted(coeffs.items())
         cs = np.array([c for _, c in items], dtype=complex)
-        return _weighted_transform_sum(cs, test, np.array([n for n, _ in items]), 1)[0]
+        ns = np.array([n for n, _ in items])
+        table = laplace_lattice(test, ns, _TWO_PI)
+        return _weighted_transform_sums([(test, cs, ns, table, None)], 1)[0][0]
 
     part1 = transform_sum(g_plus, phi)
     # int phi(y) (-iy)^{k-2} e^{-2 pi n/(N y)} dy
@@ -739,8 +729,9 @@ def summation_residual(
     lhs = part1 - float(N) ** (0.5 * k - 1.0) * part2
 
     terms = [(n, av) for n, av in sorted(f.a.items()) if n >= 1 and av != 0]
-    gf, _ = _gf_moments(phi, k, [n for n, _ in terms])
-    rhs = sum((np.conj(av) * (gf_n + _whittaker_side(phi, k, n)[0]) for (n, av), gf_n in zip(terms, gf)), 0j)
+    weights = np.conj([av for _, av in terms])
+    rhs = _gf_moments(phi, k, [n for n, _ in terms], weights)
+    rhs += sum((w * _whittaker_side(phi, k, n)[0] for (n, _), w in zip(terms, weights)), 0j)
     return SummationReport.build(
         lhs, rhs, tol, "summation formula",
         lhs_parts=(complex(part1), complex(part2)), rhs_n_terms=len(terms),

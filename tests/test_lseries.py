@@ -97,7 +97,7 @@ def test_nonholomorphic_two_internal_forms():
     )
     for phi in (BAT[2], BAT[5]):
         part = _nonhol_part(f, phi)
-        assert abs(part.value - part.y) < 1e-9 * max(abs(part.value), abs(part.y))
+        assert abs(part.value[0] - part.y) < 1e-9 * max(abs(part.value[0]), abs(part.y))
         sv = lseries_series(f, phi)
         iv = lseries_integral(f, phi)
         assert abs(sv.value - iv.value) < 1e-9 * abs(iv.value)
@@ -178,7 +178,7 @@ def test_nonholomorphic_part_within_its_budget():
                 lambda y: term(y) * (mp.mpf(k) / 2 + 2 * mp.pi * y), [c1, (c1 + c2) / 2, c2]
             ))
         part = _nonhol_part(f, phi)
-        for v, q in ((part.value, part.err), (part.y, part.y_err)):
+        for v, q in ((part.value[0], part.err[0]), (part.y, part.y_err)):
             assert abs(v - ref) <= q, (phi.label, v, ref, q)
         sv, dv = lseries_series(f, phi), lseries_delta(f, phi)
         assert abs(sv.value - ref) <= sv.quad_err + sv.trunc_err
@@ -198,7 +198,7 @@ def test_moment_route_against_the_t_and_the_y_integral(k):
     )
     for phi in (BAT[0], BAT[5]):
         part = _nonhol_part(f, phi, delta=True)
-        for shift, (v, q) in enumerate(((part.value, part.err), (part.delta_value, part.delta_err))):
+        for shift, (v, q) in enumerate(zip(part.value, part.err)):
             with mp.workdps(20):
                 ref_t = _t_oracle(mp, k, phi, shift)
             with mp.workdps(30):
@@ -218,8 +218,8 @@ def test_half_integral_b_part_by_the_y_route_alone():
     )
     for phi in (BAT[0], BAT[5]):
         part = _nonhol_part(f, phi, delta=True)
-        assert (part.value, part.err) == (part.y, part.y_err)
-        for shift, (v, q) in enumerate(((part.value, part.err), (part.delta_value, part.delta_err))):
+        assert (part.value[0], part.err[0]) == (part.y, part.y_err)
+        for shift, (v, q) in enumerate(zip(part.value, part.err)):
             with mp.workdps(30):
                 ref = complex(_y_oracle(mp, f.k, phi, shift))
             assert abs(v - ref) <= q, (phi.label, shift, v, ref, q)
@@ -234,10 +234,10 @@ def test_moment_weights_past_the_double_range_leave_the_y_route():
         a={}, b={-100: 1.0}, growth_C=4.0, exhaustive=True,
     )
     part = _nonhol_part(f, BAT[0], delta=True)
-    assert (part.value, part.err) == (part.y, part.y_err)
+    assert (part.value[0], part.err[0]) == (part.y, part.y_err)
     with mp.workdps(30):
         refs = [complex(_y_oracle(mp, f.k, BAT[0], shift, n=100)) for shift in (0, 1)]
-    for (v, q), ref in zip(((part.value, part.err), (part.delta_value, part.delta_err)), refs):
+    for v, q, ref in zip(part.value, part.err, refs):
         assert abs(v - ref) <= q, (v, ref, q)
     sv = lseries_series(f, BAT[0])
     assert abs(sv.value - refs[0]) <= sv.quad_err
@@ -250,7 +250,7 @@ def test_nonholomorphic_routes_agree(n_terms):
     g = _harmonic_form(n_terms)
     for phi in BAT:
         part = _nonhol_part(g, phi)
-        assert abs(part.value - part.y) <= 1e-14 * part.mass, phi.label
+        assert abs(part.value[0] - part.y) <= 1e-14 * part.mass, phi.label
         assert part.mass >= abs(part.y)
         assert np.isfinite(lseries_series(g, phi).value)
 
@@ -269,7 +269,7 @@ def test_nonholomorphic_grid_against_an_adaptive_y_integral():
             integrand, *phi.support(), rel_tol=1e-14, knots=phi.knots(), vectorized=True
         )
         part = _nonhol_part(g, phi)
-        for v, q in ((part.value, part.err), (part.y, part.y_err)):
+        for v, q in ((part.value[0], part.err[0]), (part.y, part.y_err)):
             assert abs(v - ref) <= q + ref_err, (phi.label, v, ref, q, ref_err)
 
 
@@ -280,7 +280,7 @@ def test_route_cross_check_fires_on_a_perturbed_route(monkeypatch):
 
     def perturbed(*args, **kwargs):
         part = honest(*args, **kwargs)
-        return replace(part, value=part.value + 1e-9 * part.mass)
+        return replace(part, value=(part.value[0] + 1e-9 * part.mass, *part.value[1:]))
 
     monkeypatch.setattr(lseries_module, "_nonhol_part", perturbed)
     for phi in (BAT[0], BAT[9]):
@@ -815,3 +815,122 @@ def test_mass_cut_on_the_positive_terms_matches_the_cut_over_every_index():
         assert [x.hex() for x in skipped + skipped_err] == [x.hex() for x in skipped_ref + skipped_err_ref]
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the series kernel against its form with each series written out
+
+
+def _series_pair_written_twice(f, phi, delta, coeff_err=None):
+    """``_series_pair`` as it was with every step written once for the plain
+    series and once more for the delta_k series: the reference of the loop
+    over rows, which must give its values, budgets and term counts bit for
+    bit."""
+    lm = lseries_module
+    c1, _, K, K2 = lm._phi_mass(phi)
+    alpha = lm._TWO_PI * c1 / f.period
+    step = lm._TWO_PI / f.period
+    tails = (lm._hol_tail(f, alpha, mass=K), lm._nonhol_series_tail(f, c1))
+    if delta:
+        tails += (lm._hol_tail(f, alpha, 1.0, K2), lm._nonhol_series_tail(f, c1, 1.0))
+    if not all(map(math.isfinite, tails)):
+        raise MembershipError(f"membership series for {phi.label!r} not certifiably convergent")
+    phi2 = shift_s(phi, 2.0)
+    ns, avals = f._arrays("a")
+    neg = ns < 0
+    keep, skipped, skipped_err = lm._mass_cut(f._positive(), np.abs(avals), alpha, coeff_err)
+    plain = keep[0] | (ns == 0)
+    deriv = keep[1] if delta else np.zeros_like(plain)
+    table = plain | deriv
+    if np.any(table):
+        lv, le = lm.laplace_lattice((phi, phi2) if delta else (phi,), ns[table], step)
+    series = {0: (plain, avals[plain], None if coeff_err is None else coeff_err[plain], phi)}
+    if delta:
+        nf = ns[deriv].astype(float)
+        series[1] = (deriv, avals[deriv] * nf, None if coeff_err is None else coeff_err[deriv] * nf, phi2)
+    series = {row: s for row, s in series.items() if np.any(s[0])}
+    sums = dict(zip(series, lm._weighted_transform_sums([
+        (test, coeffs, ns[mask], (lv[row][mask[table]], le[row][mask[table]]), err)
+        for row, (mask, coeffs, err, test) in series.items()
+    ], f.period)))
+    value, quad = sums.get(0, (0.0 + 0.0j, 0.0))
+    if np.any(neg):
+        nv, ne = laplace_many((phi, phi2) if delta else (phi,), ns[neg] * step)
+        value += complex(np.sum(avals[neg] * nv[0]))
+        quad += float(np.sum(np.abs(avals[neg]) * ne[0]))
+        if coeff_err is not None:
+            quad += float(np.sum(coeff_err[neg] * np.abs(nv[0])))
+    quad += K * skipped_err[0]
+    trunc = tails[0] + K * skipped[0]
+    n_terms = int(np.count_nonzero(plain | neg))
+    if len(f.b):
+        part = _nonhol_part(f, phi, delta)
+        allowed = lm._ROUTE_AGREEMENT * part.mass + 10.0 * (part.err[0] + part.y_err)
+        if not abs(part.value[0] - part.y) <= allowed:
+            raise AccuracyError("nonholomorphic term cross-check failed", best=part.value[0])
+        value += part.value[0]
+        quad += part.err[0]
+        trunc += tails[1]
+        n_terms += len(f.b)
+    base = lm.LValue(value, trunc, quad, n_terms, "series")
+    if not delta:
+        return base, None
+    k = f.k
+    value = 0.5 * k * base.value
+    quad = abs(0.5 * k) * base.quad_err
+    trunc = abs(0.5 * k) * base.trunc_err
+    if 1 in sums:
+        v, q = sums[1]
+        value += -step * v
+        quad += step * q
+    if np.any(neg):
+        weights = avals[neg] * ns[neg]
+        value += -step * complex(np.sum(weights * nv[1]))
+        quad += step * float(np.sum(np.abs(weights) * ne[1]))
+        if coeff_err is not None:
+            quad += step * float(np.sum(coeff_err[neg] * np.abs(ns[neg] * nv[1])))
+    quad += step * K2 * skipped_err[1]
+    trunc += step * (tails[2] + K2 * skipped[1])
+    if len(f.b):
+        value += part.value[1]
+        quad += part.err[1]
+        trunc += tails[3]
+    n_terms = int(np.count_nonzero(deriv | neg)) + len(f.b)
+    return base, lm.LValue(value, trunc, quad, n_terms, "series")
+
+
+def _kernel_cases():
+    """(form, coefficient errors) for delta, theta, e4 (an n = 0 term), j744
+    and inv_delta (negative n), and data with several negative indices,
+    twisted mod D = 1, 3, 4 and 5 where D is coprime to the level, and the
+    harmonic g (a b-part) untwisted."""
+    rng = np.random.default_rng(7)
+    several = FormData(
+        weight2=-20, level=1, psi=trivial_character(1), n0=7,
+        a={n: complex(*rng.normal(size=2)) for n in range(-7, 40)},
+        b={}, growth_C=4.0, label="several", exhaustive=True,
+    )
+    for f in (*(fixture(name, 256) for name in ("delta", "theta", "e4", "j744", "inv_delta")), several):
+        for D in (1, 3, 4, 5):
+            if math.gcd(D, f.level) == 1:
+                for chi in characters_mod(D):
+                    yield lseries_module._twisted(f, chi)
+    yield _harmonic_form(12), None
+
+
+def test_series_kernel_equals_the_series_written_twice():
+    # repr-identical LValue pairs, or the same error raised, plain and with
+    # delta_k, over every case on three bumps
+    checked = 0
+    for form, rounding in _kernel_cases():
+        for phi in (BAT[0], BAT[5], BAT[9]):
+            for delta in (False, True):
+                outcomes = []
+                for kernel in (lseries_module._series_pair, _series_pair_written_twice):
+                    try:
+                        outcomes.append(repr(kernel(form, phi, delta, rounding)))
+                    except MembershipError as exc:
+                        outcomes.append(f"MembershipError {exc}")
+                assert outcomes[0] == outcomes[1], (form.label, phi.label, delta)
+                checked += not outcomes[0].startswith("MembershipError")
+    assert checked >= 200, checked

@@ -455,6 +455,19 @@ def test_laplace_lattice_keeps_sparse_indices_on_the_direct_path():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_laplace_lattice_on_a_test_function_zero_at_every_node():
+    # the grid keeps no node, and the lattice returns what the direct path
+    # does (zeros) instead of failing to fold an empty table, in float64 and
+    # in long double
+    z = TestFunction.spline([1.0, 2.0], [[0.0]])
+    ns = np.arange(1, 30)
+    for phi in ((z, shift_s(z, 2.0)), z):
+        for dtype in (np.float64, np.longdouble):
+            got = laplace_lattice(phi, ns, dtype(0.5), dtype)
+            want = laplace_many(phi, ns * dtype(0.5), dtype)
+            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_laplace_lattice_charges_what_underflows_to_its_error_column():
     # bump 9 at D = 1: every term e^{-2 pi n x} w phi(x) is below the
     # subnormal range once 2 pi n c1 > 745, and those transforms come back
@@ -862,14 +875,20 @@ def _sampled_grid_inline(phis, us, dtype, order):
 
 
 @pytest.mark.parametrize("phi", GRADED_PHIS, ids=lambda p: p.label)
-@pytest.mark.parametrize("dtype, order", [(np.float64, 32), (np.float64, 20), (np.longdouble, 32)])
+@pytest.mark.parametrize("dtype, order", [(np.float64, 32), (np.longdouble, 40)])
 def test_sampled_grid_is_unchanged_by_graded_edges(phi, dtype, order):
-    # from the fewest levels (13) to many (a frequency of 2e5)
+    # from the fewest levels (13) to many (a frequency of 2e5), with 32
+    # Gauss points a panel in float64 and 40 in long double
     for us in ([1.0], np.arange(768) * (2 * math.pi / 5), [2e5]):
         us = np.asarray(us, dtype=dtype)
-        x, wf, _ = _sampled_grid((phi,), us, dtype, order)
+        x, wf, _ = _sampled_grid((phi,), us, dtype)
         x_ref, wf_ref = _sampled_grid_inline((phi,), us, dtype, order)
+        assert x.dtype == np.dtype(dtype)
         assert np.array_equal(x, x_ref) and np.array_equal(wf, wf_ref)
+    if phi is GRADED_PHIS[2]:  # a spline: no node underflows to 0 and drops out
+        x, _, _ = _sampled_grid((phi,), np.array([1.0], dtype=dtype), dtype)
+        edges = np.array(_graded_edges(phi, 13))  # the levels at u = 1
+        assert np.all(np.histogram(x.astype(float), bins=edges)[0] == order)
 
 
 def _sampling_cases():
@@ -954,17 +973,6 @@ def test_derived_test_functions_are_bounded_per_parent():
     assert kept[-1].label == shift_s(phi, 3.5).label and shift_s(phi, 3.5) is kept[-1]
     assert all(p is not first for p in kept)
     assert shift_s(phi, 2.0) == first and shift_s(phi, 2.0) is not first
-
-
-def test_sampled_grid_honours_an_explicit_order():
-    # long double used to take 40 points a panel whatever order was asked,
-    # so where it is plain double both rules of _grid_integrals were one
-    phi = GRADED_PHIS[2]  # a spline: no node underflows to 0 and drops out
-    edges = np.array(_graded_edges(phi, 13))  # the levels at u = 1
-    for dtype, order, per_panel in ((np.longdouble, 20, 20), (np.longdouble, None, 40), (np.float64, 20, 20)):
-        x, wf, _ = _sampled_grid((phi,), np.array([1.0], dtype=dtype), dtype, order)
-        assert x.dtype == np.dtype(dtype) and len(wf) == len(x)
-        assert np.all(np.histogram(x.astype(float), bins=edges)[0] == per_panel), (dtype, order)
 
 
 @pytest.mark.parametrize("j", range(10))

@@ -120,6 +120,14 @@ def test_fe_half_domain_errors():
         fe_residual_half(d, d, CHI1, BAT[0])  # integral weight
 
 
+def test_fe_pair_needs_f_and_g_of_one_weight_parity():
+    delta, _ = fixture_pair("delta", 64)
+    theta, _ = fixture_pair("theta", 64)
+    for f, g in ((delta, theta), (theta, delta)):
+        with pytest.raises(DomainError, match="parity"):
+            fe_pair(f, g, CHI1, BAT[0])
+
+
 def test_fe_membership_error_names_side():
     f, g = fixture_pair("delta", 64)
     tp = TestFunction.trunc_power(2.0, 1.0)
@@ -391,12 +399,21 @@ def test_term_residuals_stay_far_below_their_tolerances():
 
 def test_adaptive_sides_settle_in_few_passes(monkeypatch):
     # one integrand call per pass of the adaptive quadrature; seeded with
-    # phi's graded edges each side takes 1 to 3, from one panel 6 or 7
-    calls = []
+    # phi's graded edges each side takes 1 to 3, from one panel 6 or 7.
+    # Both sides of the gf and of the mf check are adaptive, and so is the
+    # shadow pairing of the decomposition: 61 quadratures
+    passes = []
     quadrature = verify_module.quadrature
 
     def counted(f, *args, **kwargs):
-        return quadrature(lambda ys: calls.append(1) or f(ys), *args, **kwargs)
+        passes.append(0)
+        i = len(passes) - 1
+
+        def each_pass(ys):
+            passes[i] += 1
+            return f(ys)
+
+        return quadrature(each_pass, *args, **kwargs)
 
     monkeypatch.setattr(verify_module, "quadrature", counted)
     phi = TestFunction.bump(1, 2)
@@ -413,9 +430,9 @@ def test_adaptive_sides_settle_in_few_passes(monkeypatch):
     )
     checks.append(lambda: decomp_identity_check(g, a_f, phi))
     for check in checks:
-        calls.clear()
         assert check().passed
-        assert 1 <= len(calls) <= 3
+    assert len(passes) == 4 * len(KERNEL_PAIRS) + 1
+    assert all(1 <= p <= 3 for p in passes), passes
 
 
 def test_mf_term_normalization_pinned():
@@ -515,36 +532,48 @@ def test_whittaker_side_against_mpmath(phi):
 def test_gf_moments_against_mpmath(phi):
     # (4 pi n)^{1-k} e^{-2 pi n c1} int phi(y) e^{-2 pi n (y - c1)} sum_l (k-2)!/l! (4 pi n y)^l dy
     mp = pytest.importorskip("mpmath")
+    # each n alone, then all three under complex weights in one quadrature
     ns = [1, 2, 5]
     c1 = phi.base.c1
+    weights = np.array([1.0, -0.5 + 2.0j, 3.0])
     for k in (4, 12):
-        got, est = _gf_moments(phi, k, ns)
-        for n, v, e in zip(ns, got, est):
+        refs = []
+        for n in ns:
             c = 4 * mp.pi * n
             poly = lambda y: sum(mp.factorial(k - 2) / mp.factorial(l) * (c * y) ** l for l in range(k - 1))
             g = lambda y: mp.exp(-2 * mp.pi * n * (y - c1)) * poly(y)
-            ref = float(_mp_integral(phi, g, 4, 20) * c ** (1 - k) * mp.exp(-2 * mp.pi * n * c1))
-            assert e < 1e-12 * abs(ref), (k, n)
-            assert abs(v - ref) <= e, (k, n, abs(v - ref), e)
+            refs.append(float(_mp_integral(phi, g, 4, 20) * c ** (1 - k) * mp.exp(-2 * mp.pi * n * c1)))
+            got = _gf_moments(phi, k, [n], [1.0])
+            assert abs(got - refs[-1]) <= 1e-13 * abs(refs[-1]), (k, n, abs(got - refs[-1]) / refs[-1])
+        ref = complex(np.dot(weights, refs))
+        got = _gf_moments(phi, k, ns, weights)
+        assert abs(got - ref) <= 1e-13 * np.dot(np.abs(weights), refs), (k, abs(got - ref))
 
 
-def test_grid_check_fires_on_a_coarse_grid(monkeypatch):
-    # six and four Gauss points a panel cannot resolve the bump: the two
-    # rules disagree, and the gf moments raise instead of returning the value
-    phi = TestFunction.bump(1, 2)
-    monkeypatch.setattr(testfn, "_GRID_RULES", (6, 4))
-    with pytest.raises(AccuracyError):
-        _gf_moments(phi, 12, [1, 2])
-
-
-def test_adaptive_sides_raise_where_the_quadrature_cannot_settle(monkeypatch):
-    # with no subdivision allowed past a seed of phi's endpoints and two
-    # graded levels, neither y-quadrature of the mf check settles: each side
-    # raises instead of returning its first pass
-    phi = TestFunction.bump(1, 2)
+def _coarse_quadrature(monkeypatch):
+    # no subdivision allowed past a seed of phi's endpoints and two graded
+    # levels: too coarse for the bump's edges, so no y-quadrature settles
     quadrature = verify_module.quadrature
     monkeypatch.setattr(verify_module, "_SEED_LEVELS", 2)
     monkeypatch.setattr(verify_module, "quadrature", lambda *a, **kw: quadrature(*a, **kw, max_subdiv=0))
+
+
+def test_grid_check_fires_on_a_coarse_grid(monkeypatch):
+    # the gf moments, summed under their weights, and the gamma moment of the
+    # decomposition raise instead of returning an unsettled first pass
+    phi = TestFunction.bump(1, 2)
+    _coarse_quadrature(monkeypatch)
+    with pytest.raises(AccuracyError):
+        _gf_moments(phi, 12, [1, 2], [1.0, 1.0])
+    with pytest.raises(AccuracyError):
+        verify_module._gamma_moment(phi, 12, [4 * math.pi], [1.0])
+
+
+def test_adaptive_sides_raise_where_the_quadrature_cannot_settle(monkeypatch):
+    # neither y-quadrature of the mf check settles on the coarse seed: each
+    # side raises instead of returning its first pass
+    phi = TestFunction.bump(1, 2)
+    _coarse_quadrature(monkeypatch)
     with pytest.raises(AccuracyError):
         _whittaker_side(phi, 12, 2)
     # the Bessel side comes first and raises before the Whittaker side runs
@@ -700,12 +729,12 @@ def test_escalation_is_skipped_where_long_double_is_double(monkeypatch):
     mass = float(np.sum(np.abs(terms)))
     assert mass > lseries._CANCEL_ESCALATE * abs(np.sum(terms))  # an escalating sum
     calls = _transform_calls(monkeypatch)
-    escalated = lseries._weighted_transform_sum(coeffs, phi_w, ns, 1, table)
+    escalated = lseries._weighted_transform_sums([(phi_w, coeffs, ns, table, None)], 1)[0]
     if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
         assert ("laplace_lattice", np.dtype(np.longdouble)) in calls
     calls.clear()
     monkeypatch.setattr(lseries, "_EPS_LD", float(np.finfo(np.float64).eps))
-    value, budget = lseries._weighted_transform_sum(coeffs, phi_w, ns, 1, table)
+    value, budget = lseries._weighted_transform_sums([(phi_w, coeffs, ns, table, None)], 1)[0]
     assert calls == []
     assert value == complex(np.sum(terms))
     assert budget == float(np.sum(np.abs(coeffs) * table[1])) + 1e-16 * mass
