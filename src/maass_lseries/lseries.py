@@ -156,11 +156,26 @@ def lseries_delta(f: FormData, phi: TestFunction) -> LValue:
     return _series_pair(f, phi, delta=True)[1]
 
 
+def _series_tails(f: FormData, phi: TestFunction, delta: bool) -> list[tuple[float, float]]:
+    """The a- and b-tails past the stored range of each row of
+    ``_series_pair``; the delta_k envelope carries an extra factor n.  A
+    tail that is not finite means the envelope cannot certify the series:
+    ``MembershipError`` (as for a phi without compact support, in
+    ``_phi_mass``)."""
+    c1, _, K, K2 = _phi_mass(phi)
+    alpha = _TWO_PI * c1 / f.period
+    tails = [(_hol_tail(f, alpha, r, (K, K2)[r]), _nonhol_series_tail(f, c1, r)) for r in range(1 + delta)]
+    if not all(math.isfinite(t) for row in tails for t in row):
+        raise MembershipError(f"membership series for {phi.label!r} not certifiably convergent")
+    return tails
+
+
 def _series_pair(
     f: FormData,
     phi: TestFunction,
     delta: bool,
     coeff_err: np.ndarray | None = None,
+    tails: list[tuple[float, float]] | None = None,
 ) -> tuple[LValue, LValue | None]:
     """L_f(phi) and, with ``delta``, L_{delta_k f}(phi) in one transform pass.
 
@@ -176,10 +191,9 @@ def _series_pair(
     own row of ``_mass_cut`` and the scale 1 or -2 pi / M.  Row 1 starts
     from (k/2) times row 0's finished value and budgets.
 
-    The tails past the stored range are taken once, up front: a tail that
-    is not finite means the envelope cannot certify the series, and raises
-    ``MembershipError`` before any transform is built (as does a phi
-    without compact support, in ``_phi_mass``).
+    The tails past the stored range are ``_series_tails``, taken once, up
+    front, unless the caller has taken them already: an uncertified series
+    raises ``MembershipError`` before any transform is built.
 
     Within the stored range each series sums only what its budget can see.
     A term n > 0 has the bound b_n = |a(n)| K e^{-alpha n} (n times that,
@@ -199,10 +213,8 @@ def _series_pair(
     step = _TWO_PI / f.period
     rows = range(1 + delta)
     tests, mass = (phi, shift_s(phi, 2.0))[:1 + delta], (K, K2)
-    # the a- and b-tails of each row; the delta_k envelope carries an extra factor n
-    tails = [(_hol_tail(f, alpha, r, mass[r]), _nonhol_series_tail(f, c1, r)) for r in rows]
-    if not all(math.isfinite(t) for row in tails for t in row):
-        raise MembershipError(f"membership series for {phi.label!r} not certifiably convergent")
+    if tails is None:
+        tails = _series_tails(f, phi, delta)
     ns, avals = f._arrays("a")
     neg = ns < 0
     # each row sums its terms n > 0 that its budget can see, and charges

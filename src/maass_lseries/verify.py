@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, MembershipError
 from .form import FormData
-from .lseries import _series_pair, _twisted, _weighted_transform_sums, lseries_series
+from .lseries import _series_pair, _series_tails, _twisted, _weighted_transform_sums, lseries_series
 from .specials import (
     Character,
     _gamma_half_exp,
@@ -130,16 +130,24 @@ def _chi_id(chi: Character) -> str:
     return f"{chi.modulus}.{chi.index}"
 
 
-def _fe_side(twisted: tuple[FormData, np.ndarray | None], phi: TestFunction, side: str):
-    """(plain, delta_k) series values of a twisted form (``lseries._twisted``)
+def _side_tails(twisted: tuple[FormData, np.ndarray | None], phi: TestFunction, side: str):
+    """``_series_tails`` of both rows of a twisted form (``lseries._twisted``)
     at phi; a membership failure names the side.  It is raised outside the
-    handler, so the failed evaluation is released at once."""
-    form, rounding = twisted
+    handler, so nothing of the failed certificate is kept."""
     try:
-        return _series_pair(form, phi, True, rounding)
+        return _series_tails(twisted[0], phi, True)
     except MembershipError as exc:
         message = f"{side} side: {exc}"
     raise MembershipError(message, side)
+
+
+def _fe_side(twisted: tuple[FormData, np.ndarray | None], phi: TestFunction, side: str, tails=None):
+    """(plain, delta_k) series values of a twisted form at phi, from its
+    ``_side_tails`` (taken here unless given)."""
+    form, rounding = twisted
+    if tails is None:
+        tails = _side_tails(twisted, phi, side)
+    return _series_pair(form, phi, True, rounding, tails)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +169,13 @@ class _TwistedFE:
 
     def reports(self, phi: TestFunction, tol: float) -> tuple[FEReport, FEReport]:
         """L_{f_chi}(phi) = c L_{g_chi_right}(phi|_{2-k} W_N) and its delta_k
-        companion, which carries -c; each side is evaluated once for both."""
+        companion, which carries -c; each side is evaluated once for both.
+        Both sides' certificates come before either side's transforms, so an
+        instance that fails on its right side evaluates nothing."""
         phi_w = slash_W(phi, *self.slash)
-        lhs, lhs_d = _fe_side(self.left, phi, "left")
-        rhs, rhs_d = _fe_side(self.right, phi_w, "right")
+        tails = _side_tails(self.left, phi, "left"), _side_tails(self.right, phi_w, "right")
+        lhs, lhs_d = _fe_side(self.left, phi, "left", tails[0])
+        rhs, rhs_d = _fe_side(self.right, phi_w, "right", tails[1])
         prefactor = self.prefactor
         return tuple(
             FEReport.build(

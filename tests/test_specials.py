@@ -195,15 +195,17 @@ def test_bessel_ascending_series_oracle():
 
 
 def test_bessel_series_vs_miller_crossover():
-    # the two evaluation regimes must agree near the switch point (the
-    # ascending series loses ~3 digits to cancellation by x ~ 12.5)
-    from maass_lseries.specials import _bessel_j_series, _bessel_j_miller
+    # neighbouring regimes agree across their switches: the ascending series
+    # and the Miller sweep at x = 1, the sweep and Hankel's expansion at
+    # max(20, n)
+    from maass_lseries.specials import _bessel_j_hankel, _bessel_j_miller, _bessel_j_series
 
+    xs = np.linspace(0.9, 1.1, 21)
     for n in (0, 1, 5, 11):
-        for x in (11.5, 12.0, 12.5):
-            a = _bessel_j_series(n, x)
-            b = float(_bessel_j_miller(n, np.array([x]))[0])
-            assert abs(a - b) < 3e-12
+        assert np.max(np.abs(_bessel_j_series(n, xs) - _bessel_j_miller(n, xs))) < 4e-16, n
+    for n in (0, 1, 5, 11, 20, 40):
+        xs = max(20.0, n) + np.linspace(-0.5, 0.5, 21)
+        assert np.max(np.abs(_bessel_j_hankel(n, xs) - _bessel_j_miller(n, xs))) < 1.5e-15, n
 
 
 def test_bessel_large_argument():
@@ -476,6 +478,20 @@ def test_upper_gamma_orders_next_to_nonpositive_integers():
             assert abs(upper_gamma_scaled(s, x) - ref_scaled) <= 1e-14 * abs(ref_scaled), (s, x)
 
 
+def test_upper_gamma_continued_fraction_near_x_1():
+    # the forward (Lentz) evaluation alone was 9.2e-15 off at s = -1.000001,
+    # x = 1.15 and 1.0e-14 at s = -2.1 + 0.3i, x = 1.01
+    mp = pytest.importorskip("mpmath")
+    orders = [complex(a, b) for a in (-3.4, -2.1, -1.5, -1.25, -1.000001) for b in (0.0, 0.3, -1.0)]
+    points = [(-1.000001, 1.15), (-2.1 + 0.3j, 1.01)]
+    for s, x in points + [(s, x) for s in orders for x in np.linspace(1.0, 3.0, 21)]:
+        with mp.workdps(40):
+            ref = mp.gammainc(mp.mpc(s), x)
+            ref_scaled = complex(ref * mp.exp(x))
+        assert abs(upper_gamma(s, x) - complex(ref)) <= 1e-15 * abs(complex(ref)), (s, x)
+        assert abs(upper_gamma_scaled(s, x) - ref_scaled) <= 1e-15 * abs(ref_scaled), (s, x)
+
+
 def test_upper_gamma_negative_integer_order_at_large_x():
     # the downward recurrence from Gamma(0, x) cancels about a factor x per
     # step; at x = 50 eleven steps used to leave 1e-5 relative accuracy
@@ -655,13 +671,40 @@ def test_whittaker_kernel_sum_out_of_range():
         _whittaker_kernel(4, np.array([1.0, 0.0]))
 
 
+def _mpmath_bessel(mp, n, xs):
+    with mp.workdps(30):
+        return np.array([float(mp.besselj(n, x)) for x in xs])
+
+
 def test_bessel_grid_matches_mpmath_across_the_crossover():
     mp = pytest.importorskip("mpmath")
-    xs = np.concatenate([np.linspace(0.0, 150.0, 301), [11.9, 11.999, 12.0, 12.001, 12.1]])
-    for n in (1, 3, 11):
+    # the regime switches: x = 1, and max(20, n), which is 60 at n = 60
+    near = [np.nextafter(s, 0.0) for s in (1.0, 20.0, 60.0)] + [1.0, 20.0, 60.0]
+    near += [s + d for s in (1.0, 20.0, 60.0) for d in (-1e-3, 1e-3)]
+    xs = np.concatenate([np.linspace(0.0, 150.0, 301), near, [11.9, 11.999, 12.0, 12.001, 12.1]])
+    for n in (0, 1, 2, 3, 5, 11, 20, 60):
         got = bessel_J_grid(n, xs)
-        ref = np.array([float(mp.besselj(n, x)) for x in xs])
-        assert np.max(np.abs(got - ref)) <= 1e-12, n
+        assert np.max(np.abs(got - _mpmath_bessel(mp, n, xs))) <= 2e-15, n
+
+
+def test_bessel_grid_far_above_the_order():
+    # J_0 and J_1 on [100, 150] were 6e-13 off when a Miller sweep from depth
+    # x + 1.3 sqrt(x) + 30 served them; J_120 is still a sweep below x = 120
+    mp = pytest.importorskip("mpmath")
+    xs = np.linspace(100.0, 150.0, 201)
+    for n in (0, 1, 120):
+        got = bessel_J_grid(n, xs)
+        assert np.max(np.abs(got - _mpmath_bessel(mp, n, xs))) <= 2e-15, n
+
+
+def test_bessel_grid_rescales_a_sweep_that_would_overflow():
+    # J_300 below x = 300 is a Miller sweep whose start value 1e-300 would
+    # grow past 1e308 near x = 1 without its rescale
+    mp = pytest.importorskip("mpmath")
+    xs = np.array([1.5, 3.0, 10.0, 150.0, 280.0])
+    got = bessel_J_grid(300, xs)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - _mpmath_bessel(mp, 300, xs))) <= 2e-15
 
 
 def test_bessel_grid_matches_scalar_calls():

@@ -138,6 +138,26 @@ def test_fe_membership_error_names_side():
     assert exc.value.__context__ is None and exc.value.__cause__ is None
 
 
+def test_fe_pair_certifies_the_right_side_before_any_transform(monkeypatch):
+    """theta@768 at D = 7 cannot certify the right side of bump 9: the
+    instance raises before either side builds a transform."""
+    from maass_lseries import lseries as lseries_module
+
+    calls = []
+    for name in ("laplace_lattice", "laplace_many"):
+        real = getattr(lseries_module, name)
+        monkeypatch.setattr(lseries_module, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    f, g = fixture_pair("theta", 768)
+    for chi in characters_mod(7):
+        with pytest.raises(MembershipError) as exc:
+            fe_pair(f, g, chi, BAT[9])
+        assert exc.value.side == "right" and str(exc.value).startswith("right side: ")
+    assert calls == []
+    fe_pair(f, g, characters_mod(7)[0], BAT[0])
+    assert "laplace_lattice" in calls
+
+
 def test_fe_side_raises_where_membership_fails_on_theta():
     """A side raises MembershipError exactly where ``series_membership``
     rejects its twisted form: on theta@768 at D < 16 that is the right side
